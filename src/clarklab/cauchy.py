@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord_angles
-from .errors import (BoundaryAtom, DimensionMismatch, NotEnoughAtoms,
-                     WrongFamily)
+from .errors import (BoundaryAtom, DenseCapExceeded, DimensionMismatch,
+                     NotEnoughAtoms, WrongFamily)
 
 #: Dense storage beyond this section size would cross ~1 GiB; larger
 #: sections fall back to chunked on-the-fly application.
@@ -48,7 +48,7 @@ class CauchySection:
         zero diagonal."""
         if self._A is None:
             if self.N > self.dense_cap:
-                raise MemoryError(
+                raise DenseCapExceeded(
                     f"section size {self.N} exceeds dense cap {self.dense_cap}")
             rs = np.sqrt(self.sigma)
             D = 1.0 - np.conj(self.z)[None, :] * self.z[:, None]

@@ -144,11 +144,6 @@ class AtomicMeasure:
         self.total_mass = float(masses.sum())
 
     @staticmethod
-    def from_pairs(pairs) -> "AtomicMeasure":
-        pairs = list(pairs)
-        return AtomicMeasure([p for p, _ in pairs], [m for _, m in pairs])
-
-    @staticmethod
     def empty() -> "AtomicMeasure":
         return AtomicMeasure(np.empty(0), np.empty(0))
 
@@ -216,10 +211,6 @@ def measure_of_arc(m: AtomicMeasure, arc: Arc) -> float:
     if not m.n_atoms:
         return 0.0
     return float(m.masses[m.membership(arc)].sum())
-
-
-def neighbor_gaps(m: AtomicMeasure, n: int) -> tuple[float, float]:
-    return m.neighbor_gaps(n)
 
 
 def gap_arcs(m: AtomicMeasure) -> list[Arc]:

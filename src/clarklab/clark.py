@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, chord_angles,
-                     arc_between, measure_of_arc, neighbor_constants)
+from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
+                     measure_of_arc, neighbor_constants)
 from .errors import EmptyArc, PhaseMonotonicityViolation, SpectrumPoint
-from .inner import (EPS_SPECTRUM, InnerFunction, _phase_lift, angular_derivative,
-                    boundary_phase, spectrum)
+from .inner import (EPS_SPECTRUM, InnerFunction, _angular_derivatives, _phase_lift,
+                    angular_derivative, spectrum)
 
 DEFAULT_TOL = 1e-12
 
@@ -142,11 +142,6 @@ def clark_data(u: InnerFunction, alpha: float, scan: Arc,
                      A=A, B=B, witness_A=wa, witness_B=wb, edge_uncertain=flags)
 
 
-def recompute_constants(data: ClarkData, excluded_points=()) -> tuple[float, float]:
-    A, B, _, _ = neighbor_constants(data.measure, excluded_points)
-    return A, B
-
-
 def phase_partition(u: InnerFunction, n_levels: int, scan: Arc,
                     tol: float = DEFAULT_TOL, eps_spec: float = EPS_SPECTRUM) -> list[Arc]:
     """Partition of the scan into arcs [t_k, t_{k+1}) whose endpoints carry
@@ -196,17 +191,13 @@ def partition_regularity(u: InnerFunction, n_levels: int, scan: Arc,
     """Empirical check that |u'| is nearly constant on each phase cell and
     that cell lengths scale like 1/(N |u'|)."""
     cells = phase_partition(u, n_levels, scan, tol)
-    max_ratio = 1.0
-    max_prod = -np.inf
-    max_recip = -np.inf
-    for cell in cells:
-        ts = np.linspace(cell.start.theta, cell.start.theta + cell.length,
-                         samples_per_cell)
-        d = np.array([angular_derivative(u, CirclePoint(t)) for t in ts])
-        max_ratio = max(max_ratio, float(d.max() / d.min()))
-        prod = cell.length * n_levels * d[0]
-        max_prod = max(max_prod, prod)
-        max_recip = max(max_recip, 1.0 / prod)
+    ts = np.reshape([np.linspace(c.start.theta, c.start.theta + c.length, samples_per_cell)
+                     for c in cells], (-1, samples_per_cell))
+    d = _angular_derivatives(u, ts)
+    prod = np.array([c.length for c in cells]) * n_levels * d[:, 0]
+    max_ratio = float(np.max(d.max(axis=1) / d.min(axis=1), initial=1.0))
+    max_prod = float(np.max(prod, initial=-np.inf))
+    max_recip = float(np.max(1.0 / prod, initial=-np.inf))
     passed = (max_ratio <= C1_DERIVATIVE_RATIO
               and max_prod <= C2_LENGTH_PRODUCT
               and max_recip <= C2_LENGTH_PRODUCT)

@@ -34,7 +34,8 @@ from .verify import bessonov_check
 
 def _digest(args: argparse.Namespace) -> str:
     payload = json.dumps({k: str(v) for k, v in sorted(vars(args).items())
-                          if k != "func"}, sort_keys=True)
+                          if k not in ("func", "out") and not k.startswith("_")},
+                         sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -64,7 +65,9 @@ def _accumulation(fam) -> tuple:
 
 
 def _load_measure(args) -> AtomicMeasure:
-    return measure_from_dict(load_json(args.measure))
+    """A measure document, or a `perturb` report (outputs.perturbed)."""
+    doc = load_json(args.measure)
+    return measure_from_dict(doc if "atoms" in doc else doc["outputs"]["perturbed"])
 
 
 def cmd_atoms(args) -> int:

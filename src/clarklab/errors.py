@@ -52,6 +52,10 @@ class WrongFamily(ClarkLabError):
     built from that family's closed forms."""
 
 
+class DenseCapExceeded(ClarkLabError):
+    """A dense matrix was asked for beyond its size cap."""
+
+
 class InvalidConstants(ClarkLabError):
     """Neighbor constants must satisfy 0 < A <= B."""
 

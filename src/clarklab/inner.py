@@ -1,6 +1,9 @@
 """Inner functions: finite Blaschke products, atomic singular factors,
 and products of both.
 
+Each is flattened once, at construction, into one normal form that
+evaluation, the phase lift and the angular derivative read.
+
 Evaluation works anywhere in the closed disk away from the boundary
 spectrum.  The boundary phase is produced as an exact continuous
 increasing lift (no unwrapping heuristics): each Blaschke factor
@@ -12,6 +15,7 @@ The lift's derivative is the angular derivative |u'(e^{i theta})| > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +30,22 @@ EPS_SPECTRUM = 1e-8
 #: standing in for the divergent series on the spectrum.
 DERIVATIVE_OVERFLOW_CAP = 1e15
 
-#: Largest (points x zeros) block in one Blaschke phase-lift sum.
+#: Largest (points x zeros) block in one broadcast sum or product.
 PHASE_BLOCK = 1 << 20
+
+
+class _NormalForm(NamedTuple):
+    """u(z) = constant z^origin_zeros prod_k b_k(z) exp(-sum_j w_j (xi_j + z)/(xi_j - z))
+    with b_k the Blaschke factor of the nonzero zero a_k (see FiniteBlaschke)
+    and xi_j = e^{i sing_theta_j}; ``spectrum`` lists the spectrum angles
+    in factor order."""
+
+    constant: complex = 1.0 + 0.0j
+    origin_zeros: int = 0
+    zeros: np.ndarray = np.empty(0, complex)
+    sing_theta: np.ndarray = np.empty(0)
+    sing_w: np.ndarray = np.empty(0)
+    spectrum: np.ndarray = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -40,6 +58,7 @@ class FiniteBlaschke:
     zeros: tuple[complex, ...]
     constant: complex = 1.0 + 0.0j
     accumulation: tuple[float, ...] = ()
+    _form: _NormalForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = tuple(complex(w) for w in self.zeros)
@@ -52,10 +71,9 @@ class FiniteBlaschke:
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "accumulation",
                            tuple(canonical_angle(t) for t in self.accumulation))
-
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
+        a = np.array(z, dtype=complex)
+        object.__setattr__(self, "_form", _NormalForm(
+            c, int(np.sum(a == 0)), a[a != 0], spectrum=np.array(self.accumulation)))
 
 
 @dataclass(frozen=True)
@@ -64,22 +82,30 @@ class SingularAtomic:
     w_j > 0."""
 
     atoms: tuple[tuple[float, float], ...]
+    _form: _NormalForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = []
-        for theta, w in self.atoms:
-            if w <= 0:
-                raise ValueError("singular weights must be positive")
-            canon.append((canonical_angle(theta), float(w)))
-        object.__setattr__(self, "atoms", tuple(canon))
+        if any(w <= 0 for _, w in self.atoms):
+            raise ValueError("singular weights must be positive")
+        object.__setattr__(self, "atoms", tuple((canonical_angle(t), float(w))
+                                                for t, w in self.atoms))
+        theta, w = np.array(self.atoms).reshape(-1, 2).T
+        object.__setattr__(self, "_form", _NormalForm(sing_theta=theta, sing_w=w,
+                                                      spectrum=theta))
 
 
 @dataclass(frozen=True)
 class Product:
+    """The product of its factors; the empty product is the constant 1."""
+
     factors: tuple
+    _form: _NormalForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        c, m, *arrays = zip(_NormalForm(), *(f._form for f in self.factors))
+        object.__setattr__(self, "_form", _NormalForm(
+            complex(np.prod(c)), sum(m), *map(np.concatenate, arrays)))
 
 
 InnerFunction = FiniteBlaschke | SingularAtomic | Product
@@ -95,14 +121,25 @@ def monomial(k: int) -> FiniteBlaschke:
 def spectrum(u: InnerFunction) -> tuple[CirclePoint, ...]:
     """Boundary spectrum: singular atoms plus declared Blaschke
     accumulation points (finite Blaschke parts alone contribute none)."""
-    if isinstance(u, FiniteBlaschke):
-        return tuple(CirclePoint(t) for t in u.accumulation)
-    if isinstance(u, SingularAtomic):
-        return tuple(CirclePoint(t) for t, _ in u.atoms)
-    pts: list[CirclePoint] = []
-    for f in u.factors:
-        pts.extend(spectrum(f))
-    return tuple(pts)
+    return tuple(CirclePoint(t) for t in u._form.spectrum)
+
+
+def _blockwise(fn, x, width):
+    """fn(x) for a kernel reducing a trailing axis of length width, in
+    slices of at most PHASE_BLOCK (points x width) entries."""
+    step = max(1, PHASE_BLOCK // max(width, 1))
+    if x.size <= step:
+        return fn(x)
+    flat = x.reshape(-1)
+    return np.concatenate([fn(flat[s:s + step])
+                           for s in range(0, flat.size, step)]).reshape(x.shape)
+
+
+def _refuse_atoms(dist, tol, theta, what):
+    """SpectrumPoint when a distance (points x atoms) to an atom is below tol."""
+    if dist.min(initial=np.inf) < tol:
+        theta = theta[(dist < tol).reshape(-1, theta.size).any(axis=0)][0]
+        raise SpectrumPoint(f"{what} at singular atom theta={theta}")
 
 
 def evaluate(u: InnerFunction, z):
@@ -111,71 +148,44 @@ def evaluate(u: InnerFunction, z):
     Raises SpectrumPoint when z hits a singular atom exactly (within
     1e-14 chordal), where no boundary value exists.
     """
+    f = u._form
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z)
-    out = _evaluate(u, zz)
-    return complex(out[0]) if scalar else out
+    a, ca, xi = f.zeros, np.conj(f.zeros), np.exp(1j * f.sing_theta)
 
+    def factors(w):
+        w = w[..., None]
+        _refuse_atoms(np.abs(xi - w), 1e-14, f.sing_theta, "evaluation")
+        return (np.prod(ca / np.abs(a) * (a - w) / (1.0 - ca * w), axis=-1)
+                * np.exp(-(f.sing_w * (xi + w) / (xi - w)).sum(axis=-1)))
 
-def _evaluate(u, z):
-    if isinstance(u, FiniteBlaschke):
-        out = np.full(z.shape, u.constant, dtype=complex)
-        for a in u.zeros:
-            if a == 0:
-                out *= z
-            else:
-                out *= (np.conj(a) / abs(a)) * (a - z) / (1.0 - np.conj(a) * z)
-        return out
-    if isinstance(u, SingularAtomic):
-        expo = np.zeros(z.shape, dtype=complex)
-        for theta, w in u.atoms:
-            xi = np.exp(1j * theta)
-            d = xi - z
-            if np.any(np.abs(d) < 1e-14):
-                raise SpectrumPoint(f"evaluation at singular atom theta={theta}")
-            expo -= w * (xi + z) / d
-        return np.exp(expo)
-    out = np.ones(z.shape, dtype=complex)
-    for f in u.factors:
-        out *= _evaluate(f, z)
-    return out
+    out = f.constant * z ** f.origin_zeros * _blockwise(factors, z, a.size + xi.size)
+    return complex(out) if z.ndim == 0 else out
 
 
 def _phase_lift(u, theta):
     """Continuous increasing lift of arg u(e^{i theta}) as a function on
     the real line (minus singular-atom poles)."""
+    f = u._form
     theta = np.asarray(theta, dtype=float)
-    total = np.zeros(theta.shape)
-    if isinstance(u, FiniteBlaschke):
-        # The constant and linear parts are summed once and the bounded
-        # Arg terms pairwise, so rounding does not grow with the degree.
-        a = np.asarray(u.zeros, dtype=complex)
-        a = a[a != 0]
-        flat = theta.reshape(-1)
-        args = np.empty(flat.shape)
-        step = max(1, PHASE_BLOCK // max(a.size, 1))
-        for s in range(0, flat.size, step):
-            rot = np.exp(-1j * flat[s:s + step])
-            args[s:s + step] = np.angle(1.0 - a * rot[:, None]).sum(axis=1)
-        const = np.angle(u.constant) + np.sum(np.pi - np.angle(a))
-        return const + u.degree * theta + 2.0 * args.reshape(theta.shape)
-    if isinstance(u, SingularAtomic):
-        for tj, w in u.atoms:
-            total = total + w / np.tan(0.5 * (tj - theta))
-        return total
-    for f in u.factors:
-        total = total + _phase_lift(f, theta)
-    return total
+    a, tj = f.zeros, f.sing_theta
+    # The constant and linear parts are summed once and the bounded Arg
+    # terms pairwise, so rounding does not grow with the degree.
+    lift = np.angle(f.constant) + np.sum(np.pi - np.angle(a)) + (f.origin_zeros + a.size) * theta
+    if a.size:
+        lift = lift + 2.0 * _blockwise(
+            lambda x: np.angle(1.0 - a * np.exp(-1j * x)[..., None]).sum(axis=-1), theta, a.size)
+    if tj.size:
+        lift = lift + _blockwise(
+            lambda x: (f.sing_w / np.tan(0.5 * (tj - x[..., None]))).sum(axis=-1), theta, tj.size)
+    return lift
 
 
 def _check_off_spectrum(u, theta, eps_spec):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    for p in spectrum(u):
-        d = chord_angles(theta, p.theta)
-        if np.any(d < eps_spec):
-            raise SpectrumPoint(
-                f"boundary point within {eps_spec:g} of spectrum at theta={p.theta}")
+    spec = u._form.spectrum
+    near = chord_angles(np.reshape(theta, (-1, 1)), spec) < eps_spec
+    if near.any():
+        raise SpectrumPoint(f"boundary point within {eps_spec:g} of spectrum "
+                            f"at theta={spec[near.any(axis=0)][0]}")
 
 
 def boundary_phase(u: InnerFunction, theta, anchor: float | None = None,
@@ -205,26 +215,29 @@ def angular_derivative(u: InnerFunction, zeta: CirclePoint) -> float:
     singular atom itself the derivative does not exist and SpectrumPoint
     is raised.
     """
-    z = zeta.complex
-    total = _deriv_sum(u, z, zeta.theta)
-    return float("inf") if total > DERIVATIVE_OVERFLOW_CAP else float(total)
+    return float(_angular_derivatives(u, zeta.theta))
 
 
-def _deriv_sum(u, z, theta):
-    if isinstance(u, FiniteBlaschke):
-        total = 0.0
-        for a in u.zeros:
-            total += (1.0 - abs(a) ** 2) / abs(z - a) ** 2
-        return total
-    if isinstance(u, SingularAtomic):
-        total = 0.0
-        for tj, w in u.atoms:
-            d2 = float(chord_angles(theta, tj)) ** 2
-            if d2 < 1e-24:
-                raise SpectrumPoint(f"angular derivative at singular atom theta={tj}")
-            total += 2.0 * w / d2
-        return total
-    return sum(_deriv_sum(f, z, theta) for f in u.factors)
+def _angular_derivatives(u, theta):
+    """angular_derivative at every angle of theta (scalar or ndarray).
+    Empty parts are skipped: clark_data calls this once per atom."""
+    f = u._form
+    theta = np.mod(theta, TWO_PI)
+    a, tj = f.zeros, f.sing_theta
+
+    def singular(x):
+        d2 = chord_angles(x[..., None], tj) ** 2
+        _refuse_atoms(d2, 1e-24, tj, "angular derivative")
+        return (2.0 * f.sing_w / d2).sum(axis=-1)
+
+    total = f.origin_zeros + 0.0 * theta
+    if a.size:
+        total = total + _blockwise(lambda x: ((1.0 - np.abs(a) ** 2)
+                                              / np.abs(np.exp(1j * x)[..., None] - a) ** 2
+                                              ).sum(axis=-1), theta, a.size)
+    if tj.size:
+        total = total + _blockwise(singular, theta, tj.size)
+    return np.where(total > DERIVATIVE_OVERFLOW_CAP, np.inf, total)
 
 
 @dataclass(frozen=True)

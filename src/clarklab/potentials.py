@@ -18,7 +18,8 @@ from .circle import AtomicMeasure, CirclePoint, TWO_PI, pairwise_chord_sq
 from .clark import ClarkData
 from .errors import (MateZero, NotEnoughAtoms, QuadratureNotConverged,
                      SupportMismatch)
-from .inner import InnerFunction, angular_derivative, evaluate, pythagorean_pair, spectrum
+from .inner import (InnerFunction, _angular_derivatives, angular_derivative, evaluate,
+                    pythagorean_pair, spectrum)
 
 #: z closer than this to an atom makes the potential infinite.
 ATOM_HIT_TOL = 1e-14
@@ -139,11 +140,8 @@ def radial_limit_check(u: InnerFunction, m: AtomicMeasure, k: int,
     if radii is None:
         radii = 1.0 - 10.0 ** (-np.arange(4, 9, dtype=float))
     radii = np.asarray(radii, dtype=float)
-    zeta = m.points_complex[k]
-    vals = np.empty(radii.shape)
-    for i, r in enumerate(radii):
-        z = r * zeta
-        vals[i] = abs(1.0 - evaluate(u, z)) ** 2 * potential(m, z)
+    z = radii * m.points_complex[k]
+    vals = np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, z)
     # Neville extrapolation to h = 0 in h = 1 - r
     h = 1.0 - radii
     tab = list(vals)
@@ -313,8 +311,7 @@ def _grid_points(u, m, cfg: ScanConfig) -> np.ndarray:
         pts.append(r * np.exp(1j * np.linspace(0.0, TWO_PI, M, endpoint=False)))
     # clusters: the weighted potential varies on the scale of the local
     # Clark mass near each atom, so refine geometrically there
-    limits = m.masses * np.array(
-        [angular_derivative(u, CirclePoint(t)) for t in m.thetas]) ** 2
+    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
     centers = list(m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap])
     centers += [p.theta for p in spectrum(u)]
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -355,7 +352,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     cfg = cfg or ScanConfig()
     if m.n_atoms == 0:
         raise SupportMismatch("empty measure")
-    derivs = np.array([angular_derivative(u, CirclePoint(t)) for t in m.thetas])
+    derivs = _angular_derivatives(u, m.thetas)
     resid = np.abs(evaluate(u, m.points_complex) - 1.0) / np.maximum(derivs, 1.0)
     if np.any(resid > cfg.support_tol):
         raise SupportMismatch(
@@ -379,7 +376,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     if m.n_atoms >= 20:
         mc = _coarse_submeasure(m, cfg.coarse_fraction)
         zc = _grid_points(u, mc, cfg)
-        dc = np.array([angular_derivative(u, CirclePoint(t)) for t in mc.thetas])
+        dc = _angular_derivatives(u, mc.thetas)
         vc = np.concatenate([_scan_G(u, mc, zc), dc**2 * mc.masses])
         coarse_sup = float(vc.max())
         converged = abs(values[i_sup] - coarse_sup) <= 0.01 * abs(values[i_sup])

@@ -3,8 +3,8 @@ import pytest
 
 import clarklab as cl
 from clarklab.cauchy import PowerIterationConfig
-from clarklab.errors import (BoundaryAtom, DimensionMismatch, NotEnoughAtoms,
-                             WrongFamily)
+from clarklab.errors import (BoundaryAtom, ClarkLabError, DenseCapExceeded,
+                             DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
 
 def z2_section():
@@ -51,6 +51,13 @@ def test_apply_examples():
     assert np.allclose(sec.apply(np.ones(2)), sec.cauchy_one_all())
     with pytest.raises(DimensionMismatch):
         sec.apply(np.ones(3))
+
+
+def test_matrix_beyond_dense_cap_raises():
+    sec = cl.CauchySection(cl.exp_clark_data(10).measure, dense_cap=8)
+    with pytest.raises(DenseCapExceeded, match="section size 21 exceeds dense cap 8"):
+        sec.matrix()
+    assert issubclass(DenseCapExceeded, ClarkLabError)
 
 
 def test_operator_norm_z2_anchor():

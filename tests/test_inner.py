@@ -1,9 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 import clarklab as cl
 from clarklab import inner
 from clarklab.errors import DegenerateSymbol, SpectrumPoint
+
+
+def nested_product():
+    """Product(Product(s, b), b2, 1) and its factors: a singular factor
+    first, zeros at the origin, the empty product, and spectrum angles
+    0, 3, 5, 4 in factor order (none of them in (0.5, 2.5))."""
+    s = cl.SingularAtomic(atoms=((0.0, 1.0), (3.0, 0.4)))
+    b = cl.FiniteBlaschke(zeros=(0.3 + 0.1j, -0.5j, 0.0), constant=np.exp(0.7j),
+                          accumulation=(5.0,))
+    b2 = cl.FiniteBlaschke(zeros=(0.0, 0.6 + 0.6j), accumulation=(4.0,))
+    one = cl.Product(factors=())
+    return cl.Product(factors=(cl.Product(factors=(s, b)), b2, one)), (s, b, b2, one)
 
 
 def test_eval_identity_blaschke():
@@ -31,7 +45,7 @@ def test_eval_modulus_bounds(rng, exp_u):
     t = rng.uniform(0, 2 * np.pi, 1000)
     z = r * np.exp(1j * t)
     b = cl.FiniteBlaschke(zeros=(0.3 + 0.1j, -0.5j, 0.0), constant=np.exp(0.7j))
-    for u in (b, exp_u, cl.Product(factors=(b, exp_u))):
+    for u in (b, exp_u, cl.Product(factors=(b, exp_u)), nested_product()[0]):
         vals = cl.evaluate(u, z)
         assert np.max(np.abs(vals)) <= 1 + 1e-12
 
@@ -67,10 +81,11 @@ def test_phase_anchor_shifts_branch(exp_u):
 
 def test_phase_matches_arg_of_eval(rng):
     u = cl.FiniteBlaschke(zeros=(0.2 + 0.4j, -0.7, 0.1j), constant=np.exp(0.3j))
-    t = rng.uniform(0, 2 * np.pi, 64)
-    ph = cl.boundary_phase(u, t)
-    vals = cl.evaluate(u, np.exp(1j * t))
-    assert np.max(np.abs(np.exp(1j * ph) - vals)) < 1e-12
+    for u, (lo, hi) in ((u, (0, 2 * np.pi)), (nested_product()[0], (0.5, 2.5))):
+        t = rng.uniform(lo, hi, 64)
+        ph = cl.boundary_phase(u, t)
+        vals = cl.evaluate(u, np.exp(1j * t))
+        assert np.max(np.abs(np.exp(1j * ph) - vals)) < 1e-12
 
 
 def test_blaschke_lift_matches_per_zero_loop(rng, monkeypatch):
@@ -92,6 +107,15 @@ def test_blaschke_lift_matches_per_zero_loop(rng, monkeypatch):
     assert lift.shape == t.shape
     assert np.max(np.abs(lift - ref)) < 1e-10
     assert inner._phase_lift(u, t[0, 0]) == pytest.approx(ref[0, 0], abs=1e-10)
+    # values and derivatives in the same blocks, against the factor-by-
+    # factor product (rounding ~ 200 eps) and a correctly rounded sum
+    z = np.exp(1j * t)
+    val = np.full(t.shape, np.exp(0.3j))
+    for a in u.zeros:
+        val = val * (z if a == 0 else np.conj(a) / abs(a) * (a - z) / (1.0 - np.conj(a) * z))
+    assert np.max(np.abs(cl.evaluate(u, z) - val)) < 1e-12
+    deriv = [math.fsum((1.0 - abs(a) ** 2) / abs(x - a) ** 2 for a in u.zeros) for x in z.flat]
+    assert np.allclose(inner._angular_derivatives(u, t).ravel(), deriv, rtol=1e-14, atol=0)
 
 
 def test_phase_strictly_increasing(rng, exp_u):
@@ -102,8 +126,9 @@ def test_phase_strictly_increasing(rng, exp_u):
 
 def test_phase_derivative_matches_angular_derivative(rng, exp_u):
     b = cl.FiniteBlaschke(zeros=(0.3 + 0.1j, -0.5j))
-    for u in (b, exp_u):
-        t = rng.uniform(0.5, 2 * np.pi - 0.5, 100)
+    for u, (lo, hi) in ((b, (0.5, 2 * np.pi - 0.5)), (exp_u, (0.5, 2 * np.pi - 0.5)),
+                        (nested_product()[0], (0.5, 2.5))):
+        t = rng.uniform(lo, hi, 100)
         h = 1e-6
         num = (cl.boundary_phase(u, t + h) - cl.boundary_phase(u, t - h)) / (2 * h)
         exact = np.array([cl.angular_derivative(u, cl.CirclePoint(x)) for x in t])
@@ -170,3 +195,39 @@ def test_spectrum_collection(exp_u):
     u = cl.inner_function(fam)
     assert [p.theta for p in cl.spectrum(u)] == [0.0]
     assert cl.spectrum(cl.monomial(3)) == ()
+    assert [p.theta for p in cl.spectrum(nested_product()[0])] == [0.0, 3.0, 5.0, 4.0]
+
+
+def test_normal_form_factor_identities(rng):
+    # evaluate is multiplicative and the lift and the derivative additive
+    # over the factors of a nested product, whatever its nesting
+    u, factors = nested_product()
+    z = np.sqrt(rng.uniform(0, 1, 200)) * 0.99 * np.exp(1j * rng.uniform(0, 2 * np.pi, 200))
+    prod = np.prod([cl.evaluate(f, z) for f in factors], axis=0)
+    assert np.max(np.abs(cl.evaluate(u, z) - prod)) < 1e-13
+    assert np.all(cl.evaluate(factors[-1], z) == 1.0)
+    t = rng.uniform(0.5, 2.5, 50)
+    lift = sum(inner._phase_lift(f, t) for f in factors)
+    assert np.max(np.abs(inner._phase_lift(u, t) - lift)) < 1e-12
+    for x in t[:10]:
+        zeta = cl.CirclePoint(x)
+        parts = [cl.angular_derivative(f, zeta) for f in factors]
+        assert parts[-1] == 0.0
+        assert cl.angular_derivative(u, zeta) == pytest.approx(sum(parts), rel=1e-13)
+    # equal specs compare and hash equal; the cached form stays out of
+    # equality and repr
+    again, _ = nested_product()
+    assert again == u and hash(again) == hash(u)
+    assert cl.Product(factors=factors[1::-1] + factors[2:]) != u
+    assert "_form" not in repr(u)
+
+
+def test_angular_derivative_sum_is_correctly_rounded():
+    # near the accumulation point the terms of the Blaschke sum span six
+    # orders of magnitude; a running sum over 1024 zeros drifts by ~1e-11
+    u = cl.inner_function(cl.CounterexampleBlaschke(alpha=1.0, K=1024))
+    a = np.asarray(u.zeros)
+    for t in 2 * np.pi - np.array([0.5, 0.05, 0.0021, 0.0003]):
+        zeta = cl.CirclePoint(t)
+        exact = math.fsum((1.0 - np.abs(a) ** 2) / np.abs(zeta.complex - a) ** 2)
+        assert cl.angular_derivative(u, zeta) == pytest.approx(exact, rel=1e-14)

@@ -56,6 +56,17 @@ def test_cli_atoms_monomial(tmp_path):
     assert "command" in doc and "version" in doc
 
 
+def test_cli_inputs_digest_is_stable(tmp_path):
+    digests = []
+    for name, family in (("a.json", "monomial:4"), ("b.json", "monomial:4"),
+                         ("c.json", "monomial:5")):
+        out = tmp_path / name
+        assert main(["atoms", "--family", family, "--out", str(out)]) == 0
+        digests.append(json.loads(out.read_text())["inputs_digest"])
+    # the report path and the start time stay out; the inputs do not
+    assert digests[0] == digests[1] != digests[2]
+
+
 def test_cli_example_exp(tmp_path):
     out = tmp_path / "exp.json"
     rc = main(["example", "exp", "--truncation", "200", "--out", str(out)])
@@ -92,6 +103,20 @@ def test_cli_perturb_seeded(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["outputs"]["bessonov"]["verdict"] == "pass"
+
+
+def test_cli_bessonov_reads_perturb_report(tmp_path):
+    report = tmp_path / "p.json"
+    rc = main(["perturb", "--family", "exp", "--truncation", "50", "--seed", "3",
+               "--out", str(report)])
+    assert rc == 0
+    out = tmp_path / "b.json"
+    rc = main(["bessonov", "--measure", str(report), "--accumulation", "0",
+               "--out", str(out)])
+    assert rc == 0
+    # the same measure and accumulation point give the same records
+    assert (json.loads(out.read_text())["outputs"]
+            == json.loads(report.read_text())["outputs"]["bessonov"])
 
 
 def test_cli_norm_and_report(tmp_path):
