@@ -13,43 +13,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord_angles
+from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord_angles,
+                     kernel_sum)
 from .errors import (BoundaryAtom, DenseCapExceeded, DimensionMismatch,
                      NotEnoughAtoms, WrongFamily)
 
-#: Dense storage beyond this section size would cross ~1 GiB; larger
-#: sections fall back to chunked on-the-fly application.
+#: Dense storage beyond this section size would cross ~1 GiB, so
+#: ``matrix`` refuses it; ``apply`` needs no dense storage.
 DENSE_CAP = 8192
 
 
 class CauchySection:
     """Atoms, masses, and (lazily) the dense weighted section matrix."""
 
-    def __init__(self, measure: AtomicMeasure, lattice_indices=None,
-                 dense_cap: int = DENSE_CAP):
+    def __init__(self, measure: AtomicMeasure, lattice_indices=None):
         self.measure = measure
         self.theta = measure.thetas
         self.sigma = measure.masses
         self.z = measure.points_complex
         self.N = measure.n_atoms
-        self.dense_cap = dense_cap
         # integer lattice labels when the section comes from the
         # single-point-mass exponential family's closed forms
         self.lattice_indices = (None if lattice_indices is None
                                 else np.asarray(lattice_indices, dtype=int))
         self._A = None
 
-    @staticmethod
-    def from_clark(data, **kw) -> "CauchySection":
-        return CauchySection(data.measure, **kw)
-
     def matrix(self) -> np.ndarray:
         """Dense A with A[n,m] = sqrt(sig_n sig_m)/(1 - conj(z_m) z_n),
         zero diagonal."""
         if self._A is None:
-            if self.N > self.dense_cap:
+            if self.N > DENSE_CAP:
                 raise DenseCapExceeded(
-                    f"section size {self.N} exceeds dense cap {self.dense_cap}")
+                    f"section size {self.N} exceeds dense cap {DENSE_CAP}")
             rs = np.sqrt(self.sigma)
             D = 1.0 - np.conj(self.z)[None, :] * self.z[:, None]
             np.fill_diagonal(D, 1.0)
@@ -60,35 +55,23 @@ class CauchySection:
 
     def cauchy_of_one(self, n: int) -> complex:
         """(C 1)(zeta_n) = sum_{m != n} sigma_m / (1 - conj(zeta_m) zeta_n)."""
-        d = 1.0 - np.conj(self.z) * self.z[n]
-        d[n] = np.inf
-        return complex(np.sum(self.sigma / d))
+        others = np.arange(self.N) != n
+        return complex(kernel_sum(self.z[n], self.z[others],
+                                  -(self.sigma * self.z)[others], "1/d"))
 
-    def cauchy_one_all(self, chunk: int = 2048) -> np.ndarray:
-        out = np.empty(self.N, dtype=complex)
-        for s in range(0, self.N, chunk):
-            e = min(s + chunk, self.N)
-            D = 1.0 - np.conj(self.z)[None, :] * self.z[s:e, None]
-            D[np.arange(e - s), np.arange(s, e)] = np.inf
-            out[s:e] = (self.sigma[None, :] / D).sum(axis=1)
-        return out
+    def cauchy_one_all(self) -> np.ndarray:
+        return self.apply(np.ones(self.N))
 
     def apply(self, f) -> np.ndarray:
-        """(C f) at all atoms, in the unweighted coordinates."""
+        """(C f) at all atoms, in the unweighted coordinates.
+
+        On the circle 1/(1 - conj(zeta_m) zeta_n) = -zeta_m/(zeta_n - zeta_m),
+        a Cauchy kernel on Cartesian differences.
+        """
         f = np.asarray(f, dtype=complex)
         if f.shape != (self.N,):
             raise DimensionMismatch(f"expected {self.N} values, got {f.shape}")
-        if self.N <= self.dense_cap:
-            rs = np.sqrt(self.sigma)
-            return (self.matrix() @ (f * rs)) / rs
-        out = np.empty(self.N, dtype=complex)
-        g = f * self.sigma
-        for s in range(0, self.N, 1024):
-            e = min(s + 1024, self.N)
-            D = 1.0 - np.conj(self.z)[None, :] * self.z[s:e, None]
-            D[np.arange(e - s), np.arange(s, e)] = np.inf
-            out[s:e] = (g[None, :] / D).sum(axis=1)
-        return out
+        return kernel_sum(self.z, self.z, -f * self.sigma * self.z, "1/d", skip_self=True)
 
 
 def nested_sections(measure: AtomicMeasure, sizes) -> list[CauchySection]:
@@ -264,8 +247,7 @@ def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralR
     outside = ~section.measure.membership(Q)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)
-    d2 = chord_angles(section.theta[outside], section.theta[i]) ** 2
-    lhs = float(np.sum(section.sigma[outside] / d2))
+    lhs = float(kernel_sum(section.z[i], section.z[outside], section.sigma[outside], "1/|d|^2"))
     dist = min(float(chord_angles(p.theta, Q.start.theta)),
                float(chord_angles(p.theta, Q.start.theta + Q.length)))
     rhs_scale = 1.0 / dist
@@ -292,9 +274,6 @@ def hilbert_route(section: CauchySection, f) -> np.ndarray:
     if f.shape != (section.N,):
         raise DimensionMismatch(f"expected {section.N} values, got {f.shape}")
     x = (2 * n * np.pi * 1j + 1) * f * sig
-    diff = n[:, None] - n[None, :]
-    np.fill_diagonal(diff, 1)
-    K = 1.0 / diff
-    np.fill_diagonal(K, 0.0)
-    s = K @ x
+    labels = n.astype(float)
+    s = kernel_sum(labels, labels, x, "1/d", skip_self=True)
     return (2 * n * np.pi * 1j - 1) / (4j * np.pi) * s

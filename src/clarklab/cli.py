@@ -21,14 +21,13 @@ from . import __version__
 from .cauchy import CauchySection, operator_norm, tolsa_scan
 from .circle import AtomicMeasure, CirclePoint
 from .errors import ClarkLabError, ConstraintViolation
-from .families import (CounterexampleBlaschke, ExpSingular, Monomial,
-                       clark_data_for, divergence_ladder, exp_clark_data,
-                       exp_tail_mass_bound, exp_tail_potential_bound,
-                       exp_total_mass, family_name, inner_function, parse_family)
+from .families import (ExpSingular, Monomial, clark_data_for, divergence_ladder,
+                       exp_clark_data, exp_tail_mass_bound, exp_tail_potential_bound,
+                       exp_total_mass, inner_function, parse_family)
 from .perturb import PerturbationPlan, generate, random_plan, squared_measure
 from .potentials import atom_potential_sup, mass_ratio_check, potential, sup_inf_scan
-from .serialize import (clark_to_dict, dump_json, load_json, measure_from_dict,
-                        measure_to_dict, to_jsonable, write_csv)
+from .serialize import (clark_to_dict, load_json, measure_from_dict, measure_to_dict,
+                        to_jsonable, write_csv)
 from .verify import bessonov_check
 
 

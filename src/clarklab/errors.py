@@ -9,6 +9,10 @@ class NotEnoughAtoms(ClarkLabError):
     """Operation needs more atoms than the measure carries."""
 
 
+class DuplicateAtoms(ClarkLabError, ValueError):
+    """Two atoms of a measure lie closer than the duplicate tolerance."""
+
+
 class SpectrumPoint(ClarkLabError):
     """Evaluation or scan touched the boundary spectrum."""
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import CirclePoint, TWO_PI, canonical_angle, chord_angles
+from .circle import CirclePoint, TWO_PI, _blockwise, canonical_angle, chord_angles, kernel_sum
 from .errors import DegenerateSymbol, SpectrumPoint
 
 #: Default chordal radius around the spectrum inside which boundary
@@ -29,9 +29,6 @@ EPS_SPECTRUM = 1e-8
 #: Angular-derivative partial sums beyond this cap are reported as inf,
 #: standing in for the divergent series on the spectrum.
 DERIVATIVE_OVERFLOW_CAP = 1e15
-
-#: Largest (points x zeros) block in one broadcast sum or product.
-PHASE_BLOCK = 1 << 20
 
 
 class _NormalForm(NamedTuple):
@@ -122,17 +119,6 @@ def spectrum(u: InnerFunction) -> tuple[CirclePoint, ...]:
     """Boundary spectrum: singular atoms plus declared Blaschke
     accumulation points (finite Blaschke parts alone contribute none)."""
     return tuple(CirclePoint(t) for t in u._form.spectrum)
-
-
-def _blockwise(fn, x, width):
-    """fn(x) for a kernel reducing a trailing axis of length width, in
-    slices of at most PHASE_BLOCK (points x width) entries."""
-    step = max(1, PHASE_BLOCK // max(width, 1))
-    if x.size <= step:
-        return fn(x)
-    flat = x.reshape(-1)
-    return np.concatenate([fn(flat[s:s + step])
-                           for s in range(0, flat.size, step)]).reshape(x.shape)
 
 
 def _refuse_atoms(dist, tol, theta, what):
@@ -275,6 +261,5 @@ def clark_identity_residual(u: InnerFunction, alpha: float, m, z: complex) -> fl
         raise ValueError("z must lie in the open disk")
     uz = evaluate(u, z)
     lhs = (1.0 - abs(uz) ** 2) / abs(np.exp(2j * np.pi * alpha) - uz) ** 2
-    d2 = np.abs(m.points_complex - z) ** 2
-    rhs = float(np.sum(m.masses * (1.0 - abs(z) ** 2) / d2)) if m.n_atoms else 0.0
+    rhs = (1.0 - abs(z) ** 2) * float(kernel_sum(z, m.points_complex, m.masses, "1/|d|^2"))
     return abs(lhs - rhs)

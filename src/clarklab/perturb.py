@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import AtomicMeasure, TWO_PI, chord_angles
+from .circle import AtomicMeasure, TWO_PI, kernel_sum
 from .clark import ClarkData
 from .errors import ConstraintViolation, DimensionMismatch, InvalidConstants
 
@@ -36,15 +36,11 @@ def interaction_sup(base: ClarkData, alpha) -> tuple[float, int]:
         raise DimensionMismatch(
             f"alpha length {alpha.shape} != atom count {m.n_atoms}")
     z = m.points_complex
-    w = m.masses * alpha
-    best, wit = -np.inf, -1
-    for i in range(m.n_atoms):
-        d = np.abs(z - z[i])
-        d[i] = np.inf
-        v = float(np.sum(w / d))
-        if v > best:
-            best, wit = v, i
-    return best, wit
+    vals = kernel_sum(z, z, m.masses * alpha, "1/|d|", skip_self=True)
+    if not vals.size:
+        return -np.inf, -1
+    i = int(np.argmax(vals))
+    return float(vals[i]), i
 
 
 @dataclass

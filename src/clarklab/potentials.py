@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .circle import AtomicMeasure, CirclePoint, TWO_PI, pairwise_chord_sq
+from .circle import AtomicMeasure, CirclePoint, TWO_PI, kernel_sum
 from .clark import ClarkData
 from .errors import (MateZero, NotEnoughAtoms, QuadratureNotConverged,
                      SupportMismatch)
@@ -28,28 +28,21 @@ ATOM_HIT_TOL = 1e-14
 def potential(m: AtomicMeasure, z) -> float:
     """V_m(z) = sum_n mass_n / |z - zeta_n|^2; inf on the atoms themselves
     (a meaningful value: the potential is infinite mu-a.e.)."""
-    z = complex(z)
-    if not m.n_atoms:
-        return 0.0
-    d2 = np.abs(z - m.points_complex) ** 2
-    if d2.min() < ATOM_HIT_TOL**2:
-        return float("inf")
-    return float(np.sum(m.masses / d2))
+    return float(potential_grid(m, complex(z))[0])
 
 
-def potential_grid(m: AtomicMeasure, z: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Vectorized potential over an array of points."""
+def potential_grid(m: AtomicMeasure, z: np.ndarray) -> np.ndarray:
+    """Vectorized potential over an array of points, flattened."""
     z = np.asarray(z, dtype=complex).ravel()
-    out = np.zeros(z.shape)
     pts = m.points_complex
-    for s in range(0, z.size, chunk):
-        blk = z[s:s + chunk]
-        d2 = np.abs(blk[:, None] - pts[None, :]) ** 2
-        hit = d2.min(axis=1) < ATOM_HIT_TOL**2
-        with np.errstate(divide="ignore"):
-            vals = (m.masses[None, :] / d2).sum(axis=1)
-        vals[hit] = np.inf
-        out[s:s + chunk] = vals
+    with np.errstate(divide="ignore"):
+        out = kernel_sum(z, pts, m.masses, "1/|d|^2")
+    if m.n_atoms:
+        # the sorted atoms next to arg z are the only ones that can lie
+        # within ATOM_HIT_TOL of z (atoms are DUPLICATE_TOL apart)
+        j = np.searchsorted(m.thetas, np.mod(np.angle(z), TWO_PI)) % m.n_atoms
+        near = np.minimum(np.abs(z - pts[j]), np.abs(z - pts[j - 1]))
+        out[near < ATOM_HIT_TOL] = np.inf
     return out
 
 
@@ -69,24 +62,15 @@ class AtomPotentialSup:
     witness: int
 
 
-def atom_potential_sup(m: AtomicMeasure, chunk: int = 512) -> AtomPotentialSup:
+def atom_potential_sup(m: AtomicMeasure) -> AtomPotentialSup:
     """Exact finite double sum; the boundedness of this quantity is the
     atom-wise criterion for the potential condition."""
-    N = m.n_atoms
-    if N < 2:
+    if m.n_atoms < 2:
         raise NotEnoughAtoms("need at least 2 atoms")
-    best = -np.inf
-    wit = -1
-    for s in range(0, N, chunk):
-        e = min(s + chunk, N)
-        d2 = pairwise_chord_sq(m.thetas[s:e], m.thetas)
-        d2[np.arange(e - s), np.arange(s, e)] = np.inf
-        vals = (m.masses[None, :] / d2).sum(axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            wit = s + i
-    return AtomPotentialSup(value=best, witness=wit)
+    pts = m.points_complex
+    vals = kernel_sum(pts, pts, m.masses, "1/|d|^2", skip_self=True)
+    i = int(np.argmax(vals))
+    return AtomPotentialSup(value=float(vals[i]), witness=i)
 
 
 @dataclass
@@ -239,10 +223,7 @@ def _quad_once(m: AtomicMeasure, fprime, cfg: QuadConfig,
     tb = np.concatenate([tb, [tb[0] + TWO_PI]])
     tn, tw = _panel_nodes(tb, cfg.gauss_order)
     Z = rn[:, None] * np.exp(1j * tn[None, :])
-    P = np.zeros(Z.shape)
-    for mass, zt in zip(m.masses, m.points_complex):
-        P += mass / np.abs(Z - zt) ** 2
-    P *= (1.0 - rn[:, None] ** 2)
+    P = (1.0 - rn[:, None] ** 2) * kernel_sum(Z, m.points_complex, m.masses, "1/|d|^2")
     F = np.abs(np.asarray(fprime(Z), dtype=complex)) ** 2
     return float((rw * rn) @ (F * P) @ tw) / np.pi
 
@@ -324,13 +305,8 @@ def _grid_points(u, m, cfg: ScanConfig) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _scan_G(u, m, z: np.ndarray, chunk: int = 8192) -> np.ndarray:
-    out = np.empty(z.shape)
-    for s in range(0, z.size, chunk):
-        blk = z[s:s + chunk]
-        V = potential_grid(m, blk)
-        out[s:s + chunk] = np.abs(1.0 - evaluate(u, blk)) ** 2 * V
-    return out
+def _scan_G(u, m, z: np.ndarray) -> np.ndarray:
+    return np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, z)
 
 
 def _coarse_submeasure(m: AtomicMeasure, fraction: float) -> AtomicMeasure:
@@ -360,7 +336,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
 
     atom_limits = derivs**2 * m.masses
     spec = spectrum(u)
-    spec_values = np.array([potential(m, p.complex) for p in spec])
+    spec_values = potential_grid(m, [p.complex for p in spec])
 
     z = _grid_points(u, m, cfg)
     G = _scan_G(u, m, z)

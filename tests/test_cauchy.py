@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import clarklab as cl
+from clarklab import cauchy
 from clarklab.cauchy import PowerIterationConfig
 from clarklab.errors import (BoundaryAtom, ClarkLabError, DenseCapExceeded,
                              DimensionMismatch, NotEnoughAtoms, WrongFamily)
@@ -53,8 +54,21 @@ def test_apply_examples():
         sec.apply(np.ones(3))
 
 
-def test_matrix_beyond_dense_cap_raises():
-    sec = cl.CauchySection(cl.exp_clark_data(10).measure, dense_cap=8)
+def test_apply_matches_dense_matrix_on_perturbed_measure(rng):
+    # irregular atoms, so no lattice identity is shared by the two paths;
+    # the dense form cancels in 1 - conj(z_m) z_n and loses about
+    # log10(1/min gap) ~ 4 digits here
+    base = cl.exp_clark_data(60)
+    sec = cl.CauchySection(cl.generate(cl.random_plan(base, 4)))
+    f = rng.standard_normal(sec.N) + 1j * rng.standard_normal(sec.N)
+    rs = np.sqrt(sec.sigma)
+    dense = (sec.matrix() @ (f * rs)) / rs
+    assert np.max(np.abs(sec.apply(f) - dense)) <= 1e-11 * np.max(np.abs(dense))
+
+
+def test_matrix_beyond_dense_cap_raises(monkeypatch):
+    monkeypatch.setattr(cauchy, "DENSE_CAP", 8)
+    sec = cl.CauchySection(cl.exp_clark_data(10).measure)
     with pytest.raises(DenseCapExceeded, match="section size 21 exceeds dense cap 8"):
         sec.matrix()
     assert issubclass(DenseCapExceeded, ClarkLabError)

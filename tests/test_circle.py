@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import clarklab as cl
-from clarklab.circle import canonical_angle, gap_arcs, neighbor_constants
+from clarklab import circle
+from clarklab.circle import canonical_angle, gap_arcs, kernel_sum, neighbor_constants
 from clarklab.errors import NotEnoughAtoms
 
 TWO_PI = 2 * np.pi
@@ -125,3 +128,34 @@ def test_neighbor_constants_exclusion():
     A_excl, B_excl, _, _ = neighbor_constants(m, excluded_points=[cl.CirclePoint(0.0)])
     assert A_excl >= A_plain  # dropping the artificial wrap gap raises A
     assert np.isfinite(A_excl) and np.isfinite(B_excl)
+
+
+REFERENCE_KERNELS = {"1/d": lambda d: 1 / d, "1/|d|": lambda d: 1 / abs(d),
+                     "1/|d|^2": lambda d: 1 / abs(d) ** 2}
+
+
+@pytest.mark.parametrize("kernel", sorted(circle.KERNELS))
+def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
+    # reference: a plain double loop summed with math.fsum.  Each term
+    # carries a few ulp of rounding and the block sum adds at most
+    # (sources) ulp of the absolute sum, so 1e-14 of sum |terms| bounds it.
+    k = REFERENCE_KERNELS[kernel]
+    t = rng.uniform(0.2, 0.9, 8) * np.exp(1j * rng.uniform(0, TWO_PI, 8))
+    s = np.exp(1j * rng.uniform(0, TWO_PI, 5))
+    w = rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, TWO_PI, 5))
+
+    def ref(tn, sources, skip=None):
+        terms = [complex(w[m] * k(tn - sources[m])) for m in range(5) if m != skip]
+        return (complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)),
+                math.fsum(abs(x) for x in terms))
+
+    # a budget of 10 pairs puts two targets in each block: four blocks
+    monkeypatch.setattr(circle, "PAIR_BLOCK", 10)
+    cases = [(kernel_sum(t.reshape(2, 4), s, w, kernel).ravel(), [ref(x, s) for x in t]),
+             (kernel_sum(s, s, w, kernel, skip_self=True), [ref(x, s, n) for n, x in enumerate(s)])]
+    for got, want in cases:
+        for g, (value, scale) in zip(got, want, strict=True):
+            assert abs(g - value) <= 1e-14 * scale
+    assert kernel_sum(t.reshape(2, 4), s, w, kernel).shape == (2, 4)
+    empty = kernel_sum(t, np.empty(0, complex), np.empty(0), kernel)
+    assert empty.shape == t.shape and not empty.any()

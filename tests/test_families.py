@@ -146,6 +146,13 @@ def test_sparse_route_rejects_without_materializing(member):
         divergence_ladder(member, [member.K])
 
 
+def test_sparse_ladder_beyond_duplicate_tolerance_raises_domain_error():
+    # at K = 10^15 the sparse atoms sit 9.4e-13 rad apart, below the
+    # absolute DUPLICATE_TOL of AtomicMeasure
+    with pytest.raises(ClarkLabError, match="duplicate atoms"):
+        divergence_ladder(CounterexampleBlaschke(alpha=1.0, K=10**15), [10**15])
+
+
 def test_sparse_route_level_budget(monkeypatch):
     member = CounterexampleBlaschke(alpha=1.0, K=100, symmetrized=True)
     assert counterexample_sparse_atoms(member)[0].n_atoms == 99

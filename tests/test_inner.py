@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clarklab as cl
-from clarklab import inner
+from clarklab import circle, inner
 from clarklab.errors import DegenerateSymbol, SpectrumPoint
 
 
@@ -102,7 +102,7 @@ def test_blaschke_lift_matches_per_zero_loop(rng, monkeypatch):
         if a != 0:
             ref = ref + 2.0 * np.angle(1.0 - a * np.exp(-1j * t)) \
                 + (np.pi - np.angle(a))
-    monkeypatch.setattr(inner, "PHASE_BLOCK", 1000)
+    monkeypatch.setattr(circle, "PAIR_BLOCK", 1000)
     lift = inner._phase_lift(u, t)
     assert lift.shape == t.shape
     assert np.max(np.abs(lift - ref)) < 1e-10
