@@ -3,7 +3,7 @@
 The Clark measure at parameter alpha of an inner function u puts an atom
 at every boundary point where u = e^{2 pi i alpha}, with mass 1/|u'|.
 For u(z) = exp((z+1)/(z-1)) the atoms and masses have closed forms, which
-makes the family a sharp calibration target for the phase bisection.
+makes the family a sharp calibration target for the atom locator.
 """
 import numpy as np
 

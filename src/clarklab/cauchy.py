@@ -9,7 +9,7 @@ with zero diagonal, unitarily equivalent to the section of C on L^2(sigma).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

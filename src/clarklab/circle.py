@@ -7,7 +7,7 @@ comparison is wanted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,26 +249,17 @@ def neighbor_constants(m: AtomicMeasure, excluded_points=()) -> tuple[float, flo
         eta = p.theta if isinstance(p, CirclePoint) else canonical_angle(p)
         d = np.mod(eta - thetas, TWO_PI)
         crossing |= (d > 0) & (d < ang_fwd)
-    A = np.inf
-    B = -np.inf
-    wa = wb = -1
-    for i in range(n):
-        gaps = []
-        if not crossing[i]:
-            gaps.append(gap_fwd[i])
-        if not crossing[(i - 1) % n]:
-            gaps.append(gap_fwd[(i - 1) % n])
-        if not gaps:
-            continue
-        lo = m.masses[i] / max(gaps)
-        hi = m.masses[i] / min(gaps)
-        if lo < A:
-            A, wa = lo, i
-        if hi > B:
-            B, wb = hi, i
-    if wa < 0:
+    # fwd[i - 1] is atom i's backward gap; a dropped gap is nan, which
+    # fmax/fmin skip
+    fwd = np.where(crossing, np.nan, gap_fwd)
+    back = np.roll(fwd, 1)
+    lo = m.masses / np.fmax(fwd, back)
+    hi = m.masses / np.fmin(fwd, back)
+    if np.isnan(lo).all():
         return float("nan"), float("nan"), -1, -1
-    return float(A), float(B), wa, wb
+    # the first index attaining the extremum, as a strict running comparison
+    wa, wb = int(np.nanargmin(lo)), int(np.nanargmax(hi))
+    return float(lo[wa]), float(hi[wb]), wa, wb
 
 
 def _blockwise(fn, x, width):

@@ -1,11 +1,13 @@
-"""Clark atoms and masses by monotone-phase bisection.
+"""Clark atoms and masses by safeguarded Newton on the monotone phase.
 
 Atoms of the Clark measure at parameter alpha are the boundary solutions
 of u(e^{i theta}) = e^{2 pi i alpha}.  Because the phase lift is exactly
 continuous and increasing, every solution on a scan arc corresponds to
-one level  2 pi alpha + 2 pi k  inside the lift's range; each level is
-bracketed by the scan ends and bisected.  Bisection (not Newton) because
-only monotonicity is guaranteed near the spectrum.
+one level  2 pi alpha + 2 pi k  inside the lift's range.  A sample of the
+lift along the scan brackets each level, and Newton's method on the lift,
+whose derivative is the angular derivative |u'|, refines it inside that
+bracket.  Monotonicity is all that is guaranteed near the spectrum, so
+the bracket, not the Newton step, decides when a level is done.
 """
 from __future__ import annotations
 
@@ -26,44 +28,76 @@ DEFAULT_TOL = 1e-12
 EDGE_FLAG_FACTOR = 10.0
 
 
-def _scan_interval(u, scan: Arc, eps_spec: float) -> tuple[float, float]:
-    """Lift the scan arc to an interval [lo, hi] on the real line and
-    verify it keeps chordal distance >= eps_spec from the spectrum."""
+def _solve_levels(phase, a, b, levels, tol):
+    """The t in [a, b] with phase(t) = level, for each level, where
+    ``phase(t)`` returns an increasing function and its derivative and
+    phase(a) <= level <= phase(b) per level.
+
+    rtsafe (Press et al., Numerical Recipes, sec. 9.4): each evaluation
+    moves one end of the level's bracket by the sign of phase - level.
+    The next point is the Newton point when it lies inside the bracket
+    and moves at most half as far as the step before last; otherwise the
+    bracket is bisected.  So Newton moves shrink geometrically between
+    bisections, and each bisection halves the bracket.  The Newton point
+    is pushed tol/4 (at least one float spacing) further along its step,
+    so that once Newton has converged the next sign lands past the root
+    and closes the bracket.  A level is done only when its bracket is at
+    most tol wide or its ends are adjacent floats; a small Newton step
+    alone would only mean "stopped changing".  Only open levels are
+    evaluated, and the bracket's midpoint is returned.
+    """
+    levels = np.asarray(levels, dtype=float)
+    a, b = (np.array(np.broadcast_to(e, levels.shape), dtype=float) for e in (a, b))
+    t = 0.5 * (a + b)
+    last = b - a
+    before = last.copy()
+    live = np.arange(levels.size)
+    while live.size:
+        x = t[live]
+        f, df = phase(x)
+        r = f - levels[live]
+        lo = a[live] = np.where(r <= 0, x, a[live])
+        hi = b[live] = np.where(r >= 0, x, b[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -r / df
+        push = np.maximum(0.25 * tol, np.abs(np.spacing(x)))
+        guess = np.clip(x + step + np.sign(step) * push, lo + push, hi - push)
+        newton = ((lo <= x + step) & (x + step <= hi) & (lo < guess) & (guess < hi)
+                  & (np.abs(guess - x) <= 0.5 * before[live]))
+        t[live] = np.where(newton, guess, 0.5 * (lo + hi))
+        before[live], last[live] = last[live], np.abs(t[live] - x)
+        live = live[(hi - lo > tol) & (np.nextafter(lo, np.inf) < hi)]
+    return 0.5 * (a + b)
+
+
+def _level_roots(u, scan: Arc, eps_spec: float, tol: float, offset: float, step: float):
+    """Where the phase lift crosses the levels offset + step Z on the scan
+    arc lifted to [lo, hi], as (lo, hi, roots).
+
+    The scan must keep chordal distance >= eps_spec from the spectrum.  A
+    1025-point sample of the lift checks that it increases, and its cells
+    bracket the levels for the solver.
+    """
     lo = scan.start.theta
     hi = lo + scan.length
     margin = 2.0 * np.arcsin(min(eps_spec, 2.0) / 2.0)  # chordal -> angular
     for p in spectrum(u):
         for k in (-1, 0, 1):
-            lift = p.theta + TWO_PI * k
-            if lo - margin <= lift <= hi + margin:
+            if lo - margin <= p.theta + TWO_PI * k <= hi + margin:
                 raise SpectrumPoint(
                     f"scan arc comes within {eps_spec:g} of spectrum point "
                     f"theta={p.theta:.6g}")
-    return lo, hi
-
-
-def _sanity_monotone(u, lo, hi):
-    """Coarse sampled check that the lift increases along the scan."""
     ts = np.linspace(lo, hi, 1025)
     ph = _phase_lift(u, ts)
-    if np.any(np.diff(ph) < -1e-9):
-        raise PhaseMonotonicityViolation(
-            "sampled phase decreased along the scan")
-
-
-def _bisect_levels(u, lo, hi, levels, tol):
-    """Vectorized bisection of the monotone lift for several levels."""
-    levels = np.asarray(levels, dtype=float)
-    a = np.full(levels.shape, lo)
-    b = np.full(levels.shape, hi)
-    # ~46 halvings take the full circle below 1e-13
-    n_iter = int(np.ceil(np.log2(max((hi - lo) / tol, 2.0)))) + 1
-    for _ in range(n_iter):
-        mid = 0.5 * (a + b)
-        below = _phase_lift(u, mid) < levels
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return 0.5 * (a + b)
+    if np.any(np.diff(ph) < -1e-9) or ph[-1] < ph[0]:
+        raise PhaseMonotonicityViolation("sampled phase decreased along the scan")
+    k0 = int(np.ceil((ph[0] - offset) / step - 1e-12))
+    k1 = int(np.floor((ph[-1] - offset) / step + 1e-12))
+    levels = offset + step * np.arange(k0, k1 + 1)
+    cell = np.clip(np.searchsorted(ph, levels), 1, ts.size - 1)
+    roots = _solve_levels(lambda t: (_phase_lift(u, t), _angular_derivatives(u, t)),
+                          ts[cell - 1], ts[cell], levels, tol)
+    return lo, hi, roots
 
 
 def find_atoms(u: InnerFunction, alpha: float, scan: Arc,
@@ -77,19 +111,7 @@ def find_atoms(u: InnerFunction, alpha: float, scan: Arc,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = _scan_interval(u, scan, eps_spec)
-    _sanity_monotone(u, lo, hi)
-    p_lo = float(_phase_lift(u, lo))
-    p_hi = float(_phase_lift(u, hi))
-    if p_hi < p_lo:
-        raise PhaseMonotonicityViolation("phase decreases across the scan")
-    target = TWO_PI * alpha
-    k0 = int(np.ceil((p_lo - target) / TWO_PI - 1e-12))
-    k1 = int(np.floor((p_hi - target) / TWO_PI + 1e-12))
-    if k1 < k0:
-        return ([], []) if return_flags else []
-    levels = target + TWO_PI * np.arange(k0, k1 + 1)
-    roots = _bisect_levels(u, lo, hi, levels, tol)
+    lo, hi, roots = _level_roots(u, scan, eps_spec, tol, TWO_PI * alpha, TWO_PI)
     # a full-circle scan sees the wrap atom at both ends; keep one copy
     if roots.size >= 2 and roots[-1] - roots[0] > TWO_PI - max(4.0 * tol, 1e-12):
         roots = roots[:-1]
@@ -149,17 +171,7 @@ def phase_partition(u: InnerFunction, n_levels: int, scan: Arc,
     is exactly 2 pi / N."""
     if n_levels < 2:
         raise ValueError("need at least 2 phase levels")
-    lo, hi = _scan_interval(u, scan, eps_spec)
-    _sanity_monotone(u, lo, hi)
-    p_lo = float(_phase_lift(u, lo))
-    p_hi = float(_phase_lift(u, hi))
-    step = TWO_PI / n_levels
-    k0 = int(np.ceil(p_lo / step - 1e-12))
-    k1 = int(np.floor(p_hi / step + 1e-12))
-    if k1 - k0 < 1:
-        return []
-    levels = step * np.arange(k0, k1 + 1)
-    roots = _bisect_levels(u, lo, hi, levels, tol)
+    _, _, roots = _level_roots(u, scan, eps_spec, tol, 0.0, TWO_PI / n_levels)
     return [arc_between(roots[i], roots[i + 1], closed_left=True, closed_right=False)
             for i in range(len(roots) - 1)]
 

@@ -48,12 +48,16 @@ def _emit(args, payload: dict, passed: bool, truncation=None) -> int:
         "passed": bool(passed),
         "outputs": to_jsonable(payload),
     }
-    text = json.dumps(report, indent=2)
+    # streamed, not joined first: joining took `atoms --family exp
+    # --truncation 10000` from 47 MB to 63 MB peak RSS
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as f:
+            json.dump(report, f, indent=2)
+            f.write("\n")
         print(f"report written to {args.out}")
     else:
-        print(text)
+        json.dump(report, sys.stdout, indent=2)
+        print()
     return 0 if passed else 1
 
 
@@ -269,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--truncation", type=int, default=100,
                         help="family truncation level")
         sp.add_argument("--tol", type=float, default=1e-13,
-                        help="atom bisection tolerance (radians)")
+                        help="atom location tolerance: the width of each atom's final "
+                             "bracket (radians)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="write the JSON report here")
 

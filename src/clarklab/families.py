@@ -18,7 +18,7 @@ import numpy as np
 
 from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
                      neighbor_constants)
-from .clark import ClarkData, clark_data
+from .clark import ClarkData, _solve_levels, clark_data
 from .errors import ClarkLabError, NotEnoughAtoms
 from .inner import FiniteBlaschke, InnerFunction, SingularAtomic, monomial
 from .potentials import atom_potential_sup
@@ -165,6 +165,11 @@ LEVEL_BUDGET = 1 << 24
 #: Largest K whose zero labels float64 still represents exactly.
 MAX_K = 2**53
 
+#: Bracket width in u = log(-x) at which a sparse atom is located: four
+#: ulps of u = 1, i.e. relative float64 precision in x.  From u = 4 on one
+#: ulp of u is that wide, and the adjacent-floats stop ends the bracket.
+SPARSE_U_TOL = 4 * np.finfo(float).eps
+
 #: Float64 rounding allowance per unit of summed magnitude: pairwise
 #: summation of <= 2 EXACT_HEAD terms costs (log2(2048) + 1) eps, and each
 #: term's own evaluation a few eps more.
@@ -286,9 +291,10 @@ def counterexample_sparse_atoms(fam: CounterexampleBlaschke
 
     The levels 2 pi k in (arg u(1), arg u(1) + Phi_K(-1)] are counted
     first, from the finite product's phase at theta = 0+; each is then
-    bisected in u = log(-x), where Phi_K decreases and a fixed step count
-    resolves x to relative float64 precision.  A phase error e moves an
-    atom by at most about e times its mass.
+    solved in u = log(-x), where Phi_K decreases, by the safeguarded
+    Newton of ``clark._solve_levels`` from the bracket [0, u_hi], to
+    relative float64 precision in x.  A phase error e moves an atom by
+    at most about e times its mass.
     """
     base, base_err = counterexample_base_phase(fam)
     top, _, top_err = counterexample_phase(fam, np.array([-1.0]))
@@ -304,14 +310,13 @@ def counterexample_sparse_atoms(fam: CounterexampleBlaschke
     # Phi_K(x) <= 4 (zero count) / |x| once |x| >= 2 K^alpha
     u_hi = max(np.log(2.0 * fam.K**fam.alpha),
                np.log(8.0 * fam.K / targets[0])) + 1.0
-    lo = np.zeros(n_levels)
-    hi = np.full(n_levels, u_hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        above = counterexample_phase(fam, -np.exp(mid))[0] >= targets
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    u = 0.5 * (lo + hi)
+
+    def phase(u):  # -Phi_K(-e^u) increases in u
+        x = -np.exp(u)
+        phi, dphi, _ = counterexample_phase(fam, x)
+        return -phi, -dphi * x
+
+    u = _solve_levels(phase, 0.0, u_hi, -targets, SPARSE_U_TOL)
     x = -np.exp(u)
     _, dphi, err = counterexample_phase(fam, x)
     thetas = 2.0 * np.arctan(np.exp(-u))

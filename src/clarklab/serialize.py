@@ -65,19 +65,25 @@ def clark_to_dict(data: ClarkData) -> dict:
     out["derivatives"] = [float(x) for x in data.derivatives]
     out["A"] = float(data.A)
     out["B"] = float(data.B)
+    out["witness_A"] = int(data.witness_A)
+    out["witness_B"] = int(data.witness_B)
     if data.edge_uncertain is not None:
         out["edge_uncertain"] = [bool(b) for b in data.edge_uncertain]
+    if data.lattice_indices is not None:
+        out["lattice_indices"] = [int(n) for n in data.lattice_indices]
     return out
 
 
 def clark_from_dict(d: dict) -> ClarkData:
     measure = measure_from_dict(d)
-    data = ClarkData(alpha=d["alpha"], measure=measure,
+    labels = d.get("lattice_indices")
+    return ClarkData(alpha=d["alpha"], measure=measure,
                      derivatives=np.asarray(d["derivatives"], dtype=float),
                      A=d["A"], B=d["B"],
+                     witness_A=d.get("witness_A", -1), witness_B=d.get("witness_B", -1),
                      edge_uncertain=np.asarray(d.get("edge_uncertain",
-                                                     [False] * measure.n_atoms)))
-    return data
+                                                     [False] * measure.n_atoms)),
+                     lattice_indices=None if labels is None else np.asarray(labels))
 
 
 def to_jsonable(obj):
@@ -99,10 +105,6 @@ def to_jsonable(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj
-
-
-def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(to_jsonable(obj), indent=2) + "\n")
 
 
 def load_json(path):

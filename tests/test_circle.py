@@ -121,6 +121,22 @@ def test_gap_arcs_cover_circle():
     assert sum(a.length for a in arcs) == pytest.approx(TWO_PI)
 
 
+def neighbor_constants_loop(m, excluded=()):
+    """Reference: one atom at a time, first index on ties."""
+    n, th = m.n_atoms, m.thetas
+    gap = [abs(2 * math.sin((th[(i + 1) % n] - th[i]) / 2)) for i in range(n)]
+    dropped = [any(0 < (eta - th[i]) % TWO_PI < (th[(i + 1) % n] - th[i]) % TWO_PI
+                   for eta in excluded) for i in range(n)]
+    A, B, wa, wb = math.inf, -math.inf, -1, -1
+    for i in range(n):
+        gaps = [gap[j] for j in (i, i - 1) if not dropped[j]]
+        if gaps and m.masses[i] / max(gaps) < A:
+            A, wa = m.masses[i] / max(gaps), i
+        if gaps and m.masses[i] / min(gaps) > B:
+            B, wb = m.masses[i] / min(gaps), i
+    return (A, B, wa, wb) if wa >= 0 else (math.nan, math.nan, -1, -1)
+
+
 def test_neighbor_constants_exclusion():
     # wrap gap crosses a declared accumulation point at 0 and is dropped
     m = cl.AtomicMeasure([0.1, 0.2, 6.1], [0.05, 0.05, 0.05])
@@ -128,6 +144,18 @@ def test_neighbor_constants_exclusion():
     A_excl, B_excl, _, _ = neighbor_constants(m, excluded_points=[cl.CirclePoint(0.0)])
     assert A_excl >= A_plain  # dropping the artificial wrap gap raises A
     assert np.isfinite(A_excl) and np.isfinite(B_excl)
+    # the same figures and witnesses as the plain loop, with 0-2 excluded
+    # points; equal gaps (monomial) exercise the first-index tie rule
+    measures = [m, cl.exp_clark_data(50).measure,
+                cl.clark_data_for(cl.Monomial(16)).measure,
+                cl.clark_data_for(cl.CounterexampleBlaschke(1.0, 64)).measure,
+                cl.AtomicMeasure([0.5, 2.0], [0.1, 0.3])]
+    for measure in measures:
+        for excluded in ([], [0.0], [0.0, 1.0]):
+            got = neighbor_constants(measure, excluded_points=excluded)
+            np.testing.assert_equal(got, neighbor_constants_loop(measure, excluded))
+    # both gaps of a two-atom measure cross an excluded point
+    assert np.isnan(neighbor_constants(measures[-1], [0.0, 1.0])[:2]).all()
 
 
 REFERENCE_KERNELS = {"1/d": lambda d: 1 / d, "1/|d|": lambda d: 1 / abs(d),

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import clarklab as cl
-from clarklab.clark import C1_DERIVATIVE_RATIO, PartitionRegularityReport
+from clarklab import clark, inner
+from clarklab.clark import C1_DERIVATIVE_RATIO
 from clarklab.errors import EmptyArc, SpectrumPoint
+from clarklab.families import clark_scan_arc, exp_lattice, parse_family
 
 TWO_PI = 2 * np.pi
 
@@ -154,3 +156,95 @@ def test_edge_uncertain_flags(exp_u):
     data = cl.clark_data(exp_u, 0.0, scan, tol=1e-10)
     assert data.edge_uncertain is not None
     assert not data.edge_uncertain.all()
+
+
+def exp_scan(N):
+    """The scan clark_data_for uses for the exp atoms |n| <= N."""
+    th = exp_lattice([-(N + 1), -N, N, N + 1])[0]
+    return cl.arc_between(0.5 * (th[0] + th[1]), 0.5 * (th[2] + th[3]), True, True)
+
+
+def bisection_oracle(u, scan, offset, step):
+    """The locator before the Newton solver: every level offset + step k
+    in the lift's range over the scan, bisected 47 times from the whole
+    scan (the bracket then lies below 1e-13 rad).  Returns k and the
+    roots as canonical angles."""
+    lo = scan.start.theta
+    hi = lo + scan.length
+    p_lo, p_hi = inner._phase_lift(u, np.array([lo, hi]))
+    k = np.arange(np.ceil((p_lo - offset) / step - 1e-12),
+                  np.floor((p_hi - offset) / step + 1e-12) + 1)
+    levels = offset + step * k
+    a, b = np.full(k.size, lo), np.full(k.size, hi)
+    for _ in range(47):
+        mid = 0.5 * (a + b)
+        below = inner._phase_lift(u, mid) < levels
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return k, np.mod(0.5 * (a + b), TWO_PI)
+
+
+def angle_gap(a, b):
+    return np.abs(np.mod(np.asarray(a) - b + np.pi, TWO_PI) - np.pi)
+
+
+@pytest.mark.parametrize("family, alpha, scan", [
+    ("monomial:1024", 0.3, cl.Arc.full_circle()),
+    ("exp", 0.0, exp_scan(1000)),
+    ("counterexample:1.0:1024", 0.0, None),
+    ("counterexample:0.5:256", 0.0, None),
+    ("counterexample:1.0:64:sym", 0.0, None),
+])
+def test_solver_matches_bisection_oracle(family, alpha, scan):
+    fam = parse_family(family)
+    u = cl.inner_function(fam)
+    scan = scan or clark_scan_arc(fam)
+    # the partition's levels are pi Z; at alpha = 0 the atoms' levels are
+    # its even members, so one oracle run serves both
+    k, oracle = bisection_oracle(u, scan, 0.0, np.pi)
+    cells = cl.phase_partition(u, 2, scan, tol=1e-13)
+    ends = [c.start.theta for c in cells] + [cells[-1].start.theta + cells[-1].length]
+    assert len(ends) == oracle.size
+    assert np.max(angle_gap(ends, oracle)) <= 1e-12
+    if alpha == 0.0:
+        oracle = oracle[k % 2 == 0]
+    else:
+        oracle = bisection_oracle(u, scan, TWO_PI * alpha, TWO_PI)[1]
+    atoms = [p.theta for p in cl.find_atoms(u, alpha, scan, tol=1e-13)]
+    assert len(atoms) == oracle.size > 0
+    assert np.max(angle_gap(atoms, oracle)) <= 1e-12
+
+
+def count_lift_calls(monkeypatch):
+    calls = []
+
+    def lift(u, t):
+        calls.append(np.size(t))
+        return inner._phase_lift(u, t)
+
+    monkeypatch.setattr(clark, "_phase_lift", lift)
+    return calls
+
+
+@pytest.mark.parametrize("u, scan", [(cl.monomial(8), cl.Arc.full_circle()),
+                                     (cl.SingularAtomic(atoms=((0.0, 1.0),)), exp_scan(20))],
+                         ids=["monomial:8", "exp:20"])
+def test_tol_below_float_resolution_terminates(u, scan, monkeypatch):
+    ref = np.array([p.theta for p in cl.find_atoms(u, 0.0, scan, tol=1e-13)])
+    calls = count_lift_calls(monkeypatch)
+    fine = np.array([p.theta for p in cl.find_atoms(u, 0.0, scan, tol=1e-20)])
+    # no bracket gets below 1e-20 wide: the adjacent-floats stop ends the
+    # levels, after 3 (monomial) and 8 (exp) solver passes when measured
+    assert len(calls) <= 1 + 16
+    assert fine.size == ref.size
+    assert np.max(angle_gap(fine, ref)) <= 1e-13
+
+
+def test_exact_newton_step_still_closes_bracket(monkeypatch):
+    # z^1024 has a linear lift, so the first Newton step lands on every
+    # root; the push past it must close the bracket at once instead of
+    # leaving one end behind for bisection to walk in
+    calls = count_lift_calls(monkeypatch)
+    pts = cl.find_atoms(cl.monomial(1024), 0.0, cl.Arc.full_circle(), tol=1e-13)
+    assert len(pts) == 1024
+    assert len(calls) <= 1 + 3  # the scan sample, then the solver
+    assert np.max(angle_gap([p.theta for p in pts], TWO_PI * np.arange(1024) / 1024)) <= 1e-13

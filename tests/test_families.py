@@ -105,6 +105,30 @@ def test_sparse_route_matches_materialized_find_atoms(member):
     assert bound < 1e-11
 
 
+@pytest.mark.parametrize("member", [
+    CounterexampleBlaschke(alpha=1.0, K=64, symmetrized=True),
+    *(CounterexampleBlaschke(alpha=1.0, K=10**e) for e in (3, 6, 9, 12)),
+], ids=family_name)
+def test_sparse_route_matches_bisection_oracle(member):
+    # oracle: the route before the Newton solver, 64 halvings per level in
+    # u = log(-x) from [0, 64], which ends below float64 resolution
+    atoms, _ = counterexample_sparse_atoms(member)
+    base, base_err = counterexample_base_phase(member)
+    top = counterexample_phase(member, np.array([-1.0]))[0][0]
+    k = np.arange(np.floor((base + base_err) / TWO_PI) + 1, np.floor((base + top) / TWO_PI) + 1)
+    targets = TWO_PI * k - base
+    lo, hi = np.zeros(k.size), np.full(k.size, 64.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = counterexample_phase(member, -np.exp(mid))[0] >= targets
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    x = -np.exp(0.5 * (lo + hi))
+    masses = 2.0 / (counterexample_phase(member, x)[1] * (1.0 + x * x))
+    assert atoms.n_atoms == k.size > 0
+    assert np.max(np.abs(atoms.thetas - 2.0 * np.arctan(-1.0 / x))) <= 1e-12
+    assert np.max(np.abs(atoms.masses / masses - 1.0)) <= 1e-10
+
+
 def test_sparse_route_closed_form_oracle():
     # alpha = 1: Phi_K(x) = 2 Im[loggamma(K+1-x+i) - loggamma(1-x+i)],
     # Phi_K'(x) = 2 Im[psi(K+1-x-i) - psi(1-x-i)], and

@@ -37,6 +37,18 @@ def test_clark_roundtrip(z2_data):
     assert d2.A == z2_data.A and d2.B == z2_data.B
 
 
+def test_clark_roundtrip_keeps_labels_and_witnesses():
+    data = cl.exp_clark_data(5)
+    d2 = clark_from_dict(json.loads(json.dumps(clark_to_dict(data))))
+    assert np.array_equal(d2.lattice_indices, data.lattice_indices)
+    assert (d2.witness_A, d2.witness_B) == (data.witness_A, data.witness_B)
+    # the labels let the round-tripped data take the lattice route
+    f = np.arange(d2.n_atoms, dtype=float)
+    sec = cl.CauchySection(d2.measure, d2.lattice_indices)
+    assert np.array_equal(cl.hilbert_route(sec, f),
+                          cl.hilbert_route(cl.CauchySection(data.measure, data.lattice_indices), f))
+
+
 def test_csv_number_formats():
     assert csv_number(0.5) == "0.5"
     assert "e" in csv_number(3.2e-7)
