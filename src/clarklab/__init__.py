@@ -22,8 +22,8 @@ from .potentials import (AtomPotentialSup, KernelNorms, PotentialReport,
                          QuadConfig, ScanConfig, atom_potential_sup,
                          dirichlet_quadrature, kernel_norms, mass_ratio_check,
                          poisson, potential, radial_limit_check, sup_inf_scan)
-from .cauchy import (CauchySection, OperatorNormEstimate, PowerIterationConfig,
-                     TolsaReport, hilbert_route, nested_sections, operator_norm,
+from .cauchy import (CauchySection, OperatorNormEstimate, TolsaReport,
+                     hilbert_route, nested_sections, operator_norm,
                      tail_integral_check, tolsa_scan)
 from .verify import (BessonovReport, BessonovTolerances, bessonov_check,
                      perturbed_admissibility)

@@ -283,21 +283,38 @@ KERNELS = {
 
 def kernel_sum(targets, sources, weights, kernel, skip_self=False):
     """sum_m weights_m k(targets_n - sources_m) at every target, with k one
-    of KERNELS, in row blocks under PAIR_BLOCK; the result has the shape
-    of targets.
+    of KERNELS, in (rows x columns) blocks under PAIR_BLOCK; the result
+    has the shape of targets.
 
     Differences are taken in Cartesian form, which stays accurate for
     nearly coincident points, where 2 - 2 cos(a - b) would cancel.  With
     skip_self the targets are the sources and the term m = n is dropped.
+    More than PAIR_BLOCK sources are cut into equal column blocks, whose
+    sums are added in order; otherwise each row is one sum.
     """
     k = KERNELS[kernel]
     t = np.asarray(targets)
     flat = t.reshape(-1)
+    n = len(sources)
+    col_blocks = -(-n // PAIR_BLOCK) or 1  # ceil(n / PAIR_BLOCK)
+    width = -(-n // col_blocks) or 1
+    step = PAIR_BLOCK // width
 
-    def rows(idx):
-        d = flat[idx, None] - sources
+    def block(r, c):
+        d = flat[r:r + step, None] - sources[c:c + width]
         if skip_self:
-            d[np.arange(idx.size), idx] = np.inf  # every kernel is 0 there
-        return k(d) @ weights
+            # the terms m = n sit on rows i0..i1 of the block, a stride-(w + 1)
+            # run in flat order; every kernel is 0 at inf
+            w = d.shape[1]
+            i0 = max(0, c - r)
+            i1 = max(i0, min(d.shape[0], c + w - r))
+            d.flat[i0 * (w + 1) + r - c:i1 * (w + 1) + r - c:w + 1] = np.inf
+        return k(d) @ weights[c:c + width]
 
-    return _blockwise(rows, np.arange(flat.size), len(sources)).reshape(t.shape)
+    def rows(r):
+        total = block(r, 0)
+        for c in range(width, n, width):
+            total = total + block(r, c)
+        return total
+
+    return np.concatenate([rows(r) for r in range(0, max(flat.size, 1), step)]).reshape(t.shape)

@@ -109,7 +109,7 @@ def cmd_norm(args) -> int:
     est = operator_norm(data.measure, sizes)
     nondecreasing = all(b >= a - 1e-9 for a, b in zip(est.values, est.values[1:]))
     payload = {"sizes": est.sizes, "values": est.values,
-               "converged": est.converged, "iterations": est.iterations,
+               "converged": est.converged,
                "last_doubling_growth": est.last_doubling_growth}
     return _emit(args, payload, passed=nondecreasing, truncation=args.truncation)
 

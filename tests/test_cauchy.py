@@ -3,7 +3,6 @@ import pytest
 
 import clarklab as cl
 from clarklab import cauchy
-from clarklab.cauchy import PowerIterationConfig
 from clarklab.errors import (BoundaryAtom, ClarkLabError, DenseCapExceeded,
                              DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
@@ -80,11 +79,49 @@ def test_operator_norm_z2_anchor():
     assert est.converged[0]
 
 
-def test_operator_norm_z4_svd_oracle():
-    sec = z4_section()
-    sv = np.linalg.svd(sec.matrix(), compute_uv=False)[0]
-    est = cl.operator_norm(sec.measure, [4])
-    assert est.values[0] == pytest.approx(sv, abs=1e-10)
+def perturbed_measure():
+    return cl.generate(cl.random_plan(cl.exp_clark_data(60), 4))
+
+
+def counterexample_measure():
+    return cl.clark_data_for(cl.parse_family("counterexample:1.0:64")).measure
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: cl.exp_clark_data(40).measure, perturbed_measure, counterexample_measure,
+], ids=["exp", "perturbed", "counterexample"])
+def test_section_matrix_is_hermitian(measure):
+    # the property the norm's eigensolve relies on
+    A = cl.CauchySection(measure()).matrix()
+    assert np.max(np.abs(A - A.conj().T)) <= 1e-13 * np.max(np.abs(A))
+
+
+@pytest.mark.parametrize("measure, sizes", [
+    (lambda: z4_section().measure, [4]),
+    (lambda: cl.exp_clark_data(520).measure, [32, 64, 128, 256, 512, 1024]),
+    (perturbed_measure, [32, 64, 121]),
+    (counterexample_measure, None),
+], ids=["z4", "exp-ladder", "perturbed", "counterexample"])
+def test_operator_norm_svd_oracle(measure, sizes):
+    m = measure()
+    sizes = sizes or [m.n_atoms]
+    est = cl.operator_norm(m, sizes)
+    assert est.converged == [True] * len(sizes)
+    for sec, value in zip(cl.nested_sections(m, sizes), est.values, strict=True):
+        sv = np.linalg.svd(sec.matrix(), compute_uv=False)[0]
+        assert abs(value - sv) <= 1e-12 * sv
+
+
+@pytest.mark.parametrize("sizes, error", [
+    ([0, 4], NotEnoughAtoms), ([1, 4], NotEnoughAtoms),
+    ([8, 4], ClarkLabError), ([4, 4], ClarkLabError),
+])
+def test_operator_norm_rejects_bad_sizes(sizes, error, monkeypatch):
+    built = []
+    monkeypatch.setattr(cauchy, "nested_sections", lambda *a: built.append(a))
+    with pytest.raises(error):
+        cl.operator_norm(z4_section().measure, sizes)
+    assert not built  # rejected before any section is built
 
 
 def test_operator_norm_ladder_nondecreasing():
@@ -195,18 +232,10 @@ def test_hilbert_route_wrong_family():
         cl.hilbert_route(sec, np.ones(2))
 
 
-def test_power_iteration_reseed_guard():
-    # seed (1,1)/sqrt(2) is an eigenvector here; the reseed must not lower
-    # the estimate
-    est = cl.operator_norm(z2_section().measure, [2],
-                           PowerIterationConfig(seed=11))
-    assert est.values[0] == pytest.approx(0.25, abs=1e-10)
-
-
 @pytest.mark.slow
 def test_operator_norm_full_ladder_plateau():
     # sizes 2^5..2^12 on the exponential lattice: nondecreasing values that
-    # plateau (< 5% growth over the final doubling); several minutes
+    # plateau (< 5% growth over the final doubling); about 30 s
     measure = cl.exp_clark_data(2200).measure
     est = cl.operator_norm(measure, [2**k for k in range(5, 13)])
     assert all(b >= a - 1e-9 for a, b in zip(est.values, est.values[1:]))

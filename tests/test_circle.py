@@ -168,6 +168,7 @@ def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
     # carries a few ulp of rounding and the block sum adds at most
     # (sources) ulp of the absolute sum, so 1e-14 of sum |terms| bounds it.
     k = REFERENCE_KERNELS[kernel]
+    circle_kernel = circle.KERNELS[kernel]
     t = rng.uniform(0.2, 0.9, 8) * np.exp(1j * rng.uniform(0, TWO_PI, 8))
     s = np.exp(1j * rng.uniform(0, TWO_PI, 5))
     w = rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, TWO_PI, 5))
@@ -177,13 +178,22 @@ def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
         return (complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)),
                 math.fsum(abs(x) for x in terms))
 
-    # a budget of 10 pairs puts two targets in each block: four blocks
-    monkeypatch.setattr(circle, "PAIR_BLOCK", 10)
-    cases = [(kernel_sum(t.reshape(2, 4), s, w, kernel).ravel(), [ref(x, s) for x in t]),
-             (kernel_sum(s, s, w, kernel, skip_self=True), [ref(x, s, n) for n, x in enumerate(s)])]
-    for got, want in cases:
-        for g, (value, scale) in zip(got, want, strict=True):
-            assert abs(g - value) <= 1e-14 * scale
+    # a budget of 10 pairs puts two targets in each block: four blocks;
+    # a budget of 3, below the source count, cuts the sources into column
+    # blocks of 3 and 2, one target each; no block exceeds the budget
+    blocks = []
+    monkeypatch.setitem(circle.KERNELS, kernel,
+                        lambda d: blocks.append(d.size) or circle_kernel(d))
+    for budget in (10, 3):
+        monkeypatch.setattr(circle, "PAIR_BLOCK", budget)
+        blocks.clear()
+        cases = [(kernel_sum(t.reshape(2, 4), s, w, kernel).ravel(), [ref(x, s) for x in t]),
+                 (kernel_sum(s, s, w, kernel, skip_self=True),
+                  [ref(x, s, n) for n, x in enumerate(s)])]
+        for got, want in cases:
+            for g, (value, scale) in zip(got, want, strict=True):
+                assert abs(g - value) <= 1e-14 * scale
+        assert max(blocks) <= budget
     assert kernel_sum(t.reshape(2, 4), s, w, kernel).shape == (2, 4)
     empty = kernel_sum(t, np.empty(0, complex), np.empty(0), kernel)
     assert empty.shape == t.shape and not empty.any()

@@ -155,3 +155,39 @@ def test_cli_tolsa(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["outputs"]["max_ratio"] == pytest.approx(0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize("sizes", ["0,4", "1,4", "64,32"])
+def test_cli_norm_rejects_bad_sizes(sizes, capsys):
+    rc = main(["norm", "--family", "exp", "--truncation", "40", "--sizes", sizes])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_reports_are_deterministic(tmp_path):
+    # identical inputs give identical reports, apart from the timing and
+    # the command line (which names the --out path)
+    commands = {
+        "atoms": ["atoms", "--family", "exp", "--truncation", "20"],
+        "bessonov": ["bessonov", "--family", "exp", "--truncation", "20"],
+        "tolsa": ["tolsa", "--family", "exp", "--truncation", "20"],
+        "norm": ["norm", "--family", "exp", "--truncation", "20", "--sizes", "8,16,41"],
+        "potential": ["potential", "--family", "exp", "--truncation", "20"],
+        "perturb": ["perturb", "--family", "exp", "--truncation", "20", "--seed", "3"],
+        "example": ["example", "exp", "--truncation", "20"],
+    }
+    for name, argv in commands.items():
+        docs = []
+        for run in range(2):
+            out = tmp_path / f"{name}{run}.json"
+            main(argv + ["--out", str(out)])
+            doc = json.loads(out.read_text())
+            del doc["wall_time_s"], doc["command"]
+            docs.append(doc)
+        assert docs[0] == docs[1], name
+    csvs = []
+    for run in range(2):
+        csv = tmp_path / f"report{run}.csv"
+        assert main(["report", "--json", str(tmp_path / "norm0.json"), "--csv", str(csv)]) == 0
+        csvs.append(csv.read_text())
+    assert csvs[0] == csvs[1]
