@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import circle
 from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord_angles,
                      kernel_sum)
 from .errors import (BoundaryAtom, ClarkLabError, DenseCapExceeded,
@@ -150,36 +151,56 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
     atoms; since sigma is atomic those arcs realize every contiguous atom
     subset, which is all chi_Q can see.
 
-    ||C chi_Q||^2 = sum over (i, i') in Q x Q of G[i, i'] with
-    G = diag(sqrt(sig)) A* A diag(sqrt(sig)), so a 2-d prefix sum over a
-    doubled copy of G answers each arc in O(1) after one matmul.
+    With W = A diag(sqrt(sig)) and the cumulative columns
+    U_b = sum_{m<b} W[:, m] (U_0 = 0), an arc holding atoms a..b-1 has
+    ||C chi_Q|| = ||U_b - U_a||, and one wrapping past the last atom to
+    hold a..N-1 and 0..e-1 has ||C chi_Q|| = ||U_N - U_a + U_e||.  Both
+    expand in the real Gram P = Re(U* U), taken as one symmetric product
+    of the stacked real and imaginary parts, so each arc costs O(1) and
+    the arcs are evaluated in row blocks of starts.  The witness is the
+    first maximizer in (start, count) order.
     """
     N = section.N
     if N < 2:
         raise NotEnoughAtoms("Tolsa scan needs at least 2 atoms")
+    # A (complex), the stacked cumulative columns V and P: 40 N^2 bytes,
+    # against the 16 DENSE_CAP^2 bytes that ``matrix`` allows
+    need, budget = 40 * N * N, 16 * DENSE_CAP**2
+    if need > budget:
+        raise DenseCapExceeded(
+            f"Tolsa scan of {N} atoms needs about {need:.3g} bytes, over the "
+            f"{budget:.3g} bytes of a dense section at cap {DENSE_CAP}")
     A = section.matrix()
     rs = np.sqrt(section.sigma)
-    W = A * rs[None, :]
-    G = (W.conj().T @ W).real
-    G2 = np.tile(G, (2, 2))
-    PS = np.zeros((2 * N + 1, 2 * N + 1))
-    PS[1:, 1:] = G2.cumsum(axis=0).cumsum(axis=1)
-    del G2
-    cmass = np.concatenate([[0.0], np.cumsum(np.tile(section.sigma, 2))])
+    V = np.zeros((2 * N, N + 1))
+    np.multiply(A.real, rs, out=V[:N, 1:])
+    np.multiply(A.imag, rs, out=V[N:, 1:])
+    np.cumsum(V[:, 1:], axis=1, out=V[:, 1:])
+    P = V.T @ V
+    del V
+    # an arc from start a with count c ends at b = a + c; an end b = N + e
+    # stands for U_N + U_e, so d_end[b] = ||U_b||^2 and cross[., b] =
+    # Re <U_a, U_b> hold for both kinds of arc
+    d = np.diagonal(P)
+    d_end = np.concatenate([d, P[N, N] + d[1:] + 2.0 * P[N, 1:]])
+    cm = np.concatenate([[0.0], np.cumsum(section.sigma)])
+    cm_end = np.concatenate([cm, cm[N] + cm[1:]])
 
     best = -np.inf
     wit = (0, N)
-    n_arcs = 0
-    for a in range(N):
-        counts = np.arange(1, N + 1) if a == 0 else np.arange(1, N)
-        b = a + counts
-        norm2 = PS[b, b] - PS[a, b] - PS[b, a] + PS[a, a]
-        ratio2 = norm2 / (cmass[b] - cmass[a])
-        n_arcs += counts.size
+    step = max(1, circle.PAIR_BLOCK // N)
+    for a0 in range(0, N, step):
+        a = np.arange(a0, min(a0 + step, N))
+        rows = P[a0:a0 + a.size]
+        cross = np.concatenate([rows, rows[:, N:] + rows[:, 1:]], axis=1)
+        b = a[:, None] + np.arange(1, N + 1)
+        norm2 = d[a, None] + d_end[b] - 2.0 * np.take_along_axis(cross, b, axis=1)
+        ratio2 = norm2 / (cm_end[b] - cm[a, None])
+        ratio2[a > 0, -1] = -np.inf  # the full circle counts once, at start 0
         i = int(np.argmax(ratio2))
-        if ratio2[i] > best:
-            best = float(ratio2[i])
-            wit = (a, int(counts[i]))
+        if ratio2.flat[i] > best:
+            best = float(ratio2.flat[i])
+            wit = (a0 + i // N, i % N + 1)
     a, cnt = wit
     if cnt == N:
         arc = Arc.full_circle()
@@ -191,7 +212,7 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
         arc = arc_between(left, right, closed_left=True, closed_right=True)
     return TolsaReport(max_ratio=float(np.sqrt(max(best, 0.0))),
                        witness_arc=arc, witness_start=a, witness_count=cnt,
-                       n_arcs=n_arcs)
+                       n_arcs=N + (N - 1) ** 2)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateAtoms, NotEnoughAtoms
+from .errors import DuplicateAtoms, InvalidMeasure, NotEnoughAtoms
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,7 +121,8 @@ class AtomicMeasure:
     """A finite positive atomic measure on the circle.
 
     Atoms are kept sorted by angle, strictly separated (rejects pairs
-    closer than DUPLICATE_TOL radians), with positive masses.  The empty
+    closer than DUPLICATE_TOL radians), with finite angles and finite
+    positive masses; other input raises InvalidMeasure.  The empty
     measure is allowed so that restrictions and transforms compose; any
     neighbor-based operation then raises NotEnoughAtoms.
     """
@@ -132,9 +133,11 @@ class AtomicMeasure:
         thetas = np.asarray(thetas, dtype=float)
         masses = np.asarray(masses, dtype=float)
         if thetas.shape != masses.shape or thetas.ndim != 1:
-            raise ValueError("thetas and masses must be 1-d arrays of equal length")
-        if thetas.size and np.any(masses <= 0):
-            raise ValueError("all masses must be positive")
+            raise InvalidMeasure("thetas and masses must be 1-d arrays of equal length")
+        if not (np.isfinite(thetas).all() and np.isfinite(masses).all()):
+            raise InvalidMeasure("thetas and masses must be finite")
+        if np.any(masses <= 0):
+            raise InvalidMeasure("all masses must be positive")
         thetas = np.mod(thetas, TWO_PI)
         thetas[thetas >= TWO_PI] = 0.0
         order = np.argsort(thetas, kind="stable")

@@ -9,6 +9,10 @@ class NotEnoughAtoms(ClarkLabError):
     """Operation needs more atoms than the measure carries."""
 
 
+class InvalidMeasure(ClarkLabError, ValueError):
+    """Atoms and masses do not describe a finite positive atomic measure."""
+
+
 class DuplicateAtoms(ClarkLabError, ValueError):
     """Two atoms of a measure lie closer than the duplicate tolerance."""
 

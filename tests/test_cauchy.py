@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clarklab as cl
-from clarklab import cauchy
+from clarklab import cauchy, circle
 from clarklab.errors import (BoundaryAtom, ClarkLabError, DenseCapExceeded,
                              DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
@@ -168,6 +172,117 @@ def test_tolsa_witness_reproducible():
     assert mask.sum() == rep.witness_count
     with pytest.raises(NotEnoughAtoms):
         cl.tolsa_scan(cl.CauchySection(cl.AtomicMeasure([0.0], [1.0])))
+
+
+def brute_tolsa(sec):
+    """Every scanned arc by a matvec on its indicator, in (start, count)
+    order: (start, count) pairs and the ratios ||C chi_Q|| / sigma(Q)^(1/2)."""
+    N = sec.N
+    arcs, ratios = [], []
+    for start in range(N):
+        for count in range(1, N + 1 if start == 0 else N):
+            idx = (start + np.arange(count)) % N
+            chi = np.zeros(N)
+            chi[idx] = 1.0
+            norm2 = np.sum(sec.sigma * np.abs(sec.apply(chi)) ** 2)
+            arcs.append((start, count))
+            ratios.append(np.sqrt(norm2 / sec.sigma[idx].sum()))
+    return arcs, np.array(ratios)
+
+
+ORACLE_MEASURES = {
+    "z2": lambda: z2_section().measure,  # its three arcs tie at 1/4
+    "z4": lambda: z4_section().measure,
+    "exp20": lambda: cl.exp_clark_data(20).measure,
+    "perturbed-exp20": lambda: cl.generate(cl.random_plan(cl.exp_clark_data(20), 5)),
+    "counterexample32": lambda: cl.clark_data_for(
+        cl.parse_family("counterexample:1.0:32")).measure,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_MEASURES)
+def test_tolsa_matches_brute_force(name, monkeypatch):
+    sec = cl.CauchySection(ORACLE_MEASURES[name]())
+    N = sec.N
+    rep = cl.tolsa_scan(sec)
+    arcs, ratios = brute_tolsa(sec)
+    top = ratios.max()
+    assert rep.n_arcs == len(arcs) == N + (N - 1) ** 2
+    assert abs(rep.max_ratio - top) <= 1e-12 * top
+    # the witness is the first arc that attains the maximum, up to ties
+    first = arcs[int(np.argmax(ratios >= top * (1 - 1e-12)))]
+    assert (rep.witness_start, rep.witness_count) == first
+    # one start per block gives the same report as one block for all starts
+    monkeypatch.setattr(circle, "PAIR_BLOCK", 1)
+    one_row = cl.tolsa_scan(cl.CauchySection(sec.measure))
+    assert (one_row.max_ratio, one_row.witness_start, one_row.witness_count) == (
+        rep.max_ratio, rep.witness_start, rep.witness_count)
+
+
+@pytest.mark.parametrize("name", ["exp20", "perturbed-exp20", "counterexample32"])
+def test_tolsa_witness_across_index_zero(name):
+    # rotate the witness arc so that it straddles angle 0 and takes the
+    # inclusion-exclusion branch for arcs that wrap past the last atom
+    # (the z2 and z4 witnesses, one atom and the whole circle, cannot wrap)
+    m = ORACLE_MEASURES[name]()
+    rep = cl.tolsa_scan(cl.CauchySection(m))
+    N, th = m.n_atoms, m.thetas
+    assert 2 <= rep.witness_count < N
+    mid = (rep.witness_start + rep.witness_count // 2) % N
+    cut = th[mid - 1] + 0.5 * ((th[mid] - th[mid - 1]) % (2 * np.pi))
+    rot = cl.tolsa_scan(cl.CauchySection(m.rotated(-cut)))
+    assert rot.witness_start + rot.witness_count > N
+    assert abs(rot.max_ratio - rep.max_ratio) <= 1e-12 * rep.max_ratio
+
+
+@st.composite
+def small_measures(draw):
+    # atoms on distinct slots of a 120-point grid, jittered by up to half a
+    # slot, so every gap is at least pi/120
+    slots = draw(st.lists(st.integers(0, 119), min_size=3, max_size=12, unique=True))
+    jitter = draw(st.lists(st.floats(0, 0.5), min_size=len(slots), max_size=len(slots)))
+    masses = draw(st.lists(st.floats(0.01, 1.0), min_size=len(slots), max_size=len(slots)))
+    thetas = 2 * np.pi * (np.array(slots) + np.array(jitter)) / 120
+    return cl.AtomicMeasure(thetas, masses)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_measures(), st.floats(0, 2 * np.pi))
+def test_tolsa_and_norm_rotation_invariant(m, delta):
+    r = m.rotated(delta)
+    t0 = cl.tolsa_scan(cl.CauchySection(m)).max_ratio
+    t1 = cl.tolsa_scan(cl.CauchySection(r)).max_ratio
+    assert abs(t1 - t0) <= 1e-10 * t0
+    n0 = cl.operator_norm(m, [m.n_atoms]).values[0]
+    n1 = cl.operator_norm(r, [r.n_atoms]).values[0]
+    assert abs(n1 - n0) <= 1e-10 * n0
+
+
+def test_tolsa_working_set():
+    # beyond the cached section matrix the scan holds the stacked cumulative
+    # columns (16 N^2 bytes) and their Gram (8 N^2); the tiled prefix sum it
+    # replaced peaked at 160 N^2
+    sec = exp_section(200)
+    sec.matrix()
+    tracemalloc.start()
+    try:
+        cl.tolsa_scan(sec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * sec.N ** 2
+
+
+def test_tolsa_beyond_memory_budget_raises(monkeypatch):
+    # 40 N^2 bytes against the 16 DENSE_CAP^2 of a dense section: 21 atoms
+    # fit under a cap of 34, not under 33, and nothing is built first
+    monkeypatch.setattr(cauchy, "DENSE_CAP", 33)
+    sec = cl.CauchySection(cl.exp_clark_data(10).measure)
+    with pytest.raises(DenseCapExceeded, match="Tolsa scan of 21 atoms"):
+        cl.tolsa_scan(sec)
+    assert sec._A is None
+    monkeypatch.setattr(cauchy, "DENSE_CAP", 34)
+    assert cl.tolsa_scan(sec).n_arcs == 21 + 20 ** 2
 
 
 def test_tolsa_below_operator_norm():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import clarklab as cl
 from clarklab import circle
 from clarklab.circle import canonical_angle, gap_arcs, kernel_sum, neighbor_constants
-from clarklab.errors import NotEnoughAtoms
+from clarklab.errors import ClarkLabError, InvalidMeasure, NotEnoughAtoms
 
 TWO_PI = 2 * np.pi
 
@@ -113,6 +113,19 @@ def test_masses_positive_and_total_cached():
         cl.AtomicMeasure([0.0, 1.0], [1.0, -0.5])
     m = cl.AtomicMeasure([0.3, 2.0, 4.0], [1.0, 2.0, 3.0])
     assert m.total_mass == pytest.approx(m.masses.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("thetas, masses", [
+    ([0.0, np.nan], [0.5, 0.5]), ([0.0, np.inf], [0.5, 0.5]),
+    ([0.0, 1.0], [0.5, np.inf]), ([0.0, 1.0], [np.nan, 0.5]),
+    ([0.0, 1.0], [1.0, -0.5]), ([0.0, 1.0], [1.0, 0.0]), ([0.0, 1.0], [1.0]),
+], ids=["nan-theta", "inf-theta", "inf-mass", "nan-mass", "negative-mass",
+        "zero-mass", "shape"])
+def test_invalid_measures_rejected(thetas, masses):
+    with pytest.raises(InvalidMeasure):
+        cl.AtomicMeasure(thetas, masses)
+    assert issubclass(InvalidMeasure, ClarkLabError)
+    assert issubclass(InvalidMeasure, ValueError)
 
 
 def test_gap_arcs_cover_circle():

@@ -99,6 +99,15 @@ def test_cli_bessonov_exit_codes(tmp_path):
     assert rc == 1
 
 
+def test_cli_bessonov_rejects_nan_mass(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"atoms": [{"theta": 0.0, "mass": 0.5},
+                                         {"theta": 1.0, "mass": float("nan")}]}))
+    rc = main(["bessonov", "--measure", str(bad), "--accumulation", "0.0"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_perturb_invalid_plan(tmp_path):
     plan = tmp_path / "plan.json"
     # alpha far beyond the admissible cap
