@@ -25,8 +25,7 @@ from .potentials import (AtomPotentialSup, KernelNorms, PotentialReport,
 from .cauchy import (CauchySection, OperatorNormEstimate, TolsaReport,
                      hilbert_route, nested_sections, operator_norm,
                      tail_integral_check, tolsa_scan)
-from .verify import (BessonovReport, BessonovTolerances, bessonov_check,
-                     perturbed_admissibility)
+from .verify import BessonovReport, bessonov_check, perturbed_admissibility
 from .perturb import (PerturbationPlan, admissible_alpha_bound, generate,
                       interaction_sup, random_plan, squared_measure)
 from .families import (CounterexampleBlaschke, ExpSingular, Monomial,

@@ -18,7 +18,7 @@ import numpy as np
 from . import circle
 from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord_angles,
                      kernel_sum)
-from .errors import (BoundaryAtom, ClarkLabError, DenseCapExceeded,
+from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
 #: Dense storage beyond this section size would cross ~1 GiB, so
@@ -232,7 +232,7 @@ def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralR
         if d == 0.0 or d == Q.length:
             raise BoundaryAtom("atom sits on the boundary of the arc")
         if not Q.contains(p):
-            raise ValueError("atom must lie strictly inside the arc")
+            raise AtomOutsideArc("atom must lie strictly inside the arc")
     outside = ~section.measure.membership(Q)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)

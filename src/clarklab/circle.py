@@ -125,9 +125,12 @@ class AtomicMeasure:
     positive masses; other input raises InvalidMeasure.  The empty
     measure is allowed so that restrictions and transforms compose; any
     neighbor-based operation then raises NotEnoughAtoms.
+
+    ``gaps[i]`` is the angle from atom i to the next one, cyclically, and
+    ``chord_gaps[i]`` the chord between them, computed on first use.
     """
 
-    __slots__ = ("thetas", "masses", "total_mass")
+    __slots__ = ("thetas", "masses", "total_mass", "gaps", "_chord_gaps")
 
     def __init__(self, thetas, masses):
         thetas = np.asarray(thetas, dtype=float)
@@ -143,14 +146,14 @@ class AtomicMeasure:
         order = np.argsort(thetas, kind="stable")
         thetas = thetas[order]
         masses = masses[order]
-        if thetas.size >= 2:
-            gaps = np.diff(thetas)
-            wrap = thetas[0] + TWO_PI - thetas[-1]
-            if gaps.min(initial=np.inf) < DUPLICATE_TOL or wrap < DUPLICATE_TOL:
-                raise DuplicateAtoms("duplicate atoms (closer than %g rad)" % DUPLICATE_TOL)
+        gaps = np.diff(thetas, append=thetas[:1] + TWO_PI)
+        if gaps.min(initial=np.inf) < DUPLICATE_TOL:
+            raise DuplicateAtoms("duplicate atoms (closer than %g rad)" % DUPLICATE_TOL)
         self.thetas = thetas
         self.masses = masses
         self.total_mass = float(masses.sum())
+        self.gaps = gaps
+        self._chord_gaps = None
 
     @staticmethod
     def empty() -> "AtomicMeasure":
@@ -165,6 +168,12 @@ class AtomicMeasure:
 
     def point(self, n: int) -> CirclePoint:
         return CirclePoint(self.thetas[n])
+
+    @property
+    def chord_gaps(self) -> np.ndarray:
+        if self._chord_gaps is None:
+            self._chord_gaps = chord_angles(self.thetas, np.roll(self.thetas, -1))
+        return self._chord_gaps
 
     @property
     def points_complex(self) -> np.ndarray:
@@ -243,18 +252,14 @@ def neighbor_constants(m: AtomicMeasure, excluded_points=()) -> tuple[float, flo
     n = m.n_atoms
     if n < 2:
         return float("nan"), float("nan"), -1, -1
-    thetas = m.thetas
-    nxt = np.roll(thetas, -1)
-    gap_fwd = chord_angles(thetas, nxt)  # gap between atom i and atom i+1
-    ang_fwd = np.mod(nxt - thetas, TWO_PI)
     crossing = np.zeros(n, dtype=bool)
     for p in excluded_points:
         eta = p.theta if isinstance(p, CirclePoint) else canonical_angle(p)
-        d = np.mod(eta - thetas, TWO_PI)
-        crossing |= (d > 0) & (d < ang_fwd)
+        d = np.mod(eta - m.thetas, TWO_PI)
+        crossing |= (d > 0) & (d < m.gaps)
     # fwd[i - 1] is atom i's backward gap; a dropped gap is nan, which
     # fmax/fmin skip
-    fwd = np.where(crossing, np.nan, gap_fwd)
+    fwd = np.where(crossing, np.nan, m.chord_gaps)
     back = np.roll(fwd, 1)
     lo = m.masses / np.fmax(fwd, back)
     hi = m.masses / np.fmin(fwd, back)

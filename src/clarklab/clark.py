@@ -78,6 +78,8 @@ def _level_roots(u, scan: Arc, eps_spec: float, tol: float, offset: float, step:
     1025-point sample of the lift checks that it increases, and its cells
     bracket the levels for the solver.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol}")
     lo = scan.start.theta
     hi = lo + scan.length
     margin = 2.0 * np.arcsin(min(eps_spec, 2.0) / 2.0)  # chordal -> angular
@@ -106,17 +108,15 @@ def find_atoms(u: InnerFunction, alpha: float, scan: Arc,
     """All boundary solutions of u = e^{2 pi i alpha} on the scan arc.
 
     Returns CirclePoints sorted along the scan direction; with
-    ``return_flags`` also a parallel list marking atoms within
+    ``return_flags`` also a parallel boolean array marking atoms within
     10*tol of a scan end as edge-uncertain.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lo, hi, roots = _level_roots(u, scan, eps_spec, tol, TWO_PI * alpha, TWO_PI)
     # a full-circle scan sees the wrap atom at both ends; keep one copy
     if roots.size >= 2 and roots[-1] - roots[0] > TWO_PI - max(4.0 * tol, 1e-12):
         roots = roots[:-1]
     pts = [CirclePoint(t) for t in roots]
-    flags = [bool(min(t - lo, hi - t) < EDGE_FLAG_FACTOR * tol) for t in roots]
+    flags = np.minimum(roots - lo, hi - roots) < EDGE_FLAG_FACTOR * tol
     return (pts, flags) if return_flags else pts
 
 
@@ -150,15 +150,13 @@ def clark_data(u: InnerFunction, alpha: float, scan: Arc,
                tol: float = DEFAULT_TOL, eps_spec: float = EPS_SPECTRUM) -> ClarkData:
     """Locate atoms on the scan and attach masses and neighbor constants."""
     pts, flags = find_atoms(u, alpha, scan, tol, eps_spec, return_flags=True)
-    thetas = np.array([p.theta for p in pts])
-    derivs = np.array([angular_derivative(u, p) for p in pts])
+    thetas, derivs = np.array([(p.theta, angular_derivative(u, p))
+                               for p in pts]).reshape(-1, 2).T
     if np.any(~np.isfinite(derivs)):
         raise SpectrumPoint("infinite angular derivative at a located atom")
-    masses = 1.0 / derivs
     order = np.argsort(thetas, kind="stable")
-    measure = AtomicMeasure(thetas[order], masses[order]) if thetas.size else AtomicMeasure.empty()
-    derivs = derivs[order] if thetas.size else derivs
-    flags = np.asarray(flags, dtype=bool)[order] if thetas.size else np.zeros(0, bool)
+    derivs, flags = derivs[order], flags[order]
+    measure = AtomicMeasure(thetas[order], 1.0 / derivs)
     A, B, wa, wb = neighbor_constants(measure, excluded_points=spectrum(u))
     return ClarkData(alpha=alpha, measure=measure, derivatives=derivs,
                      A=A, B=B, witness_A=wa, witness_B=wb, edge_uncertain=flags)

@@ -50,6 +50,10 @@ class QuadratureNotConverged(ClarkLabError):
     """Grid doubling did not bring the quadrature change under tolerance."""
 
 
+class AtomOutsideArc(ClarkLabError, ValueError):
+    """The atom of a tail estimate lies outside its arc."""
+
+
 class BoundaryAtom(ClarkLabError):
     """The atom sits on the boundary of the arc, where the tail estimate
     is trivial."""

@@ -375,13 +375,18 @@ def divergence_ladder(fam: FamilySpec, K_list) -> list[DivergenceRecord]:
     return out
 
 
-def clark_scan_arc(fam: FamilySpec, margin: float = 1e-3) -> Arc:
+#: Angle kept clear on each side of theta = 0 by the scan arc of the
+#: families that accumulate there.
+SCAN_MARGIN = 1e-3
+
+
+def clark_scan_arc(fam: FamilySpec) -> Arc:
     """A scan arc covering the atoms of a family member while honoring its
-    spectrum: the full circle for monomials, (margin, 2 pi - margin) for
-    families accumulating at theta = 0."""
+    spectrum: the full circle for monomials, (SCAN_MARGIN, 2 pi -
+    SCAN_MARGIN) for families accumulating at theta = 0."""
     if isinstance(fam, Monomial):
         return Arc.full_circle()
-    return arc_between(margin, TWO_PI - margin, True, True)
+    return arc_between(SCAN_MARGIN, TWO_PI - SCAN_MARGIN, True, True)
 
 
 def clark_data_for(fam: FamilySpec, alpha: float = 0.0, truncation: int = 100,

@@ -58,17 +58,19 @@ class FiniteBlaschke:
     _form: _NormalForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = tuple(complex(w) for w in self.zeros)
-        if any(abs(w) >= 1.0 for w in z):
+        # positive conditions, so that NaN fails them
+        a = np.array(self.zeros, dtype=complex)
+        if not np.all(np.abs(a) < 1.0):
             raise ValueError("Blaschke zeros must lie strictly inside the disk")
         c = complex(self.constant)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not abs(abs(c) - 1.0) <= 1e-12:
             raise ValueError("front constant must be unimodular")
-        object.__setattr__(self, "zeros", z)
+        if not np.isfinite(np.array(self.accumulation, dtype=float)).all():
+            raise ValueError("accumulation points must be finite angles")
+        object.__setattr__(self, "zeros", tuple(a.tolist()))
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "accumulation",
                            tuple(canonical_angle(t) for t in self.accumulation))
-        a = np.array(z, dtype=complex)
         object.__setattr__(self, "_form", _NormalForm(
             c, int(np.sum(a == 0)), a[a != 0], spectrum=np.array(self.accumulation)))
 
@@ -82,11 +84,14 @@ class SingularAtomic:
     _form: _NormalForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(w <= 0 for _, w in self.atoms):
-            raise ValueError("singular weights must be positive")
-        object.__setattr__(self, "atoms", tuple((canonical_angle(t), float(w))
-                                                for t, w in self.atoms))
-        theta, w = np.array(self.atoms).reshape(-1, 2).T
+        theta, w = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("singular weights must be finite and positive")
+        if not np.isfinite(theta).all():
+            raise ValueError("singular atom angles must be finite")
+        theta = np.mod(theta, TWO_PI)
+        theta[theta >= TWO_PI] = 0.0
+        object.__setattr__(self, "atoms", tuple(zip(theta.tolist(), w.tolist())))
         object.__setattr__(self, "_form", _NormalForm(sing_theta=theta, sing_w=w,
                                                       spectrum=theta))
 

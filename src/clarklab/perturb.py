@@ -109,10 +109,10 @@ def generate(plan: PerturbationPlan) -> AtomicMeasure:
     new_thetas = m.thetas + plan.t_offsets
     new_masses = m.masses + plan.eps
     # interleaving: consecutive perturbed atoms must stay ordered
-    lifted = np.sort(np.mod(new_thetas - new_thetas[0], TWO_PI))
-    order_ok = np.all(np.diff(np.argsort(np.mod(new_thetas - new_thetas[0], TWO_PI),
-                                          kind="stable")) == 1)
-    if not order_ok or np.any(np.diff(lifted) <= 0):
+    offsets = np.mod(new_thetas - new_thetas[0], TWO_PI)
+    order = np.argsort(offsets, kind="stable")
+    lifted = offsets[order]
+    if np.any(np.diff(order) != 1) or np.any(np.diff(lifted) <= 0):
         bad = int(np.argmin(np.diff(lifted))) if lifted.size > 1 else 0
         raise ConstraintViolation(bad, "interleaving",
                                   "perturbed atoms collide or change order")
@@ -127,16 +127,14 @@ def squared_measure(m: AtomicMeasure) -> AtomicMeasure:
     return AtomicMeasure(m.thetas.copy(), m.masses**2)
 
 
-def random_plan(base: ClarkData, seed: int, alpha_scale: float = 1.0) -> PerturbationPlan:
-    """Seeded plan with alpha uniform in (0, cap*scale] and offsets uniform
+def random_plan(base: ClarkData, seed: int) -> PerturbationPlan:
+    """Seeded plan with alpha uniform in (0, cap] and offsets uniform
     within the per-atom caps (angular offsets are capped by sigma*alpha,
     which dominates the chordal cap)."""
-    if not (0 < alpha_scale <= 1.0):
-        raise ValueError("alpha_scale must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     n = base.measure.n_atoms
     cap = admissible_alpha_bound(base.A, base.B)
-    alpha = cap * alpha_scale * rng.uniform(1e-6, 1.0, n)
+    alpha = cap * rng.uniform(1e-6, 1.0, n)
     lim = base.measure.masses * alpha
     t_offsets = rng.uniform(-1.0, 1.0, n) * lim
     eps = rng.uniform(-1.0, 1.0, n) * lim

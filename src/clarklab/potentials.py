@@ -284,35 +284,30 @@ class PotentialReport:
     coarse_sup_estimate: float
 
 
-def _grid_points(u, m, cfg: ScanConfig) -> np.ndarray:
-    pts = []
-    for j in range(1, cfg.grid_depth + 1):
-        r = 1.0 - 2.0 ** (-j)
-        M = int(min(cfg.angular_base * 2 ** j, cfg.angular_cap))
-        pts.append(r * np.exp(1j * np.linspace(0.0, TWO_PI, M, endpoint=False)))
-    # clusters: the weighted potential varies on the scale of the local
-    # Clark mass near each atom, so refine geometrically there
-    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
-    centers = list(m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap])
-    centers += [p.theta for p in spectrum(u)]
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    depths = 2.0 ** (-np.arange(1, cfg.cluster_depth + 1, dtype=float))
-    for c in centers:
-        for d in depths:
-            for s in (0.5, 1.0):
-                r = 1.0 - d * s
-                pts.append(r * np.exp(1j * (c + d * offsets)))
-    return np.concatenate(pts)
+def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig) -> np.ndarray:
+    """Rings r = 1 - 2^-j of min(angular_base 2^j, angular_cap) equispaced
+    angles, then five-point clusters in (center, depth, scale, offset)
+    order around the atoms with the largest ``limits`` and the spectrum.
+
+    The weighted potential varies on the scale of the local Clark mass
+    near each atom, so the clusters refine geometrically there.
+    """
+    j = np.arange(1, cfg.grid_depth + 1)
+    M = np.minimum(cfg.angular_base * 2.0 ** j, cfg.angular_cap).astype(int)
+    ring = np.repeat(j - 1, M)
+    k = np.arange(M.sum()) - np.repeat(np.cumsum(M) - M, M)  # index within its ring
+    rings = (1.0 - 2.0 ** -j)[ring] * np.exp(1j * (k * (TWO_PI / M)[ring]))
+    centers = np.concatenate([m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap],
+                              [p.theta for p in spec]])
+    d = 2.0 ** -np.arange(1, cfg.cluster_depth + 1, dtype=float)[:, None]
+    r = 1.0 - d * np.array([0.5, 1.0])
+    ang = centers[:, None, None] + d * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    clusters = r[:, :, None] * np.exp(1j * ang[:, :, None, :])
+    return np.concatenate([rings, clusters.ravel()])
 
 
 def _scan_G(u, m, z: np.ndarray) -> np.ndarray:
     return np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, z)
-
-
-def _coarse_submeasure(m: AtomicMeasure, fraction: float) -> AtomicMeasure:
-    keep = max(2, int(np.ceil(m.n_atoms * fraction)))
-    order = np.argsort(-m.masses, kind="stable")[:keep]
-    return AtomicMeasure(m.thetas[order], m.masses[order])
 
 
 def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
@@ -338,7 +333,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     spec = spectrum(u)
     spec_values = potential_grid(m, [p.complex for p in spec])
 
-    z = _grid_points(u, m, cfg)
+    z = _grid_points(m, atom_limits, spec, cfg)
     G = _scan_G(u, m, z)
     values = np.concatenate([G, atom_limits])
     i_sup = int(np.argmax(values))
@@ -350,11 +345,11 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     coarse_sup = float("nan")
     converged = True
     if m.n_atoms >= 20:
-        mc = _coarse_submeasure(m, cfg.coarse_fraction)
-        zc = _grid_points(u, mc, cfg)
-        dc = _angular_derivatives(u, mc.thetas)
-        vc = np.concatenate([_scan_G(u, mc, zc), dc**2 * mc.masses])
-        coarse_sup = float(vc.max())
+        n_coarse = max(2, int(np.ceil(m.n_atoms * cfg.coarse_fraction)))
+        keep = np.sort(np.argsort(-m.masses, kind="stable")[:n_coarse])
+        mc = AtomicMeasure(m.thetas[keep], m.masses[keep])
+        zc = _grid_points(mc, atom_limits[keep], spec, cfg)
+        coarse_sup = float(np.concatenate([_scan_G(u, mc, zc), atom_limits[keep]]).max())
         converged = abs(values[i_sup] - coarse_sup) <= 0.01 * abs(values[i_sup])
 
     return PotentialReport(

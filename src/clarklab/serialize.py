@@ -9,7 +9,7 @@ output uses a header row, '.' decimal point, and scientific notation for
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,10 @@ from .inner import FiniteBlaschke, InnerFunction, Product, SingularAtomic
 
 
 def measure_to_dict(m: AtomicMeasure) -> dict:
-    return {"atoms": [{"theta": float(t), "mass": float(mass)}
-                      for t, mass in zip(m.thetas, m.masses)]}
+    # memoryviews yield Python floats one at a time; building both lists
+    # first with .tolist() raised the peak RSS of large reports
+    return {"atoms": [{"theta": t, "mass": mass}
+                      for t, mass in zip(memoryview(m.thetas), memoryview(m.masses))]}
 
 
 def measure_from_dict(d: dict) -> AtomicMeasure:
@@ -62,15 +64,15 @@ def inner_from_dict(d: dict) -> InnerFunction:
 def clark_to_dict(data: ClarkData) -> dict:
     out = measure_to_dict(data.measure)
     out["alpha"] = float(data.alpha)
-    out["derivatives"] = [float(x) for x in data.derivatives]
+    out["derivatives"] = data.derivatives.tolist()
     out["A"] = float(data.A)
     out["B"] = float(data.B)
     out["witness_A"] = int(data.witness_A)
     out["witness_B"] = int(data.witness_B)
     if data.edge_uncertain is not None:
-        out["edge_uncertain"] = [bool(b) for b in data.edge_uncertain]
+        out["edge_uncertain"] = data.edge_uncertain.tolist()
     if data.lattice_indices is not None:
-        out["lattice_indices"] = [int(n) for n in data.lattice_indices]
+        out["lattice_indices"] = data.lattice_indices.tolist()
     return out
 
 
@@ -86,16 +88,23 @@ def clark_from_dict(d: dict) -> ClarkData:
                      lattice_indices=None if labels is None else np.asarray(labels))
 
 
+#: Types that json.dump writes as they are.
+_NATIVE = frozenset((str, int, float, bool, type(None)))
+
+
 def to_jsonable(obj):
     """Recursively convert dataclasses / numpy objects for json.dump."""
+    if type(obj) in _NATIVE:
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in asdict(obj).items()}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        # real arrays list native scalars; complex and object ones need a pass
+        return obj.tolist() if obj.dtype.kind in "biuf" else to_jsonable(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):

@@ -27,12 +27,10 @@ from .errors import SupportMismatch
 from .perturb import admissible_alpha_bound
 
 
-@dataclass
-class BessonovTolerances:
-    #: condition (iv) fails when B/A exceeds this (engineering default,
-    #: no guidance from the theory; it separates gap-comparable masses
-    #: from gap-squared decay by many orders of magnitude)
-    cond_iv_ratio_max: float = 1e6
+#: Condition (iv) fails when B/A exceeds this (engineering default, no
+#: guidance from the theory; it separates gap-comparable masses from
+#: gap-squared decay by many orders of magnitude).
+COND_IV_RATIO_MAX = 1e6
 
 
 @dataclass
@@ -57,23 +55,12 @@ class BessonovReport:
         raise KeyError(name)
 
 
-def _edge_gaps(m: AtomicMeasure, accumulation) -> dict[float, float]:
-    """Chordal distance from each accumulation point to its nearest atom."""
-    out = {}
-    for p in accumulation:
-        eta = p.theta if isinstance(p, CirclePoint) else float(p)
-        out[eta] = float(chord_angles(m.thetas, eta).min())
-    return out
-
-
-def bessonov_check(m: AtomicMeasure, accumulation_points=(),
-                   tol: BessonovTolerances | None = None) -> BessonovReport:
+def bessonov_check(m: AtomicMeasure, accumulation_points=()) -> BessonovReport:
     """Run the five condition records on a finite truncation.
 
     ``accumulation_points`` declares the candidate accumulation set
     tau(mu) supplied by the family (empty for finite measures).
     """
-    tol = tol or BessonovTolerances()
     accum = [p if isinstance(p, CirclePoint) else CirclePoint(p)
              for p in accumulation_points]
     n = m.n_atoms
@@ -81,53 +68,38 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=(),
 
     # (i) |supp| = 0 is not decidable from a truncation; report gap-sum
     # evidence (angular gaps always total 2 pi for a finite set).
-    if n >= 2:
-        ang = np.sort(m.thetas)
-        gaps = np.diff(np.concatenate([ang, [ang[0] + TWO_PI]]))
-        gap_stats = {"gap_sum": float(gaps.sum()), "min_gap": float(gaps.min()),
-                     "max_gap": float(gaps.max()), "median_gap": float(np.median(gaps))}
-    else:
-        gap_stats = {"gap_sum": TWO_PI, "min_gap": TWO_PI, "max_gap": TWO_PI,
-                     "median_gap": TWO_PI}
+    gaps = m.gaps if n >= 2 else np.array([TWO_PI])
     records.append(ConditionRecord(
         name="i-support-size", passed=True, flagged=bool(accum),
-        details={**gap_stats,
+        details={"gap_sum": float(gaps.sum()), "min_gap": float(gaps.min()),
+                 "max_gap": float(gaps.max()), "median_gap": float(np.median(gaps)),
                  "note": ("finite support certifies |supp| = 0" if not accum else
                           "verified on truncation only; the family must assert "
                           "|supp| = 0 for the limit")}))
 
     # (ii) isolation: strictly positive minimal chordal gap.
-    if n >= 2:
-        idx = np.argsort(m.thetas)
-        th = m.thetas[idx]
-        nxt = np.roll(th, -1)
-        min_chord = float(chord_angles(th, nxt).min())
-    else:
-        min_chord = 2.0
+    min_chord = float(m.chord_gaps.min()) if n >= 2 else 2.0
     records.append(ConditionRecord(
         name="ii-isolated-atoms", passed=min_chord > 0.0, flagged=False,
         details={"min_chordal_gap": min_chord}))
 
     # (iii) neighbors exist for every atom of a finite set; flag atoms
-    # crowding a declared accumulation point, and check every component
-    # of the complement of the accumulation set holds an atom.
-    edge = _edge_gaps(m, accum) if (accum and n) else {}
+    # within twice the nearest atom's distance of a declared accumulation
+    # point, and check every component of the complement of the
+    # accumulation set holds an atom.
+    etas = np.unique([p.theta for p in accum])
     near_accum = 0
-    if edge:
-        for eta, g in edge.items():
-            near_accum += int(np.sum(chord_angles(m.thetas, eta) < 2.0 * g + 1e-300))
+    keep = np.ones(n, dtype=bool)
     components_ok = True
-    if len(accum) >= 1 and n:
-        etas = np.sort([p.theta for p in accum])
-        for i in range(len(etas)):
-            a = etas[i]
-            b = etas[(i + 1) % len(etas)]
-            span = (b - a) % TWO_PI
-            if span == 0.0:
-                span = TWO_PI
-            d = np.mod(m.thetas - a, TWO_PI)
-            if not np.any((d > 0) & (d < span)):
-                components_ok = False
+    if etas.size and n:
+        dist = chord_angles(m.thetas[:, None], etas)  # (atoms, accumulation points)
+        edge = 2.0 * dist.min(axis=0)
+        near_accum = int(np.sum(dist < edge + 1e-300))
+        keep = (dist >= edge).all(axis=1)
+        span = np.mod(np.roll(etas, -1) - etas, TWO_PI)
+        span[span == 0.0] = TWO_PI
+        d = np.mod(m.thetas[:, None] - etas, TWO_PI)
+        components_ok = bool(((d > 0) & (d < span)).any(axis=0).all())
     records.append(ConditionRecord(
         name="iii-neighbors", passed=(n >= 2 or not accum) and components_ok,
         flagged=bool(accum),
@@ -143,24 +115,20 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=(),
         ratio = float("nan")
     else:
         ratio = B / A
-        iv_pass = ratio <= tol.cond_iv_ratio_max
+        iv_pass = ratio <= COND_IV_RATIO_MAX
     records.append(ConditionRecord(
         name="iv-mass-gap-constants", passed=bool(iv_pass), flagged=False,
         details={"A": A, "B": B, "ratio": ratio, "witness_A": wa, "witness_B": wb,
-                 "ratio_max": tol.cond_iv_ratio_max}))
+                 "ratio_max": COND_IV_RATIO_MAX}))
 
-    # (v) sup over (edge-excluded) atoms of |C 1|.
+    # (v) sup of |C 1| over the atoms that (iii) did not flag, or over all
+    # atoms when it flagged every one.
     if n >= 2:
-        section = CauchySection(m)
-        c1 = np.abs(section.cauchy_one_all())
-        keep = np.ones(n, dtype=bool)
-        for eta, g in edge.items():
-            keep &= chord_angles(m.thetas, eta) >= 2.0 * g
+        c1 = np.abs(CauchySection(m).cauchy_one_all())
         if not keep.any():
-            keep = np.ones(n, dtype=bool)
-        sup = float(c1[keep].max())
-        wit = int(np.nonzero(keep)[0][np.argmax(c1[keep])])
-        excluded = int(n - keep.sum())
+            keep[:] = True
+        wit = int(np.argmax(np.where(keep, c1, -np.inf)))
+        sup, excluded = float(c1[wit]), int(n - keep.sum())
     else:
         sup, wit, excluded = 0.0, -1, 0
     records.append(ConditionRecord(
@@ -199,16 +167,15 @@ def perturbed_admissibility(original: ClarkData,
         raise SupportMismatch(
             f"atom counts differ: {base.n_atoms} vs {perturbed.n_atoms}")
     n = base.n_atoms
-    # pair each perturbed atom with the nearest base atom; the pairing
-    # must be a bijection that preserves the circular order
+    # pair each perturbed atom with the nearer of the base atoms on either
+    # side of it; the pairing must be a bijection that preserves the
+    # circular order
     ext = np.concatenate([base.thetas - TWO_PI, base.thetas, base.thetas + TWO_PI])
     pos = np.searchsorted(ext, perturbed.thetas)
-    partner = np.empty(n, dtype=int)
-    for i, p in enumerate(pos):
-        cands = [(p - 1) % (3 * n), p % (3 * n)]
-        dists = [abs(chord_angles(perturbed.thetas[i], ext[c])) for c in cands]
-        partner[i] = cands[int(np.argmin(dists))] % n
-    if len(set(partner.tolist())) != n:
+    cands = np.stack([pos - 1, pos]) % (3 * n)
+    side = np.argmin(chord_angles(perturbed.thetas, ext[cands]), axis=0)
+    partner = cands[side, np.arange(n)] % n
+    if np.unique(partner).size != n:
         raise SupportMismatch("perturbed atoms do not pair bijectively "
                               "with the base atoms")
     shifts = np.mod(np.diff(partner), n)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import clarklab as cl
 from clarklab import cauchy, circle
-from clarklab.errors import (BoundaryAtom, ClarkLabError, DenseCapExceeded,
+from clarklab.errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                              DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
 
@@ -315,6 +315,14 @@ def test_tail_integral_boundary_atom():
     Q = cl.arc_between(0.0, np.pi, True, False)
     with pytest.raises(BoundaryAtom):
         cl.tail_integral_check(sec, Q, int(np.argmin(np.abs(sec.theta))))
+
+
+def test_tail_integral_atom_outside_arc():
+    sec = z4_section()
+    Q = cl.arc_between(-np.pi / 4, np.pi / 4, False, False)
+    with pytest.raises(AtomOutsideArc) as err:
+        cl.tail_integral_check(sec, Q, 2)  # the atom at pi
+    assert isinstance(err.value, ClarkLabError) and isinstance(err.value, ValueError)
 
 
 def test_tail_integral_exp_dyadic_scales(exp_u):

@@ -248,3 +248,12 @@ def test_exact_newton_step_still_closes_bracket(monkeypatch):
     assert len(pts) == 1024
     assert len(calls) <= 1 + 3  # the scan sample, then the solver
     assert np.max(angle_gap([p.theta for p in pts], TWO_PI * np.arange(1024) / 1024)) <= 1e-13
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_locators_reject_bad_tol(tol):
+    u = cl.monomial(4)
+    with pytest.raises(ValueError, match="finite and positive"):
+        cl.find_atoms(u, 0.0, cl.Arc.full_circle(), tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        cl.phase_partition(u, 8, cl.Arc.full_circle(), tol=tol)

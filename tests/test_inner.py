@@ -231,3 +231,25 @@ def test_angular_derivative_sum_is_correctly_rounded():
         zeta = cl.CirclePoint(t)
         exact = math.fsum((1.0 - np.abs(a) ** 2) / np.abs(zeta.complex - a) ** 2)
         assert cl.angular_derivative(u, zeta) == pytest.approx(exact, rel=1e-14)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cl.FiniteBlaschke(zeros=(NAN,)),
+    lambda: cl.FiniteBlaschke(zeros=(0.5, complex(0.1, NAN))),
+    lambda: cl.FiniteBlaschke(zeros=(0.5,), constant=NAN),
+    lambda: cl.FiniteBlaschke(zeros=(0.5,), constant=complex(1.0, NAN)),
+    lambda: cl.FiniteBlaschke(zeros=(0.5,), accumulation=(NAN,)),
+    lambda: cl.FiniteBlaschke(zeros=(0.5,), accumulation=(0.0, INF)),
+    lambda: cl.SingularAtomic(atoms=((0.0, NAN),)),
+    lambda: cl.SingularAtomic(atoms=((0.0, 1.0), (1.0, INF))),
+    lambda: cl.SingularAtomic(atoms=((NAN, 1.0),)),
+    lambda: cl.SingularAtomic(atoms=((-INF, 1.0),)),
+], ids=["zero-nan", "zero-imag-nan", "constant-nan", "constant-imag-nan",
+        "accumulation-nan", "accumulation-inf", "weight-nan", "weight-inf",
+        "angle-nan", "angle-inf"])
+def test_non_finite_inputs_rejected(make):
+    with pytest.raises(ValueError):
+        make()

@@ -4,6 +4,8 @@ import pytest
 import clarklab as cl
 from clarklab.errors import (MateZero, NotEnoughAtoms, QuadratureNotConverged,
                              SupportMismatch)
+from clarklab import potentials
+from clarklab.inner import _angular_derivatives
 from clarklab.potentials import QuadConfig, ScanConfig, dirichlet_quadrature
 
 TWO_PI = 2 * np.pi
@@ -224,3 +226,47 @@ def test_weighted_potential_bridge(exp_u):
         z = p.complex
         vals.append(abs(1 - cl.evaluate(exp_u, z)) ** 2 * cl.potential(mu, z))
     assert max(vals) <= 4 * sup61 + 4 * float(atom_limits.max())
+
+
+def _grid_loop_form(u, m, cfg):
+    """The disk-scan grid built ring by ring and cluster by cluster."""
+    pts = []
+    for j in range(1, cfg.grid_depth + 1):
+        r = 1.0 - 2.0 ** (-j)
+        M = int(min(cfg.angular_base * 2 ** j, cfg.angular_cap))
+        pts.append(r * np.exp(1j * np.linspace(0.0, TWO_PI, M, endpoint=False)))
+    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
+    centers = list(m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap])
+    centers += [p.theta for p in cl.spectrum(u)]
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    depths = 2.0 ** (-np.arange(1, cfg.cluster_depth + 1, dtype=float))
+    for c in centers:
+        for d in depths:
+            for s in (0.5, 1.0):
+                r = 1.0 - d * s
+                pts.append(r * np.exp(1j * (c + d * offsets)))
+    return np.concatenate(pts)
+
+
+def _exp20():
+    return cl.inner_function(cl.ExpSingular()), cl.squared_measure(cl.exp_clark_data(20).measure)
+
+
+def _blaschke_singular():
+    u = cl.Product((cl.FiniteBlaschke((0.5, 0.3j - 0.2, -0.7 + 0.1j, 0.9 * np.exp(2j))),
+                    cl.SingularAtomic(((1.0, 0.3), (4.0, 0.05)))))
+    return u, cl.clark_data(u, 0.0, cl.arc_between(1.01, 3.99, True, True)).measure
+
+
+@pytest.mark.parametrize("cfg", [ScanConfig(), ScanConfig(
+    grid_depth=9, angular_base=12, angular_cap=1000, cluster_depth=7, cluster_centers_cap=5)],
+    ids=["default", "capped"])
+@pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
+def test_scan_grid_matches_loop_form(case, cfg):
+    u, m = case()
+    assert m.n_atoms > 5  # the capped config centers clusters on some atoms only
+    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
+    got = potentials._grid_points(m, limits, cl.spectrum(u), cfg)
+    want = _grid_loop_form(u, m, cfg)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # bit for bit

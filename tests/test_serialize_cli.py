@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import clarklab as cl
 from clarklab.cli import main
 from clarklab.serialize import (clark_from_dict, clark_to_dict, csv_number,
                                 inner_from_dict, inner_to_dict,
-                                measure_from_dict, measure_to_dict)
+                                measure_from_dict, measure_to_dict, to_jsonable)
 
 
 def test_measure_roundtrip_bit_identical():
@@ -47,6 +48,39 @@ def test_clark_roundtrip_keeps_labels_and_witnesses():
     sec = cl.CauchySection(d2.measure, d2.lattice_indices)
     assert np.array_equal(cl.hilbert_route(sec, f),
                           cl.hilbert_route(cl.CauchySection(data.measure, data.lattice_indices), f))
+
+
+@dataclass
+class _Leaf:
+    value: np.float32
+    where: complex
+
+
+@dataclass
+class _Node:
+    leaf: _Leaf
+    leaves: tuple
+    table: np.ndarray
+
+
+def test_to_jsonable_converts_numpy_and_dataclasses():
+    obj = {"f32": np.float32(0.5), "i64": np.int64(-7), "flag": np.bool_(True), "z": 1 - 2j,
+           "zs": np.array([1 + 2j, -0.5j]), "pair": (1, np.float64(2.5), "s", None),
+           "ints": np.arange(3), "mask": np.array([True, False]),
+           "node": _Node(_Leaf(np.float32(0.25), 3j), (_Leaf(1.5, 0j),),
+                         np.array([[1.0, 2.0], [3.0, np.inf]]))}
+    got = to_jsonable(obj)
+    assert got == {"f32": 0.5, "i64": -7, "flag": True, "z": {"re": 1.0, "im": -2.0},
+                   "zs": [{"re": 1.0, "im": 2.0}, {"re": -0.0, "im": -0.5}],
+                   "pair": [1, 2.5, "s", None], "ints": [0, 1, 2], "mask": [True, False],
+                   "node": {"leaf": {"value": 0.25, "where": {"re": 0.0, "im": 3.0}},
+                            "leaves": [{"value": 1.5, "where": {"re": 0.0, "im": 0.0}}],
+                            "table": [[1.0, 2.0], [3.0, float("inf")]]}}
+    for key, kind in (("f32", float), ("i64", int), ("flag", bool)):
+        assert type(got[key]) is kind
+    assert [type(v) for v in got["pair"][:2] + got["ints"] + got["mask"]] == \
+        [int, float, int, int, int, bool, bool]
+    assert type(got["node"]["leaf"]["value"]) is float
 
 
 def test_csv_number_formats():
@@ -106,6 +140,12 @@ def test_cli_bessonov_rejects_nan_mass(tmp_path, capsys):
     rc = main(["bessonov", "--measure", str(bad), "--accumulation", "0.0"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_cli_atoms_rejects_bad_tol(tol, capsys):
+    assert main(["atoms", "--family", "counterexample:1.0:16", "--tol", tol]) == 2
+    assert "finite and positive" in capsys.readouterr().err
 
 
 def test_cli_perturb_invalid_plan(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import clarklab as cl
+from clarklab.circle import TWO_PI, chord_angles
 from clarklab.errors import SupportMismatch
 
 
@@ -92,3 +93,93 @@ def test_perturbed_admissibility_violation(z2_data):
 def test_perturbed_admissibility_mismatch(z2_data):
     with pytest.raises(SupportMismatch):
         cl.perturbed_admissibility(z2_data, cl.AtomicMeasure([0.0], [1.0]))
+
+
+def _bessonov_loop_form(m, etas):
+    """The (i)-(v) records of bessonov_check computed atom by atom, for a
+    measure of at least two atoms and distinct accumulation angles."""
+    th, ms, n = m.thetas.tolist(), m.masses.tolist(), m.n_atoms
+    gaps = [th[i + 1] - th[i] for i in range(n - 1)] + [th[0] + TWO_PI - th[-1]]
+    chords = [float(chord_angles(th[i], th[(i + 1) % n])) for i in range(n)]
+    near, keep, components_ok = 0, [True] * n, True
+    for eta in etas:
+        d = [float(chord_angles(t, eta)) for t in th]
+        g = min(d)
+        near += sum(x < 2.0 * g + 1e-300 for x in d)
+        keep = [k and x >= 2.0 * g for k, x in zip(keep, d)]
+    for a, b in zip(sorted(etas), sorted(etas)[1:] + sorted(etas)[:1]):
+        span = (b - a) % TWO_PI or TWO_PI
+        components_ok &= any(0 < (t - a) % TWO_PI < span for t in th)
+    lo, hi = [], []
+    for i in range(n):
+        nb = []
+        for j in (i - 1, i):  # backward gap, then forward gap
+            a, b = th[j % n], th[(j + 1) % n]
+            if not any(0 < (eta - a) % TWO_PI < (b - a) % TWO_PI for eta in etas):
+                nb.append(chords[j % n])
+        lo.append(ms[i] / max(nb) if nb else np.inf)
+        hi.append(ms[i] / min(nb) if nb else -np.inf)
+    wa, wb = int(np.argmin(lo)), int(np.argmax(hi))
+    c1 = np.abs(cl.CauchySection(m).cauchy_one_all())
+    if not any(keep):
+        keep = [True] * n
+    wit = max((i for i in range(n) if keep[i]), key=lambda i: (c1[i], -i))
+    return {
+        "i-support-size": {"gap_sum": float(np.sum(gaps)), "min_gap": min(gaps),
+                           "max_gap": max(gaps), "median_gap": float(np.median(gaps))},
+        "ii-isolated-atoms": {"min_chordal_gap": min(chords)},
+        "iii-neighbors": {"atoms_near_accumulation": near,
+                          "components_with_atoms": components_ok},
+        "iv-mass-gap-constants": {"A": lo[wa], "B": hi[wb], "ratio": hi[wb] / lo[wa],
+                                  "witness_A": wa, "witness_B": wb},
+        "v-cauchy-of-one": {"sup": float(c1[wit]), "witness": wit,
+                            "edge_excluded_atoms": n - sum(keep)},
+    }
+
+
+@pytest.mark.parametrize("case", ["monomial8", "exp50", "exp50-two-points", "perturbed-exp50"])
+def test_bessonov_records_match_loop_form(case):
+    etas = {"monomial8": [], "exp50-two-points": [0.0, 2.0]}.get(case, [0.0])
+    if case == "monomial8":
+        m = cl.clark_data_for(cl.Monomial(8)).measure
+    elif case == "perturbed-exp50":
+        m = cl.generate(cl.random_plan(cl.exp_clark_data(50), seed=3))
+    else:
+        m = cl.exp_clark_data(50).measure
+    rep = cl.bessonov_check(m, [cl.CirclePoint(t) for t in etas])
+    for name, want in _bessonov_loop_form(m, etas).items():
+        got = rep.record(name).details
+        assert {k: got[k] for k in want} == want, name
+    assert rep.record("iii-neighbors").details["components_with_atoms"]
+
+
+def _pairing_loop_form(base, perturbed):
+    """perturbed_admissibility's alpha, pairing atom by atom with the
+    nearer base atom on either side (base angles extended by 2 pi)."""
+    n = base.n_atoms
+    ext = np.concatenate([base.thetas - TWO_PI, base.thetas, base.thetas + TWO_PI])
+    partner, alpha = [], []
+    for theta, mass in zip(perturbed.thetas, perturbed.masses):
+        p = int(np.searchsorted(ext, theta))
+        cands = [(p - 1) % (3 * n), p % (3 * n)]
+        j = cands[int(np.argmin([chord_angles(theta, ext[c]) for c in cands]))] % n
+        sig = base.masses[j]
+        partner.append(j)
+        alpha.append(max(chord_angles(theta, base.thetas[j]) / sig, abs(mass - sig) / sig))
+    return partner, np.array(alpha)
+
+
+def test_admissibility_pairs_like_loop_form():
+    base = cl.clark_data_for(cl.Monomial(16), alpha=1e-5)  # an atom just past 0
+    n = base.n_atoms
+    rng = np.random.default_rng(7)
+    sig = base.measure.masses
+    offsets = rng.uniform(-0.2, 0.2, n) * sig
+    offsets[0] = -0.3 * sig[0]  # moves the first atom below 0, so it wraps to the end
+    perturbed = cl.AtomicMeasure(base.measure.thetas + offsets,
+                                 sig * (1.0 + rng.uniform(-0.2, 0.2, n)))
+    partner, alpha = _pairing_loop_form(base.measure, perturbed)
+    assert partner == [*range(1, n), 0]
+    rep = cl.perturbed_admissibility(base, perturbed)
+    assert np.array_equal(rep.alpha, alpha)
+    assert rep.passed
