@@ -6,8 +6,17 @@ the diagonal is excluded by definition, so no principal-value
 regularization appears.  In the weighted coordinates g_n = f_n sqrt(sigma_n)
 the section is the matrix A[n,m] = sqrt(sigma_n sigma_m)/(1 - conj(zeta_m) zeta_n)
 with zero diagonal, unitarily equivalent to the section of C on L^2(sigma).
-A is Hermitian: conj(A[m,n]) = sqrt(sigma_n sigma_m)/(1 - zeta_n conj(zeta_m))
-= A[n,m] for any points, so its norm is its largest |eigenvalue|.
+
+With zeta_n = e^{i theta_n}, 1 - e^{i d} = -2i sin(d/2) e^{i d/2} for
+d = theta_n - theta_m, so A = D (i/2) S D* with D = diag(e^{-i theta/2})
+unitary and
+
+    S[n,m] = sqrt(sigma_n sigma_m) / sin((theta_n - theta_m)/2),
+
+real and antisymmetric with zero diagonal.  S is the one dense section
+built here, in real arithmetic from angle differences, so nearby atoms
+lose no digits to the cancellation in 1 - conj(zeta_m) zeta_n.  Norms
+read ||A|| = ||S||/2, and the Tolsa scan reads the Gram S^T S.
 """
 from __future__ import annotations
 
@@ -21,13 +30,15 @@ from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord
 from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
-#: Dense storage beyond this section size would cross ~1 GiB, so
-#: ``matrix`` refuses it; ``apply`` needs no dense storage.
+#: Largest section built densely.  A norm or a Tolsa scan holds two
+#: real N x N arrays at once (16 N^2 bytes), 1 GiB at the cap; ``apply``
+#: needs no dense storage.
 DENSE_CAP = 8192
 
 
 class CauchySection:
-    """Atoms, masses, and (lazily) the dense weighted section matrix."""
+    """Atoms and masses of a section; the dense matrices are built on
+    request and not kept."""
 
     def __init__(self, measure: AtomicMeasure, lattice_indices=None):
         self.measure = measure
@@ -39,22 +50,29 @@ class CauchySection:
         # single-point-mass exponential family's closed forms
         self.lattice_indices = (None if lattice_indices is None
                                 else np.asarray(lattice_indices, dtype=int))
-        self._A = None
+
+    def _skew(self) -> np.ndarray:
+        """S[n,m] = sqrt(sig_n sig_m)/sin((theta_n - theta_m)/2), zero
+        diagonal; exactly antisymmetric, since sin is odd and the mass
+        product is formed before the division.  Raises before allocating
+        when the section is over ``DENSE_CAP``."""
+        if self.N > DENSE_CAP:
+            raise DenseCapExceeded(
+                f"section size {self.N} exceeds dense cap {DENSE_CAP}")
+        half = 0.5 * self.theta
+        S = np.subtract.outer(half, half)
+        np.sin(S, out=S)
+        np.fill_diagonal(S, 1.0)
+        rs = np.sqrt(self.sigma)
+        np.divide(np.multiply.outer(rs, rs), S, out=S)
+        np.fill_diagonal(S, 0.0)
+        return S
 
     def matrix(self) -> np.ndarray:
         """Dense A with A[n,m] = sqrt(sig_n sig_m)/(1 - conj(z_m) z_n),
-        zero diagonal."""
-        if self._A is None:
-            if self.N > DENSE_CAP:
-                raise DenseCapExceeded(
-                    f"section size {self.N} exceeds dense cap {DENSE_CAP}")
-            rs = np.sqrt(self.sigma)
-            D = 1.0 - np.conj(self.z)[None, :] * self.z[:, None]
-            np.fill_diagonal(D, 1.0)
-            A = (rs[:, None] * rs[None, :]) / D
-            np.fill_diagonal(A, 0.0)
-            self._A = A
-        return self._A
+        zero diagonal, formed as D (i/2) S D* with D = diag(e^{-i theta/2})."""
+        e = np.exp(-0.5j * self.theta)
+        return 0.5j * e[:, None] * self._skew() * np.conj(e)[None, :]
 
     def cauchy_of_one(self, n: int) -> complex:
         """(C 1)(zeta_n) = sum_{m != n} sigma_m / (1 - conj(zeta_m) zeta_n)."""
@@ -94,9 +112,9 @@ def nested_sections(measure: AtomicMeasure, sizes) -> list[CauchySection]:
 @dataclass
 class OperatorNormEstimate:
     """Norms of nested sections, nondecreasing in the section size by
-    nesting.  Each value is the section's norm exact to rounding, from a
-    backward-stable Hermitian eigensolve, and a lower bound for the norm
-    of the full operator."""
+    nesting.  Each value is ||S_N||/2 from one real symmetric eigensolve
+    of S_N^T S_N, within the rounding bound stated in ``operator_norm``,
+    and a lower bound for the norm of the full operator."""
 
     sizes: list[int]
     values: list[float]
@@ -115,11 +133,21 @@ class OperatorNormEstimate:
 def operator_norm(measure: AtomicMeasure, sizes) -> OperatorNormEstimate:
     """Norms of nested sections of increasing size (each at least 2).
 
-    A is Hermitian, so ||A|| = max |lambda(A)|.  LAPACK's heevd is
-    backward stable and finds every eigenvalue to within p(N) eps ||A||
-    (LAPACK Users' Guide, 3rd ed., section 4.7), so each value is its
-    section's norm exact to rounding, and a lower bound for the norm of
-    the full operator.
+    ||A_N|| = ||S_N||/2 = sqrt(lambda_max(G))/2 with G = S_N^T S_N real
+    symmetric, formed by one symmetric product and passed to one
+    ``np.linalg.eigvalsh`` (LAPACK syevd).  Rounding the inner products
+    gives |fl(G) - G| <= gamma_N |S|^T |S| entrywise, gamma_N =
+    N eps/(1 - N eps) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.5), and that error has 2-norm at most
+    gamma_N ||S||_F^2.  syevd is backward stable, so each computed
+    eigenvalue lies within p(N) eps ||G|| of an exact one of fl(G)
+    (LAPACK Users' Guide, 3rd ed., section 4.7).  Hence the computed
+    lambda satisfies
+
+        |lambda - ||S||^2| <= gamma_N ||S||_F^2 + p(N) eps ||S||^2,
+
+    and the value's relative error is at most half of that over ||S||^2.
+    Each value is also a lower bound for the norm of the full operator.
     """
     sizes = list(sizes)
     if any(n < 2 for n in sizes):
@@ -128,8 +156,10 @@ def operator_norm(measure: AtomicMeasure, sizes) -> OperatorNormEstimate:
         raise ClarkLabError(f"section sizes must be increasing, got {sizes}")
     values = []
     for sec in nested_sections(measure, sizes):
-        w = np.linalg.eigvalsh(sec.matrix())
-        values.append(float(max(-w[0], w[-1])))
+        S = sec._skew()
+        G = S.T @ S
+        del S  # the eigensolve copies G, so S would make a third N x N array
+        values.append(0.5 * float(np.sqrt(np.linalg.eigvalsh(G)[-1])))
     return OperatorNormEstimate(sizes=sizes, values=values,
                                 converged=[True] * len(sizes),
                                 iterations=[0] * len(sizes))
@@ -155,29 +185,33 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
     U_b = sum_{m<b} W[:, m] (U_0 = 0), an arc holding atoms a..b-1 has
     ||C chi_Q|| = ||U_b - U_a||, and one wrapping past the last atom to
     hold a..N-1 and 0..e-1 has ||C chi_Q|| = ||U_N - U_a + U_e||.  Both
-    expand in the real Gram P = Re(U* U), taken as one symmetric product
-    of the stacked real and imaginary parts, so each arc costs O(1) and
-    the arcs are evaluated in row blocks of starts.  The witness is the
-    first maximizer in (start, count) order.
+    expand in the real Gram P[a,b] = Re <U_a, U_b>.  Since A = D (i/2) S D*,
+    A* A = D G D* / 4 with G = S^T S, so with c = sqrt(sig) e^{i theta/2}
+
+        P[a,b] = 1/4 sum_{m<a, m'<b} G[m,m'] Re(conj(c_m) c_m'),
+
+    a 2-D prefix sum of G times a rank-two real matrix, formed in place
+    on G.  Each arc then costs O(1), and the arcs are evaluated in row
+    blocks of starts.  The witness is the first maximizer in (start,
+    count) order.  The working set is two real N x N arrays, S and G.
     """
     N = section.N
     if N < 2:
         raise NotEnoughAtoms("Tolsa scan needs at least 2 atoms")
-    # A (complex), the stacked cumulative columns V and P: 40 N^2 bytes,
-    # against the 16 DENSE_CAP^2 bytes that ``matrix`` allows
-    need, budget = 40 * N * N, 16 * DENSE_CAP**2
-    if need > budget:
-        raise DenseCapExceeded(
-            f"Tolsa scan of {N} atoms needs about {need:.3g} bytes, over the "
-            f"{budget:.3g} bytes of a dense section at cap {DENSE_CAP}")
-    A = section.matrix()
-    rs = np.sqrt(section.sigma)
-    V = np.zeros((2 * N, N + 1))
-    np.multiply(A.real, rs, out=V[:N, 1:])
-    np.multiply(A.imag, rs, out=V[N:, 1:])
-    np.cumsum(V[:, 1:], axis=1, out=V[:, 1:])
-    P = V.T @ V
-    del V
+    S = section._skew()
+    P = np.zeros((N + 1, N + 1))
+    np.matmul(S.T, S, out=P[1:, 1:])
+    del S
+    # Re c and Im c, halved so that their products carry the 1/4; row by
+    # row, P[a] is the prefix sum of its weighted row of G plus P[a - 1]
+    half = 0.5 * section.theta
+    rs = 0.5 * np.sqrt(section.sigma)
+    cr, ci = rs * np.cos(half), rs * np.sin(half)
+    for a in range(1, N + 1):
+        row = P[a, 1:]
+        row *= cr[a - 1] * cr + ci[a - 1] * ci
+        np.cumsum(row, out=row)
+        P[a] += P[a - 1]
     # an arc from start a with count c ends at b = a + c; an end b = N + e
     # stands for U_N + U_e, so d_end[b] = ||U_b||^2 and cross[., b] =
     # Re <U_a, U_b> hold for both kinds of arc

@@ -7,11 +7,12 @@ comparison is wanted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateAtoms, InvalidMeasure, NotEnoughAtoms
+from .errors import DuplicateAtoms, InvalidAngle, InvalidMeasure, NotEnoughAtoms
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,6 +49,8 @@ class CirclePoint:
     theta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise InvalidAngle(f"angle must be finite, got {self.theta}")
         object.__setattr__(self, "theta", canonical_angle(self.theta))
 
     @property

@@ -13,6 +13,10 @@ class InvalidMeasure(ClarkLabError, ValueError):
     """Atoms and masses do not describe a finite positive atomic measure."""
 
 
+class InvalidAngle(ClarkLabError, ValueError):
+    """An angle on the circle is NaN or infinite."""
+
+
 class DuplicateAtoms(ClarkLabError, ValueError):
     """Two atoms of a measure lie closer than the duplicate tolerance."""
 

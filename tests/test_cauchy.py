@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +61,8 @@ def test_apply_examples():
 
 def test_apply_matches_dense_matrix_on_perturbed_measure(rng):
     # irregular atoms, so no lattice identity is shared by the two paths;
-    # the dense form cancels in 1 - conj(z_m) z_n and loses about
-    # log10(1/min gap) ~ 4 digits here
+    # apply differences the points zeta_n - zeta_m and loses about
+    # log10(1/min gap) ~ 4 digits here, while the dense sin form does not
     base = cl.exp_clark_data(60)
     sec = cl.CauchySection(cl.generate(cl.random_plan(base, 4)))
     f = rng.standard_normal(sec.N) + 1j * rng.standard_normal(sec.N)
@@ -77,6 +79,26 @@ def test_matrix_beyond_dense_cap_raises(monkeypatch):
     assert issubclass(DenseCapExceeded, ClarkLabError)
 
 
+@pytest.mark.parametrize("consumer", [
+    lambda m: cl.operator_norm(m, [m.n_atoms]),
+    lambda m: cl.tolsa_scan(cl.CauchySection(m)),
+    lambda m: cl.CauchySection(m).matrix(),
+], ids=["operator_norm", "tolsa_scan", "matrix"])
+def test_dense_cap_raises_before_building(consumer, monkeypatch):
+    # one dense N x N array of 1001 atoms is 8 MB; the refusal allocates
+    # none of it
+    m = cl.exp_clark_data(500).measure
+    monkeypatch.setattr(cauchy, "DENSE_CAP", m.n_atoms - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseCapExceeded, match="section size 1001 exceeds dense cap 1000"):
+            consumer(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.n_atoms ** 2
+
+
 def test_operator_norm_z2_anchor():
     est = cl.operator_norm(z2_section().measure, [2])
     assert est.values[0] == pytest.approx(0.25, abs=1e-10)
@@ -91,13 +113,32 @@ def counterexample_measure():
     return cl.clark_data_for(cl.parse_family("counterexample:1.0:64")).measure
 
 
+def load_checks():
+    """perfbench's independent checks, which import nothing from clarklab."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
 @pytest.mark.parametrize("measure", [
     lambda: cl.exp_clark_data(40).measure, perturbed_measure, counterexample_measure,
 ], ids=["exp", "perturbed", "counterexample"])
 def test_section_matrix_is_hermitian(measure):
-    # the property the norm's eigensolve relies on
-    A = cl.CauchySection(measure()).matrix()
-    assert np.max(np.abs(A - A.conj().T)) <= 1e-13 * np.max(np.abs(A))
+    # A = D (i/2) S D*, D = diag(e^{-i theta/2}), with S real, exactly
+    # antisymmetric and zero on the diagonal; so A is Hermitian
+    sec = cl.CauchySection(measure())
+    A, S = sec.matrix(), sec._skew()
+    assert S.dtype == np.float64 and np.array_equal(S, -S.T)
+    assert not np.diagonal(A).any()
+    e = np.exp(-0.5j * sec.theta)
+    assert np.array_equal(A, 0.5j * e[:, None] * S * np.conj(e)[None, :])
+    assert np.max(np.abs(A - A.conj().T)) <= 1e-15 * np.max(np.abs(A))
+    # the sin form of the independent checks, built apart from clarklab
+    checks = load_checks()
+    ref = checks.section_matrix(checks.Atoms(sec.theta, sec.sigma))
+    assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(A))
 
 
 @pytest.mark.parametrize("measure, sizes", [
@@ -114,6 +155,31 @@ def test_operator_norm_svd_oracle(measure, sizes):
     for sec, value in zip(cl.nested_sections(m, sizes), est.values, strict=True):
         sv = np.linalg.svd(sec.matrix(), compute_uv=False)[0]
         assert abs(value - sv) <= 1e-12 * sv
+
+
+def test_operator_norm_matches_discrete_hilbert_norm():
+    # a section of the exp lattice on consecutive labels is a diagonal-
+    # unitary conjugate of the discrete Hilbert matrix 1/(2 pi (m - n)),
+    # whose differences are exact integers
+    sizes = [32, 64, 128, 256, 512]
+    est = cl.operator_norm(cl.exp_clark_data(256).measure, sizes)
+    checks = load_checks()
+    for n, value in zip(sizes, est.values, strict=True):
+        exact = checks.lattice_section_norm(n)
+        assert abs(value - exact) <= 1e-14 * exact, n
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: cl.generate(cl.random_plan(cl.exp_clark_data(200), 11)),
+    lambda: cl.clark_data_for(cl.parse_family("counterexample:1.0:512")).measure,
+], ids=["perturbed-exp200", "counterexample512"])
+def test_operator_norm_matches_sin_form_svd(measure):
+    m = measure()
+    checks = load_checks()
+    sv = np.linalg.svd(checks.section_matrix(checks.Atoms(m.thetas, m.masses)),
+                       compute_uv=False)[0]
+    value = cl.operator_norm(m, [m.n_atoms]).values[0]
+    assert abs(value - sv) <= 1e-13 * sv
 
 
 @pytest.mark.parametrize("sizes, error", [
@@ -259,29 +325,28 @@ def test_tolsa_and_norm_rotation_invariant(m, delta):
 
 
 def test_tolsa_working_set():
-    # beyond the cached section matrix the scan holds the stacked cumulative
-    # columns (16 N^2 bytes) and their Gram (8 N^2); the tiled prefix sum it
-    # replaced peaked at 160 N^2
+    # two real N x N arrays, S and its Gram written into P: 16 N^2 bytes
+    # plus the row blocks, 16.9 N^2 at 401 atoms; the complex section,
+    # stacked columns and Gram it replaced peaked at 40 N^2
     sec = exp_section(200)
-    sec.matrix()
     tracemalloc.start()
     try:
         cl.tolsa_scan(sec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * sec.N ** 2
+    assert peak <= 18 * sec.N ** 2
 
 
 def test_tolsa_beyond_memory_budget_raises(monkeypatch):
-    # 40 N^2 bytes against the 16 DENSE_CAP^2 of a dense section: 21 atoms
-    # fit under a cap of 34, not under 33, and nothing is built first
-    monkeypatch.setattr(cauchy, "DENSE_CAP", 33)
+    # the working set, 16 N^2 bytes, fits the 16 DENSE_CAP^2 of a dense
+    # section exactly when N <= DENSE_CAP: 21 atoms fit under a cap of 21,
+    # not under 20
+    monkeypatch.setattr(cauchy, "DENSE_CAP", 20)
     sec = cl.CauchySection(cl.exp_clark_data(10).measure)
-    with pytest.raises(DenseCapExceeded, match="Tolsa scan of 21 atoms"):
+    with pytest.raises(DenseCapExceeded, match="section size 21 exceeds dense cap 20"):
         cl.tolsa_scan(sec)
-    assert sec._A is None
-    monkeypatch.setattr(cauchy, "DENSE_CAP", 34)
+    monkeypatch.setattr(cauchy, "DENSE_CAP", 21)
     assert cl.tolsa_scan(sec).n_arcs == 21 + 20 ** 2
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import clarklab as cl
 from clarklab import circle
 from clarklab.circle import canonical_angle, gap_arcs, kernel_sum, neighbor_constants
-from clarklab.errors import ClarkLabError, InvalidMeasure, NotEnoughAtoms
+from clarklab.errors import ClarkLabError, InvalidAngle, InvalidMeasure, NotEnoughAtoms
 
 TWO_PI = 2 * np.pi
 
@@ -126,6 +126,16 @@ def test_invalid_measures_rejected(thetas, masses):
         cl.AtomicMeasure(thetas, masses)
     assert issubclass(InvalidMeasure, ClarkLabError)
     assert issubclass(InvalidMeasure, ValueError)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_circle_point_rejects_non_finite_angle(theta):
+    with pytest.raises(InvalidAngle, match="angle must be finite"):
+        cl.CirclePoint(theta)
+    assert issubclass(InvalidAngle, ClarkLabError)
+    assert issubclass(InvalidAngle, ValueError)
+    with pytest.raises(InvalidAngle):
+        cl.CirclePoint(0.5).rotated(theta)
 
 
 def test_gap_arcs_cover_circle():

@@ -180,6 +180,17 @@ def test_cli_bessonov_reads_perturb_report(tmp_path):
             == json.loads(report.read_text())["outputs"]["bessonov"])
 
 
+@pytest.mark.parametrize("point", ["nan", "inf"])
+def test_cli_bessonov_rejects_non_finite_accumulation(point, tmp_path, capsys):
+    report = tmp_path / "p.json"
+    assert main(["perturb", "--family", "exp", "--truncation", "40", "--seed", "3",
+                 "--out", str(report)]) == 0
+    capsys.readouterr()
+    rc = main(["bessonov", "--measure", str(report), "--accumulation", point])
+    assert rc == 2
+    assert "angle must be finite" in capsys.readouterr().err
+
+
 def test_cli_norm_and_report(tmp_path):
     out = tmp_path / "norm.json"
     rc = main(["norm", "--family", "exp", "--truncation", "40",
