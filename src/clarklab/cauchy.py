@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import circle
 from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord_angles,
@@ -214,23 +215,31 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
         P[a] += P[a - 1]
     # an arc from start a with count c ends at b = a + c; an end b = N + e
     # stands for U_N + U_e, so d_end[b] = ||U_b||^2 and cross[., b] =
-    # Re <U_a, U_b> hold for both kinds of arc
+    # Re <U_a, U_b> hold for both kinds of arc.  Row a of a window view
+    # holds the ends b = a + 1..a + N in place.
     d = np.diagonal(P)
     d_end = np.concatenate([d, P[N, N] + d[1:] + 2.0 * P[N, 1:]])
     cm = np.concatenate([[0.0], np.cumsum(section.sigma)])
     cm_end = np.concatenate([cm, cm[N] + cm[1:]])
+    d_ends = sliding_window_view(d_end[1:], N)
+    cm_ends = sliding_window_view(cm_end[1:], N)
 
     best = -np.inf
     wit = (0, N)
     step = max(1, circle.PAIR_BLOCK // N)
+    W = 2 * N + 1
+    cross = np.empty((min(step, N), W))
     for a0 in range(0, N, step):
-        a = np.arange(a0, min(a0 + step, N))
-        rows = P[a0:a0 + a.size]
-        cross = np.concatenate([rows, rows[:, N:] + rows[:, 1:]], axis=1)
-        b = a[:, None] + np.arange(1, N + 1)
-        norm2 = d[a, None] + d_end[b] - 2.0 * np.take_along_axis(cross, b, axis=1)
-        ratio2 = norm2 / (cm_end[b] - cm[a, None])
-        ratio2[a > 0, -1] = -np.inf  # the full circle counts once, at start 0
+        h = min(step, N - a0)
+        rows = P[a0:a0 + h]
+        cross[:h, :N + 1] = rows
+        np.add(rows[:, N:], rows[:, 1:], out=cross[:h, N + 1:])
+        # row i's ends a0 + i + 1.. start i (W + 1) + a0 + 1 entries into
+        # the flattened block
+        sheared = sliding_window_view(cross.reshape(-1), N)[a0 + 1::W + 1][:h]
+        norm2 = d[a0:a0 + h, None] + d_ends[a0:a0 + h] - 2.0 * sheared
+        ratio2 = norm2 / (cm_ends[a0:a0 + h] - cm[a0:a0 + h, None])
+        ratio2[int(a0 == 0):, -1] = -np.inf  # the full circle counts once, at start 0
         i = int(np.argmax(ratio2))
         if ratio2.flat[i] > best:
             best = float(ratio2.flat[i])

@@ -188,7 +188,7 @@ REFERENCE_KERNELS = {"1/d": lambda d: 1 / d, "1/|d|": lambda d: 1 / abs(d),
 @pytest.mark.parametrize("kernel", sorted(circle.KERNELS))
 def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
     # reference: a plain double loop summed with math.fsum.  Each term
-    # carries a few ulp of rounding and the block sum adds at most
+    # carries a few ulp of rounding and either path's sum adds at most
     # (sources) ulp of the absolute sum, so 1e-14 of sum |terms| bounds it.
     k = REFERENCE_KERNELS[kernel]
     circle_kernel = circle.KERNELS[kernel]
@@ -196,27 +196,35 @@ def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
     s = np.exp(1j * rng.uniform(0, TWO_PI, 5))
     w = rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, TWO_PI, 5))
 
-    def ref(tn, sources, skip=None):
-        terms = [complex(w[m] * k(tn - sources[m])) for m in range(5) if m != skip]
+    def ref(tn, sources, weights, skip=None):
+        terms = [complex(weights[m] * k(tn - sources[m])) for m in range(5) if m != skip]
         return (complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)),
                 math.fsum(abs(x) for x in terms))
 
-    # a budget of 10 pairs puts two targets in each block: four blocks;
-    # a budget of 3, below the source count, cuts the sources into column
-    # blocks of 3 and 2, one target each; no block exceeds the budget
+    # a budget of 10 pairs, above every target count, keeps the (rows x
+    # columns) blocks: two targets each, so four blocks for t, three for the
+    # sources as targets and one for two targets.  A budget of 3 sends the 8
+    # and the 5 targets one source at a time over runs of at most 3 targets
+    # and drops the diagonal there; two targets stay in column blocks of 3
+    # and 2 sources, one target each.  Complex and real weights take each
+    # block once; the kernel sees every block of both paths.
     blocks = []
     monkeypatch.setitem(circle.KERNELS, kernel,
-                        lambda d: blocks.append(d.size) or circle_kernel(d))
-    for budget in (10, 3):
+                        lambda d, *rest: blocks.append(d.size) or circle_kernel(d, *rest))
+    for budget, n_blocks in ((10, 4 + 3 + 1), (3, 5 * (3 + 2) + 2 * 2)):
         monkeypatch.setattr(circle, "PAIR_BLOCK", budget)
         blocks.clear()
-        cases = [(kernel_sum(t.reshape(2, 4), s, w, kernel).ravel(), [ref(x, s) for x in t]),
-                 (kernel_sum(s, s, w, kernel, skip_self=True),
-                  [ref(x, s, n) for n, x in enumerate(s)])]
-        for got, want in cases:
-            for g, (value, scale) in zip(got, want, strict=True):
-                assert abs(g - value) <= 1e-14 * scale
-        assert max(blocks) <= budget
+        for weights in (w, np.abs(w)):
+            cases = [(kernel_sum(t.reshape(2, 4), s, weights, kernel).ravel(),
+                      [ref(x, s, weights) for x in t]),
+                     (kernel_sum(s, s, weights, kernel, skip_self=True),
+                      [ref(x, s, weights, n) for n, x in enumerate(s)]),
+                     (kernel_sum(t[:2], s, weights, kernel), [ref(x, s, weights) for x in t[:2]])]
+            for got, want in cases:
+                assert np.isrealobj(got) == (np.isrealobj(weights) and kernel != "1/d")
+                for g, (value, scale) in zip(got, want, strict=True):
+                    assert abs(g - value) <= 1e-14 * scale
+        assert len(blocks) == 2 * n_blocks and max(blocks) <= budget
     assert kernel_sum(t.reshape(2, 4), s, w, kernel).shape == (2, 4)
     empty = kernel_sum(t, np.empty(0, complex), np.empty(0), kernel)
     assert empty.shape == t.shape and not empty.any()

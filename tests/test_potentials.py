@@ -4,7 +4,7 @@ import pytest
 import clarklab as cl
 from clarklab.errors import (MateZero, NotEnoughAtoms, QuadratureNotConverged,
                              SupportMismatch)
-from clarklab import potentials
+from clarklab import circle, potentials
 from clarklab.inner import _angular_derivatives
 from clarklab.potentials import QuadConfig, ScanConfig, dirichlet_quadrature
 
@@ -270,3 +270,48 @@ def test_scan_grid_matches_loop_form(case, cfg):
     want = _grid_loop_form(u, m, cfg)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # bit for bit
+
+
+@pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
+def test_scan_agrees_across_the_kernel_switch(case, monkeypatch):
+    # the default grid has more than PAIR_BLOCK points, so its kernel sum
+    # goes one source at a time; a budget above the grid size keeps the
+    # (rows x columns) blocks.  The two orders differ in rounding by at most
+    # (sources) u of each sum, 4.4e-14 relative at 401 sources; 1e-13
+    # leaves a margin
+    u, m = case()
+    cfg = ScanConfig()
+    n_grid = potentials._grid_points(
+        m, m.masses * _angular_derivatives(u, m.thetas) ** 2, cl.spectrum(u), cfg).size
+    assert n_grid >= circle.PAIR_BLOCK
+    by_source = cl.sup_inf_scan(u, m, cfg)
+    monkeypatch.setattr(circle, "PAIR_BLOCK", 2 * n_grid)
+    blocks = cl.sup_inf_scan(u, m, cfg)
+    assert (by_source.sup_witness, by_source.inf_witness) == (blocks.sup_witness,
+                                                               blocks.inf_witness)
+    for name in ("sup_estimate", "inf_estimate", "coarse_sup_estimate"):
+        a, b = getattr(by_source, name), getattr(blocks, name)
+        assert abs(a - b) <= 1e-13 * abs(b) or (np.isnan(a) and np.isnan(b))
+    np.testing.assert_array_equal(by_source.spectrum_values, blocks.spectrum_values)
+
+
+def test_kernel_sum_below_the_switch_is_the_block_expression():
+    # fewer than PAIR_BLOCK targets: rows of PAIR_BLOCK // N targets, each
+    # block k(d) @ w with the diagonal difference set to inf, bit for bit
+    m = cl.generate(cl.random_plan(cl.exp_clark_data(60), 4))
+    z, N = m.points_complex, m.n_atoms
+    assert N < circle.PAIR_BLOCK
+    step = circle.PAIR_BLOCK // N
+    cases = {"1/d": (lambda d: 1.0 / d, -m.masses * z),
+             "1/|d|": (lambda d: 1.0 / np.abs(d), m.masses),
+             "1/|d|^2": (lambda d: 1.0 / (d.real ** 2 + d.imag ** 2), m.masses)}
+    for kernel, (k, w) in cases.items():
+        want = []
+        for r in range(0, N, step):
+            d = z[r:r + step, None] - z
+            d[np.arange(d.shape[0]), r + np.arange(d.shape[0])] = np.inf
+            want.append(k(d) @ w)
+        want = np.concatenate(want)
+        got = circle.kernel_sum(z, z, w, kernel, skip_self=True)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert cl.atom_potential_sup(m).value == want.max()
