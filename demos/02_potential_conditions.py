@@ -33,8 +33,9 @@ print(f"V_mu(1) = {v1:.8f}  (target {0.5 / np.tanh(0.5):.8f})")
 rep = cl.sup_inf_scan(u, mu, ScanConfig(grid_depth=14, cluster_depth=14,
                                         angular_cap=2048))
 print(f"sup |1-u|^2 V_mu ~ {rep.sup_estimate:.4f} "
-      f"(mate scaling {rep.sup_mate_scaled:.4f}), inf ~ {rep.inf_estimate:.4f}, "
-      f"converged={rep.converged}")
+      f"(mate scaling {rep.sup_mate_scaled:.4f}), inf ~ {rep.inf_estimate:.4f}")
+# one refinement level (depth 15) moves the sup by under 1%
+print(f"refined sup {rep.refined_sup_estimate:.4f}, converged={rep.converged}")
 
 # boundary continuation at an atom: |1-u(r z_k)|^2 V(r z_k) -> |u'|^2 mu_k
 k = int(np.nonzero(data.lattice_indices == 3)[0][0])

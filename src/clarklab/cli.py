@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,13 @@ import numpy as np
 from . import __version__
 from .cauchy import CauchySection, operator_norm, tolsa_scan
 from .circle import AtomicMeasure, CirclePoint
-from .errors import ClarkLabError, ConstraintViolation
+from .errors import ClarkLabError, ConstraintViolation, InvalidConfig
 from .families import (ExpSingular, Monomial, clark_data_for, divergence_ladder,
                        exp_clark_data, exp_tail_mass_bound, exp_tail_potential_bound,
                        exp_total_mass, inner_function, parse_family)
 from .perturb import PerturbationPlan, generate, random_plan, squared_measure
-from .potentials import atom_potential_sup, mass_ratio_check, potential, sup_inf_scan
+from .potentials import (ScanConfig, atom_potential_sup, mass_ratio_check, potential,
+                         sup_inf_scan)
 from .serialize import (clark_to_dict, load_json, measure_from_dict, measure_to_dict,
                         to_jsonable, write_csv)
 from .verify import bessonov_check
@@ -114,24 +116,33 @@ def cmd_norm(args) -> int:
     return _emit(args, payload, passed=nondecreasing, truncation=args.truncation)
 
 
-def _load_scan_config(path) -> "ScanConfig":
-    from .potentials import ScanConfig
+def _load_scan_config(path) -> ScanConfig:
     text = Path(path).read_text()
     if str(path).endswith(".toml"):
-        import tomllib
+        try:
+            import tomllib
+        except ImportError:
+            raise InvalidConfig("TOML configs need Python 3.11 or later "
+                                "(tomllib); use a JSON config") from None
         doc = tomllib.loads(text)
     else:
         doc = json.loads(text)
-    known = {k: v for k, v in doc.items() if k in ScanConfig.__dataclass_fields__}
-    return ScanConfig(**known)
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"scan config must be an object, got {type(doc).__name__}")
+    keys = [f.name for f in fields(ScanConfig)]
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise InvalidConfig(f"unknown scan config keys {unknown}; "
+                            f"accepted: {', '.join(keys)}")
+    return ScanConfig(**doc)
 
 
 def cmd_potential(args) -> int:
+    cfg = _load_scan_config(args.config) if args.config else None
     fam = parse_family(args.family)
     data = clark_data_for(fam, truncation=args.truncation, tol=args.tol)
     mu = squared_measure(data.measure)
     u = inner_function(fam)
-    cfg = _load_scan_config(args.config) if args.config else None
     scan = sup_inf_scan(u, mu, cfg)
     sup61 = atom_potential_sup(mu)
     ratios = mass_ratio_check(data, mu)
@@ -305,11 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_norm)
 
     sp = sub.add_parser("potential",
-                        help="sup/inf scan, atom-potential sup, mass ratios")
+                        help="sup/inf scan, atom-potential sup, mass ratios; passes "
+                             "when the scan's sup is finite and one grid refinement "
+                             "level moves it by at most 1%%")
     sp.add_argument("--family", required=True)
     sp.add_argument("--config",
-                    help="scan config as JSON or TOML: grid_depth, "
-                         "cluster_depth, angular_cap, support_tol, ...")
+                    help="scan config as a JSON or TOML object with any of the keys "
+                         + ", ".join(f.name for f in fields(ScanConfig)))
     common(sp)
     sp.set_defaults(func=cmd_potential)
 

@@ -9,15 +9,17 @@ report carries both scalings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .circle import AtomicMeasure, CirclePoint, TWO_PI, kernel_sum
 from .clark import ClarkData
-from .errors import (MateZero, NotEnoughAtoms, QuadratureNotConverged,
-                     SupportMismatch)
+from .errors import (InvalidConfig, MateZero, NotEnoughAtoms,
+                     QuadratureNotConverged, SupportMismatch)
 from .inner import (InnerFunction, _angular_derivatives, angular_derivative, evaluate,
                     pythagorean_pair, spectrum)
 
@@ -252,13 +254,22 @@ def dirichlet_quadrature(m: AtomicMeasure, fprime,
 
 @dataclass
 class ScanConfig:
+    """The disk-scan grid; every field must be positive (InvalidConfig)."""
+
     grid_depth: int = 20        # radial levels r = 1 - 2^-j
     cluster_depth: int = 20     # dyadic chordal scales around atoms/spectrum
     angular_base: int = 16      # angles at depth 1; doubles with depth
     angular_cap: int = 4096
     cluster_centers_cap: int = 256
     support_tol: float = 1e-6   # angular residual allowed in support matching
-    coarse_fraction: float = 0.1  # sub-truncation used for the converged flag
+
+    def __post_init__(self):
+        for f in fields(self):
+            v, real = getattr(self, f.name), f.type == "float"
+            if (isinstance(v, bool) or not isinstance(v, Real if real else Integral)
+                    or not 0 < v < math.inf):
+                kind = "finite positive number" if real else "positive integer"
+                raise InvalidConfig(f"{f.name} must be a {kind}, got {v!r}")
 
 
 @dataclass
@@ -269,6 +280,10 @@ class PotentialReport:
     over the scan set together with the atom-limit values; the mate
     scaling |a|^2 V_mu is exactly G/4 and is reported alongside.  Spectrum
     values carry V_mu(eta) itself (G has no limit there).
+
+    ``refined_sup_estimate`` is the sup over the scan set together with one
+    refinement level of the same grid (``sup_inf_scan``), and ``converged``
+    holds when that level moves the sup by at most 1%.
     """
 
     sup_estimate: float
@@ -281,29 +296,32 @@ class PotentialReport:
     spectrum_values: np.ndarray
     grid_description: str
     converged: bool
-    coarse_sup_estimate: float
+    refined_sup_estimate: float
 
 
-def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig) -> np.ndarray:
-    """Rings r = 1 - 2^-j of min(angular_base 2^j, angular_cap) equispaced
-    angles, then five-point clusters in (center, depth, scale, offset)
-    order around the atoms with the largest ``limits`` and the spectrum.
+def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig,
+                 rings, scales) -> np.ndarray:
+    """Rings r = 1 - 2^-j for j in ``rings``, of min(angular_base 2^j,
+    angular_cap) equispaced angles, then five-point clusters in (center,
+    depth, scale, offset) order at the chordal scales 2^-k for k in
+    ``scales``, around the atoms with the largest ``limits`` and the
+    spectrum.
 
     The weighted potential varies on the scale of the local Clark mass
     near each atom, so the clusters refine geometrically there.
     """
-    j = np.arange(1, cfg.grid_depth + 1)
+    j = np.asarray(rings)
     M = np.minimum(cfg.angular_base * 2.0 ** j, cfg.angular_cap).astype(int)
-    ring = np.repeat(j - 1, M)
+    ring = np.repeat(np.arange(j.size), M)
     k = np.arange(M.sum()) - np.repeat(np.cumsum(M) - M, M)  # index within its ring
-    rings = (1.0 - 2.0 ** -j)[ring] * np.exp(1j * (k * (TWO_PI / M)[ring]))
+    pts = (1.0 - 2.0 ** -j)[ring] * np.exp(1j * (k * (TWO_PI / M)[ring]))
     centers = np.concatenate([m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap],
                               [p.theta for p in spec]])
-    d = 2.0 ** -np.arange(1, cfg.cluster_depth + 1, dtype=float)[:, None]
+    d = 2.0 ** -np.asarray(scales, dtype=float)[:, None]
     r = 1.0 - d * np.array([0.5, 1.0])
     ang = centers[:, None, None] + d * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     clusters = r[:, :, None] * np.exp(1j * ang[:, :, None, :])
-    return np.concatenate([rings, clusters.ravel()])
+    return np.concatenate([pts, clusters.ravel()])
 
 
 def _scan_G(u, m, z: np.ndarray) -> np.ndarray:
@@ -319,6 +337,13 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     The measure must be supported on Clark atoms of u at parameter 0
     (u = 1 there); the angular residual |u(zeta)-1| / |u'(zeta)| is the
     matching criterion.
+
+    Convergence evidence comes from one refinement level of the same grid:
+    the ring j = grid_depth + 1 and the clusters at scale
+    2^-(cluster_depth + 1) around the same centers, so the scan set plus
+    that level is the grid one depth finer.  ``refined_sup_estimate`` is
+    the sup over both, and ``converged`` holds when it exceeds the sup by
+    at most 1% of the sup.
     """
     cfg = cfg or ScanConfig()
     if m.n_atoms == 0:
@@ -333,31 +358,26 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     spec = spectrum(u)
     spec_values = potential_grid(m, [p.complex for p in spec])
 
-    z = _grid_points(m, atom_limits, spec, cfg)
+    g, c = cfg.grid_depth, cfg.cluster_depth
+    z = _grid_points(m, atom_limits, spec, cfg, range(1, g + 1), range(1, c + 1))
     G = _scan_G(u, m, z)
     values = np.concatenate([G, atom_limits])
     i_sup = int(np.argmax(values))
     i_inf = int(np.argmin(values))
+    sup = float(values[i_sup])
 
     def witness(i):
         return complex(z[i]) if i < z.size else f"atom-limit:{i - z.size}"
 
-    coarse_sup = float("nan")
-    converged = True
-    if m.n_atoms >= 20:
-        n_coarse = max(2, int(np.ceil(m.n_atoms * cfg.coarse_fraction)))
-        keep = np.sort(np.argsort(-m.masses, kind="stable")[:n_coarse])
-        mc = AtomicMeasure(m.thetas[keep], m.masses[keep])
-        zc = _grid_points(mc, atom_limits[keep], spec, cfg)
-        coarse_sup = float(np.concatenate([_scan_G(u, mc, zc), atom_limits[keep]]).max())
-        converged = abs(values[i_sup] - coarse_sup) <= 0.01 * abs(values[i_sup])
+    z_ref = _grid_points(m, atom_limits, spec, cfg, [g + 1], [c + 1])
+    refined_sup = float(np.max(_scan_G(u, m, z_ref), initial=sup))
 
     return PotentialReport(
-        sup_estimate=float(values[i_sup]),
+        sup_estimate=sup,
         inf_estimate=float(values[i_inf]),
         sup_witness=witness(i_sup),
         inf_witness=witness(i_inf),
-        sup_mate_scaled=float(values[i_sup]) / 4.0,
+        sup_mate_scaled=sup / 4.0,
         inf_mate_scaled=float(values[i_inf]) / 4.0,
         atom_limits=atom_limits,
         spectrum_values=spec_values,
@@ -366,5 +386,5 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
             f"clusters depth {cfg.cluster_depth} on "
             f"{min(m.n_atoms, cfg.cluster_centers_cap)} atoms + {len(spec)} "
             f"spectrum points"),
-        converged=bool(converged),
-        coarse_sup_estimate=coarse_sup)
+        converged=abs(refined_sup - sup) <= 0.01 * abs(sup),
+        refined_sup_estimate=refined_sup)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,22 @@ def test_sup_inf_scan_exp(exp_u):
     assert abs(rep2.sup_estimate - rep.sup_estimate) < 0.05 * rep2.sup_estimate
 
 
+@pytest.mark.parametrize("N", [5, 20])
+def test_scan_flags_a_coarse_grid(exp_u, N):
+    # at depth 3 one refinement level raises the sup by about 17%
+    mu = cl.squared_measure(cl.exp_clark_data(N).measure)
+    rep = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=3, cluster_depth=3))
+    assert rep.refined_sup_estimate > 1.1 * rep.sup_estimate
+    assert not rep.converged
+
+
+def test_scan_converges_at_the_default_grid(exp_u):
+    mu = cl.squared_measure(cl.exp_clark_data(100).measure)
+    rep = cl.sup_inf_scan(exp_u, mu)
+    assert rep.converged
+    assert rep.sup_estimate <= rep.refined_sup_estimate <= (1 + 1e-3) * rep.sup_estimate
+
+
 def test_sup_inf_scan_support_mismatch(exp_u):
     bad = cl.AtomicMeasure([1.0, 2.0], [0.1, 0.1])  # not Clark atoms of exp
     with pytest.raises(SupportMismatch):
@@ -248,6 +266,12 @@ def _grid_loop_form(u, m, cfg):
     return np.concatenate(pts)
 
 
+def _sorted_bits(z):
+    """The (real, imag) bit patterns of complex points, sorted as rows."""
+    b = z.view(np.uint64).reshape(-1, 2)
+    return b[np.lexsort(b.T[::-1])]
+
+
 def _exp20():
     return cl.inner_function(cl.ExpSingular()), cl.squared_measure(cl.exp_clark_data(20).measure)
 
@@ -262,14 +286,21 @@ def _blaschke_singular():
     grid_depth=9, angular_base=12, angular_cap=1000, cluster_depth=7, cluster_centers_cap=5)],
     ids=["default", "capped"])
 @pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
-def test_scan_grid_matches_loop_form(case, cfg):
+def test_scan_grid_matches_loop_form(case, cfg, monkeypatch):
     u, m = case()
     assert m.n_atoms > 5  # the capped config centers clusters on some atoms only
-    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
-    got = potentials._grid_points(m, limits, cl.spectrum(u), cfg)
+    # the scan evaluates this grid bit for bit, then a refinement level that
+    # makes it the grid one depth finer, as a set and bit for bit
+    seen, scan_G = [], potentials._scan_G
+    monkeypatch.setattr(potentials, "_scan_G",
+                        lambda u, m, z: seen.append(z) or scan_G(u, m, z))
+    cl.sup_inf_scan(u, m, cfg)
     want = _grid_loop_form(u, m, cfg)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # bit for bit
+    assert seen[0].shape == want.shape
+    assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
+    finer = _grid_loop_form(u, m, dataclasses.replace(cfg, grid_depth=cfg.grid_depth + 1,
+                                                      cluster_depth=cfg.cluster_depth + 1))
+    assert np.array_equal(_sorted_bits(np.concatenate(seen)), _sorted_bits(finer))
 
 
 @pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
@@ -282,16 +313,17 @@ def test_scan_agrees_across_the_kernel_switch(case, monkeypatch):
     u, m = case()
     cfg = ScanConfig()
     n_grid = potentials._grid_points(
-        m, m.masses * _angular_derivatives(u, m.thetas) ** 2, cl.spectrum(u), cfg).size
+        m, m.masses * _angular_derivatives(u, m.thetas) ** 2, cl.spectrum(u), cfg,
+        range(1, cfg.grid_depth + 1), range(1, cfg.cluster_depth + 1)).size
     assert n_grid >= circle.PAIR_BLOCK
     by_source = cl.sup_inf_scan(u, m, cfg)
     monkeypatch.setattr(circle, "PAIR_BLOCK", 2 * n_grid)
     blocks = cl.sup_inf_scan(u, m, cfg)
     assert (by_source.sup_witness, by_source.inf_witness) == (blocks.sup_witness,
                                                                blocks.inf_witness)
-    for name in ("sup_estimate", "inf_estimate", "coarse_sup_estimate"):
+    for name in ("sup_estimate", "inf_estimate", "refined_sup_estimate"):
         a, b = getattr(by_source, name), getattr(blocks, name)
-        assert abs(a - b) <= 1e-13 * abs(b) or (np.isnan(a) and np.isnan(b))
+        assert abs(a - b) <= 1e-13 * abs(b)
     np.testing.assert_array_equal(by_source.spectrum_values, blocks.spectrum_values)
 
 

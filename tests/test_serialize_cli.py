@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +223,29 @@ def test_cli_norm_rejects_bad_sizes(sizes, capsys):
     rc = main(["norm", "--family", "exp", "--truncation", "40", "--sizes", sizes])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("scan.json", '{"grid_detph": 3, "cluster_depth": 3}', "unknown scan config keys ['grid_detph']"),
+    ("scan.json", '{"coarse_fraction": 0.1}', "unknown scan config keys ['coarse_fraction']"),
+    ("scan.json", '{"grid_depth": "3"}', "grid_depth must be a positive integer, got '3'"),
+    ("scan.json", '{"grid_depth": -1}', "grid_depth must be a positive integer, got -1"),
+    ("scan.json", '{"angular_cap": 2.0}', "angular_cap must be a positive integer, got 2.0"),
+    ("scan.json", '{"angular_base": true}', "angular_base must be a positive integer, got True"),
+    ("scan.json", '{"support_tol": 0}', "support_tol must be a finite positive number, got 0"),
+    ("scan.json", '{"support_tol": NaN}', "support_tol must be a finite positive number, got nan"),
+    ("scan.json", "[3, 3]", "scan config must be an object, got list"),
+    ("scan.toml", "grid_depth = 3", "TOML configs need Python 3.11"),
+], ids=["misspelled", "removed-key", "string", "negative", "float", "bool", "zero-tol",
+        "nan-tol", "list", "no-tomllib"])
+def test_cli_potential_rejects_bad_config(name, text, message, tmp_path, capsys, monkeypatch):
+    if name.endswith(".toml"):
+        monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    rc = main(["potential", "--family", "exp", "--truncation", "20", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 def test_cli_reports_are_deterministic(tmp_path):
