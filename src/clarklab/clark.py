@@ -18,7 +18,7 @@ import numpy as np
 from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
                      measure_of_arc, neighbor_constants)
 from .errors import EmptyArc, PhaseMonotonicityViolation, SpectrumPoint
-from .inner import (EPS_SPECTRUM, InnerFunction, _angular_derivatives, _phase_lift,
+from .inner import (EPS_SPECTRUM, InnerFunction, _angular_derivatives, _phase,
                     angular_derivative, spectrum)
 
 DEFAULT_TOL = 1e-12
@@ -44,7 +44,8 @@ def _solve_levels(phase, a, b, levels, tol):
     and closes the bracket.  A level is done only when its bracket is at
     most tol wide or its ends are adjacent floats; a small Newton step
     alone would only mean "stopped changing".  Only open levels are
-    evaluated, and the bracket's midpoint is returned.
+    evaluated, each distinct point once (levels that share a bracket share
+    its midpoint), and the bracket's midpoint is returned.
     """
     levels = np.asarray(levels, dtype=float)
     a, b = (np.array(np.broadcast_to(e, levels.shape), dtype=float) for e in (a, b))
@@ -54,7 +55,8 @@ def _solve_levels(phase, a, b, levels, tol):
     live = np.arange(levels.size)
     while live.size:
         x = t[live]
-        f, df = phase(x)
+        pts, inv = np.unique(x, return_inverse=True)
+        f, df = (v[inv] for v in phase(pts))
         r = f - levels[live]
         lo = a[live] = np.where(r <= 0, x, a[live])
         hi = b[live] = np.where(r >= 0, x, b[live])
@@ -90,15 +92,14 @@ def _level_roots(u, scan: Arc, eps_spec: float, tol: float, offset: float, step:
                     f"scan arc comes within {eps_spec:g} of spectrum point "
                     f"theta={p.theta:.6g}")
     ts = np.linspace(lo, hi, 1025)
-    ph = _phase_lift(u, ts)
+    ph = _phase(u, ts, derivative=False)[0]
     if np.any(np.diff(ph) < -1e-9) or ph[-1] < ph[0]:
         raise PhaseMonotonicityViolation("sampled phase decreased along the scan")
     k0 = int(np.ceil((ph[0] - offset) / step - 1e-12))
     k1 = int(np.floor((ph[-1] - offset) / step + 1e-12))
     levels = offset + step * np.arange(k0, k1 + 1)
     cell = np.clip(np.searchsorted(ph, levels), 1, ts.size - 1)
-    roots = _solve_levels(lambda t: (_phase_lift(u, t), _angular_derivatives(u, t)),
-                          ts[cell - 1], ts[cell], levels, tol)
+    roots = _solve_levels(lambda t: _phase(u, t), ts[cell - 1], ts[cell], levels, tol)
     return lo, hi, roots
 
 

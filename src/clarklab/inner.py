@@ -2,7 +2,7 @@
 and products of both.
 
 Each is flattened once, at construction, into one normal form that
-evaluation, the phase lift and the angular derivative read.
+evaluation and the phase kernel read.
 
 Evaluation works anywhere in the closed disk away from the boundary
 spectrum.  The boundary phase is produced as an exact continuous
@@ -11,6 +11,10 @@ contributes  theta + 2 Arg(1 - a e^{-i theta}) + (pi - arg a), whose Arg
 term stays in (-pi/2, pi/2), and each singular atom (xi_j, w_j)
 contributes  w_j cot((theta_j - theta)/2), continuous between its poles.
 The lift's derivative is the angular derivative |u'(e^{i theta})| > 0.
+One kernel, _phase, computes both in one pass over (points x zeros):
+per block of points a matrix product with the normal form's
+precomputed rows gives every 1 - a e^{-i theta} and e^{i theta} - a at
+once, and the Arg and derivative terms are summed pairwise from them.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import circle
 from .circle import CirclePoint, TWO_PI, _blockwise, canonical_angle, chord_angles, kernel_sum
 from .errors import DegenerateSymbol, SpectrumPoint
 
@@ -35,7 +40,8 @@ class _NormalForm(NamedTuple):
     """u(z) = constant z^origin_zeros prod_k b_k(z) exp(-sum_j w_j (xi_j + z)/(xi_j - z))
     with b_k the Blaschke factor of the nonzero zero a_k (see FiniteBlaschke)
     and xi_j = e^{i sing_theta_j}; ``spectrum`` lists the spectrum angles
-    in factor order."""
+    in factor order.  ``lin`` and ``mass`` are derived from the zeros for
+    _phase (see _zero_parts); every array field runs over its last axis."""
 
     constant: complex = 1.0 + 0.0j
     origin_zeros: int = 0
@@ -43,6 +49,17 @@ class _NormalForm(NamedTuple):
     sing_theta: np.ndarray = np.empty(0)
     sing_w: np.ndarray = np.empty(0)
     spectrum: np.ndarray = np.empty(0)
+    lin: np.ndarray = np.empty((4, 3, 0))
+    mass: np.ndarray = np.empty(0)
+
+
+def _zero_parts(a):
+    """(lin, mass) of the zeros a: [cos theta, sin theta, 1] @ lin[q] is,
+    for q = 0..3, re and im of 1 - a e^{-i theta} and dx and dy of
+    e^{i theta} - a, per zero; mass is 1 - |a|^2."""
+    p, q, one, zero = a.real, a.imag, np.ones(a.size), np.zeros(a.size)
+    return (np.array([[-p, -q, one], [-q, p, zero], [one, zero, -p], [zero, one, -q]]),
+            1.0 - np.abs(a) ** 2)
 
 
 @dataclass(frozen=True)
@@ -71,8 +88,10 @@ class FiniteBlaschke:
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "accumulation",
                            tuple(canonical_angle(t) for t in self.accumulation))
+        lin, mass = _zero_parts(a[a != 0])
         object.__setattr__(self, "_form", _NormalForm(
-            c, int(np.sum(a == 0)), a[a != 0], spectrum=np.array(self.accumulation)))
+            c, int(np.sum(a == 0)), a[a != 0], spectrum=np.array(self.accumulation),
+            lin=lin, mass=mass))
 
 
 @dataclass(frozen=True)
@@ -107,7 +126,7 @@ class Product:
         object.__setattr__(self, "factors", tuple(self.factors))
         c, m, *arrays = zip(_NormalForm(), *(f._form for f in self.factors))
         object.__setattr__(self, "_form", _NormalForm(
-            complex(np.prod(c)), sum(m), *map(np.concatenate, arrays)))
+            complex(np.prod(c)), sum(m), *(np.concatenate(x, axis=-1) for x in arrays)))
 
 
 InnerFunction = FiniteBlaschke | SingularAtomic | Product
@@ -153,22 +172,108 @@ def evaluate(u: InnerFunction, z):
     return complex(out) if z.ndim == 0 else out
 
 
-def _phase_lift(u, theta):
-    """Continuous increasing lift of arg u(e^{i theta}) as a function on
-    the real line (minus singular-atom poles)."""
+def _phase(u, theta, lift=True, derivative=True):
+    """(lift, derivative) at every angle of theta (scalar or ndarray): the
+    continuous increasing lift of arg u(e^{i theta}) on the real line
+    (minus singular-atom poles) and its derivative |u'(e^{i theta})|.
+    A part not asked for is not computed and comes back as None.
+
+    One pass over (points x zeros), in blocks of at most PAIR_BLOCK pairs
+    written into one buffer allocated per call.  cos theta and sin theta
+    are taken once per point, and one matrix product of
+    [cos theta, sin theta, 1] with the normal form's ``lin`` gives, for
+    every zero a at once, re + i im = 1 - a e^{-i theta} and
+    dx + i dy = e^{i theta} - a.  The lift adds 2 arctan2(im, re) and the
+    derivative (1 - |a|^2)/(dx^2 + dy^2) per zero, each as a pairwise row
+    sum, so rounding does not grow with the degree.  A singular atom's
+    half-angle difference serves both its cot (lift) and its chord
+    (derivative); the chord is checked first, so within 1e-12 of an atom
+    SpectrumPoint is raised before anything divides by it.
+
+    Accuracy against 30-digit values at the same float angles and zeros,
+    with eps = 2^-52, d_k = |e^{i theta} - a_k|, w_k = 1 - |a_k|^2 and
+    t_k = w_k / d_k^2 the derivative's terms (pinned in test_inner.py):
+      lift, absolute:        eps (K (|theta| + 2 pi) + sum_k 1/d_k)
+      derivative, relative:  eps (log2 K + sum_k t_k (2/d_k + 2/w_k) / sum_k t_k)
+    The 1/d_k and 1/w_k parts come from rounding cos theta, sin theta and
+    |a_k|^2, which every float64 form inherits.  re and im are the linear
+    (complex-product) form: re cancels to an absolute error of eps, no
+    more than that inherited part for the lift.  The rotated form,
+    re + i im = e^{-i theta}(dx + i dy), has its own rounding O(eps) as
+    d_k -> 0, but the inherited part stays, and it costs six more
+    broadcast passes per pair; this form was chosen for that cost.  The
+    derivative takes |e^{i theta} - a|^2 from dx and dy, not from
+    re^2 + im^2, whose cancellation would cost each term eps/d_k
+    relative.
+    """
     f = u._form
     theta = np.asarray(theta, dtype=float)
-    a, tj = f.zeros, f.sing_theta
-    # The constant and linear parts are summed once and the bounded Arg
-    # terms pairwise, so rounding does not grow with the degree.
-    lift = np.angle(f.constant) + np.sum(np.pi - np.angle(a)) + (f.origin_zeros + a.size) * theta
+    x = theta.reshape(-1)
+    K = f.zeros.size
+    step = max(1, circle.PAIR_BLOCK // max(K, f.sing_theta.size, 1))
+    buf = np.empty((2 * (lift + derivative), min(step, x.size), K)) if K else None
+    # the constant and linear parts are summed once, the bounded terms pairwise
+    const = np.angle(f.constant) + np.sum(np.pi - np.angle(f.zeros)) if lift else None
+    if x.size <= step:
+        ph, d = _phase_block(f, x, const, derivative, buf)
+    else:
+        blocks = [_phase_block(f, x[s:s + step], const, derivative, buf)
+                  for s in range(0, x.size, step)]
+        ph, d = (None if p[0] is None else np.concatenate(p) for p in zip(*blocks))
+    if lift:
+        ph = ph.reshape(theta.shape)
+    if derivative:
+        d[d > DERIVATIVE_OVERFLOW_CAP] = np.inf
+        d = d.reshape(theta.shape)
+    return ph, d
+
+
+def _phase_block(f, x, const, derivative, buf):
+    """_phase at the points x (1-D), with the lift's constant part const
+    (None: no lift), in the buffer buf (points x zeros blocks)."""
+    ph = d = None
+    lift = const is not None
+    a, tj, w = f.zeros, f.sing_theta, f.sing_w
+    if lift:
+        ph = const + (f.origin_zeros + a.size) * x
     if a.size:
-        lift = lift + 2.0 * _blockwise(
-            lambda x: np.angle(1.0 - a * np.exp(-1j * x)[..., None]).sum(axis=-1), theta, a.size)
+        points = np.ones((x.size, 3))
+        np.cos(x, out=points[:, 0])
+        np.sin(x, out=points[:, 1])
+        # the lift's rows of lin, then the derivative's
+        q = np.matmul(points, f.lin[0 if lift else 2:4 if derivative else 2], out=buf[:, :x.size])
+        if lift:
+            re, im = q[:2]
+            ph = ph + 2.0 * np.arctan2(im, re, out=re).sum(axis=-1)
+        if derivative:
+            dx, dy = np.square(q[-2:], out=q[-2:])
+            d = np.divide(f.mass, np.add(dx, dy, out=dx), out=dx).sum(axis=-1)
     if tj.size:
-        lift = lift + _blockwise(
-            lambda x: (f.sing_w / np.tan(0.5 * (tj - x[..., None]))).sum(axis=-1), theta, tj.size)
-    return lift
+        half = 0.5 * (tj - x[:, None])
+        # 2 w / |e^{i x} - xi|^2 = (w/2) / sin^2, with the chord checked first
+        sin2 = np.sin(half) ** 2
+        _refuse_atoms(sin2, 0.25e-24, tj, "angular derivative" if derivative else "phase lift")
+        if lift:
+            ph = ph + (w / np.tan(half)).sum(axis=-1)
+        if derivative:
+            sing = (0.5 * w / sin2).sum(axis=-1)
+            d = sing if d is None else d + sing
+    if derivative:
+        if d is None:
+            d = np.zeros(x.size)
+        if f.origin_zeros:  # each zero at the origin adds 1
+            d = d + f.origin_zeros
+    return ph, d
+
+
+def _phase_lift(u, theta):
+    """The lift alone (see _phase)."""
+    return _phase(u, theta, derivative=False)[0]
+
+
+def _angular_derivatives(u, theta):
+    """angular_derivative at every angle of theta (scalar or ndarray)."""
+    return _phase(u, theta, lift=False)[1]
 
 
 def _check_off_spectrum(u, theta, eps_spec):
@@ -206,29 +311,7 @@ def angular_derivative(u: InnerFunction, zeta: CirclePoint) -> float:
     singular atom itself the derivative does not exist and SpectrumPoint
     is raised.
     """
-    return float(_angular_derivatives(u, zeta.theta))
-
-
-def _angular_derivatives(u, theta):
-    """angular_derivative at every angle of theta (scalar or ndarray).
-    Empty parts are skipped: clark_data calls this once per atom."""
-    f = u._form
-    theta = np.mod(theta, TWO_PI)
-    a, tj = f.zeros, f.sing_theta
-
-    def singular(x):
-        d2 = chord_angles(x[..., None], tj) ** 2
-        _refuse_atoms(d2, 1e-24, tj, "angular derivative")
-        return (2.0 * f.sing_w / d2).sum(axis=-1)
-
-    total = f.origin_zeros + 0.0 * theta
-    if a.size:
-        total = total + _blockwise(lambda x: ((1.0 - np.abs(a) ** 2)
-                                              / np.abs(np.exp(1j * x)[..., None] - a) ** 2
-                                              ).sum(axis=-1), theta, a.size)
-    if tj.size:
-        total = total + _blockwise(singular, theta, tj.size)
-    return np.where(total > DERIVATIVE_OVERFLOW_CAP, np.inf, total)
+    return float(_phase(u, zeta.theta, lift=False)[1])
 
 
 @dataclass(frozen=True)

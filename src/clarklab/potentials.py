@@ -252,9 +252,23 @@ def dirichlet_quadrature(m: AtomicMeasure, fprime,
 # ---------------------------------------------------------------------------
 # Disk scan of the weighted potential
 
+#: Most points one disk-scan grid (the scan set, or its refinement level)
+#: may hold; checked before the grid is allocated.
+GRID_BUDGET = 1 << 21
+
+#: Deepest radial level j whose radius 1 - 2^-j float64 still holds below 1.
+MAX_RADIAL_LEVEL = np.finfo(float).nmant + 1
+
+
 @dataclass
 class ScanConfig:
-    """The disk-scan grid; every field must be positive (InvalidConfig)."""
+    """The disk-scan grid; every field must be positive (InvalidConfig).
+
+    The refinement level's rings (radius 1 - 2^-(grid_depth + 1)) and
+    clusters (down to 1 - 2^-(cluster_depth + 2)) must stay below radius
+    1 in float64, and the rings of the scan set plus that level within
+    GRID_BUDGET points; otherwise construction raises InvalidConfig.
+    """
 
     grid_depth: int = 20        # radial levels r = 1 - 2^-j
     cluster_depth: int = 20     # dyadic chordal scales around atoms/spectrum
@@ -270,6 +284,23 @@ class ScanConfig:
                     or not 0 < v < math.inf):
                 kind = "finite positive number" if real else "positive integer"
                 raise InvalidConfig(f"{f.name} must be a {kind}, got {v!r}")
+        for name, j in (("grid_depth", self.grid_depth + 1),
+                        ("cluster_depth", self.cluster_depth + 2)):
+            if j > MAX_RADIAL_LEVEL:
+                raise InvalidConfig(
+                    f"{name} = {getattr(self, name)} puts the refinement level at radius "
+                    f"1 - 2^-{j}, which is 1.0 in float64")
+        _check_grid_size(self, range(1, self.grid_depth + 2))
+
+
+def _check_grid_size(cfg: ScanConfig, rings, scales=(), n_centers: int = 0) -> None:
+    """InvalidConfig when _grid_points(.., rings, scales) around n_centers
+    centers would exceed GRID_BUDGET points."""
+    n = (sum(min(cfg.angular_base << j, cfg.angular_cap) for j in rings)
+         + 10 * len(scales) * n_centers)
+    if n > GRID_BUDGET:
+        raise InvalidConfig(f"the scan grid would hold {n} points, more than "
+                            f"the budget of {GRID_BUDGET}")
 
 
 @dataclass
@@ -310,6 +341,7 @@ def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig,
     The weighted potential varies on the scale of the local Clark mass
     near each atom, so the clusters refine geometrically there.
     """
+    _check_grid_size(cfg, rings, scales, min(m.n_atoms, cfg.cluster_centers_cap) + len(spec))
     j = np.asarray(rings)
     M = np.minimum(cfg.angular_base * 2.0 ** j, cfg.angular_cap).astype(int)
     ring = np.repeat(np.arange(j.size), M)

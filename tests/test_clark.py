@@ -214,14 +214,16 @@ def test_solver_matches_bisection_oracle(family, alpha, scan):
     assert np.max(angle_gap(atoms, oracle)) <= 1e-12
 
 
-def count_lift_calls(monkeypatch):
+def count_phase_calls(monkeypatch):
+    """The points of every call clark makes to the phase kernel: the
+    scan sample first, then one call per solver pass."""
     calls = []
 
-    def lift(u, t):
-        calls.append(np.size(t))
-        return inner._phase_lift(u, t)
+    def phase(u, t, **parts):
+        calls.append(np.array(t))
+        return inner._phase(u, t, **parts)
 
-    monkeypatch.setattr(clark, "_phase_lift", lift)
+    monkeypatch.setattr(clark, "_phase", phase)
     return calls
 
 
@@ -230,7 +232,7 @@ def count_lift_calls(monkeypatch):
                          ids=["monomial:8", "exp:20"])
 def test_tol_below_float_resolution_terminates(u, scan, monkeypatch):
     ref = np.array([p.theta for p in cl.find_atoms(u, 0.0, scan, tol=1e-13)])
-    calls = count_lift_calls(monkeypatch)
+    calls = count_phase_calls(monkeypatch)
     fine = np.array([p.theta for p in cl.find_atoms(u, 0.0, scan, tol=1e-20)])
     # no bracket gets below 1e-20 wide: the adjacent-floats stop ends the
     # levels, after 3 (monomial) and 8 (exp) solver passes when measured
@@ -243,11 +245,25 @@ def test_exact_newton_step_still_closes_bracket(monkeypatch):
     # z^1024 has a linear lift, so the first Newton step lands on every
     # root; the push past it must close the bracket at once instead of
     # leaving one end behind for bisection to walk in
-    calls = count_lift_calls(monkeypatch)
+    calls = count_phase_calls(monkeypatch)
     pts = cl.find_atoms(cl.monomial(1024), 0.0, cl.Arc.full_circle(), tol=1e-13)
     assert len(pts) == 1024
     assert len(calls) <= 1 + 3  # the scan sample, then the solver
     assert np.max(angle_gap([p.theta for p in pts], TWO_PI * np.arange(1024) / 1024)) <= 1e-13
+
+
+def test_solver_passes_hand_the_kernel_distinct_points(monkeypatch):
+    # levels that share a sample cell share its midpoint on the first
+    # pass; each pass evaluates such a point once
+    fam = parse_family("counterexample:1.0:1024")
+    u = cl.inner_function(fam)
+    calls = count_phase_calls(monkeypatch)
+    assert len(cl.find_atoms(u, 0.0, clark_scan_arc(fam))) == 1024
+    solver = calls[1:]
+    assert len(solver) >= 2
+    assert all(np.unique(t).size == t.size for t in solver)
+    # the first pass would have handed 1024 midpoints to the kernel
+    assert solver[0].size < 100
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])

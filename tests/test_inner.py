@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ def test_angular_derivative_examples(exp_u):
         cl.angular_derivative(exp_u, cl.CirclePoint(0.0))
 
 
+def test_phase_kernel_refuses_singular_atom_without_warnings(exp_u):
+    # the chord to each atom is checked before the lift's cot or the
+    # derivative's quotient is formed, so neither divides by zero there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumPoint, match="angular derivative at singular atom"):
+            cl.angular_derivative(exp_u, cl.CirclePoint(0.0))
+        for u in (exp_u, nested_product()[0]):
+            for parts in ({}, {"lift": False}, {"derivative": False}):
+                with pytest.raises(SpectrumPoint, match="singular atom theta=0.0"):
+                    inner._phase(u, np.array([1.0, 2 * np.pi]), **parts)
+
+
 def test_pythagorean_pair_examples(exp_u):
     pz = cl.pythagorean_pair(cl.monomial(1))
     assert pz.gamma == pytest.approx(1.0)
@@ -231,6 +245,44 @@ def test_angular_derivative_sum_is_correctly_rounded():
         zeta = cl.CirclePoint(t)
         exact = math.fsum((1.0 - np.abs(a) ** 2) / np.abs(zeta.complex - a) ** 2)
         assert cl.angular_derivative(u, zeta) == pytest.approx(exact, rel=1e-14)
+
+
+def test_phase_kernel_against_mpmath():
+    # 30-digit values of the lift and the derivative at the same float
+    # angles and zeros: eight points on the zero-free arc and eight among
+    # the zeros accumulating at theta = 0 (angles -2/n, distance ~2/n^2)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    u = cl.inner_function(cl.CounterexampleBlaschke(alpha=1.0, K=256))
+    a = u._form.zeros
+    n = np.array([2, 5, 11, 23, 47, 97, 181, 256])
+    theta = np.concatenate([np.linspace(0.5, 5.0, 8),
+                            np.mod(np.angle(a[n - 1]) + 3.0 / n**2, 2 * np.pi)])
+    lift, deriv = inner._phase(u, theta)
+    A = [mp.mpc(z.real, z.imag) for z in a]
+    arg_part = mp.fsum(mp.pi - mp.arg(z) for z in A)
+    ref_lift, ref_deriv = [], []
+    for t in theta:
+        e, t = mp.expj(-mp.mpf(t)), mp.mpf(t)
+        ref_lift.append(arg_part + len(A) * t + 2 * mp.fsum(mp.arg(1 - z * e) for z in A))
+        ref_deriv.append(mp.fsum((1 - abs(z) ** 2) / abs(1 - z * e) ** 2 for z in A))
+    lift_err = np.array([float(abs(x - r)) for x, r in zip(lift, ref_lift)])
+    deriv_err = np.array([float(abs(x / r - 1)) for x, r in zip(deriv, ref_deriv)])
+    # the bounds stated in inner._phase
+    eps = np.finfo(float).eps
+    d = np.abs(np.exp(1j * theta)[:, None] - a)
+    w = 1.0 - np.abs(a) ** 2
+    terms = w / d**2
+    assert np.all(lift_err <= eps * (a.size * (theta + 2 * np.pi) + (1.0 / d).sum(axis=1)))
+    assert np.all(deriv_err <= eps * (np.log2(a.size) + (terms * (2 / d + 2 / w)).sum(axis=1)
+                                      / terms.sum(axis=1)))
+    assert np.all(deriv_err[:8] <= 1e-14)
+    # no worse than the lift from complex arithmetic, 1 - a e^{-i theta}
+    # and np.angle, on the same points (its worst here is 1.3e-11)
+    old = (np.sum(np.pi - np.angle(a)) + a.size * theta
+           + 2.0 * np.angle(1.0 - a * np.exp(-1j * theta)[:, None]).sum(axis=1))
+    old_err = np.array([float(abs(x - r)) for x, r in zip(old, ref_lift)])
+    assert lift_err.max() <= old_err.max()
 
 
 NAN, INF = float("nan"), float("inf")

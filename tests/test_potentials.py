@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clarklab as cl
-from clarklab.errors import (MateZero, NotEnoughAtoms, QuadratureNotConverged,
+from clarklab.errors import (InvalidConfig, MateZero, NotEnoughAtoms, QuadratureNotConverged,
                              SupportMismatch)
 from clarklab import circle, potentials
 from clarklab.inner import _angular_derivatives
@@ -301,6 +301,32 @@ def test_scan_grid_matches_loop_form(case, cfg, monkeypatch):
     finer = _grid_loop_form(u, m, dataclasses.replace(cfg, grid_depth=cfg.grid_depth + 1,
                                                       cluster_depth=cfg.cluster_depth + 1))
     assert np.array_equal(_sorted_bits(np.concatenate(seen)), _sorted_bits(finer))
+
+
+def test_scan_config_rejects_radii_at_one_and_oversized_grids():
+    # the refinement level adds a ring at grid_depth + 1 and clusters down
+    # to 1 - 2^-(cluster_depth + 2); 1 - 2^-53 is the last radius below 1
+    assert 1.0 - 2.0 ** -53 < 1.0 and 1.0 - 2.0 ** -54 == 1.0
+    ScanConfig(grid_depth=52, cluster_depth=51)
+    for kw in ({"grid_depth": 53}, {"cluster_depth": 52}, {"grid_depth": 10**400}):
+        with pytest.raises(InvalidConfig, match="is 1.0 in float64"):
+            ScanConfig(**kw)
+    with pytest.raises(InvalidConfig, match="more than the budget"):
+        ScanConfig(angular_cap=10**9)
+    with pytest.raises(InvalidConfig, match="more than the budget"):
+        ScanConfig(angular_base=10**30, angular_cap=10**30)
+
+
+def test_scan_checks_the_grid_budget_before_allocating(monkeypatch):
+    # clusters count only once the measure is known: exp20's scan set is
+    # 57 312 ring points and 42 centers x 20 scales x 10 cluster points
+    u, m = _exp20()
+    evaluated = []
+    monkeypatch.setattr(potentials, "_scan_G", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(potentials, "GRID_BUDGET", 57_312 + 8_399)
+    with pytest.raises(InvalidConfig, match="65712 points"):
+        cl.sup_inf_scan(u, m, ScanConfig())
+    assert not evaluated
 
 
 @pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
