@@ -31,6 +31,10 @@ from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord
 from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
+#: Rows per block in the dense builds (``CauchySection._skew``'s upper
+#: triangle, the Tolsa scan's prefix pass).
+ROW_BLOCK = 32
+
 #: Largest section built densely.  A norm or a Tolsa scan holds two
 #: real N x N arrays at once (16 N^2 bytes), 1 GiB at the cap; ``apply``
 #: needs no dense storage.
@@ -55,18 +59,26 @@ class CauchySection:
     def _skew(self) -> np.ndarray:
         """S[n,m] = sqrt(sig_n sig_m)/sin((theta_n - theta_m)/2), zero
         diagonal; exactly antisymmetric, since sin is odd and the mass
-        product is formed before the division.  Raises before allocating
-        when the section is over ``DENSE_CAP``."""
-        if self.N > DENSE_CAP:
-            raise DenseCapExceeded(
-                f"section size {self.N} exceeds dense cap {DENSE_CAP}")
+        product is formed before the division.  So only the upper
+        triangle is computed, in blocks of rows from their diagonal on,
+        and mirrored negated below it, which writes the entries computing
+        them would.  Raises before allocating when the section is over
+        ``DENSE_CAP``."""
+        N = self.N
+        if N > DENSE_CAP:
+            raise DenseCapExceeded(f"section size {N} exceeds dense cap {DENSE_CAP}")
         half = 0.5 * self.theta
-        S = np.subtract.outer(half, half)
-        np.sin(S, out=S)
-        np.fill_diagonal(S, 1.0)
         rs = np.sqrt(self.sigma)
-        np.divide(np.multiply.outer(rs, rs), S, out=S)
-        np.fill_diagonal(S, 0.0)
+        S = np.empty((N, N))
+        for r in range(0, N, ROW_BLOCK):
+            e = min(r + ROW_BLOCK, N)
+            T = S[r:e, r:]
+            np.subtract.outer(half[r:e], half[r:], out=T)
+            np.sin(T, out=T)
+            np.fill_diagonal(T, 1.0)
+            np.divide(np.multiply.outer(rs[r:e], rs[r:]), T, out=T)
+            np.fill_diagonal(T, 0.0)
+            np.negative(T[:, e - r:].T, out=S[e:, r:e])
         return S
 
     def matrix(self) -> np.ndarray:
@@ -177,6 +189,32 @@ class TolsaReport:
     n_arcs: int
 
 
+def _arc_gram(section: CauchySection) -> np.ndarray:
+    """P[a,b] = Re <U_a, U_b> for a, b = 0..N (see tolsa_scan), formed in
+    place on the Gram S^T S."""
+    N = section.N
+    S = section._skew()
+    P = np.zeros((N + 1, N + 1))
+    np.matmul(S.T, S, out=P[1:, 1:])
+    del S
+    # Re c and Im c, halved so that their products carry the 1/4; P[a] is
+    # the prefix sum of its weighted row of G plus P[a - 1].  Per block of
+    # rows the weights and the prefix sums are whole-block passes; the
+    # carry goes row by row (a cumsum down axis 0 walks columns, which was
+    # slower at 2049 atoms), adding in the order a row-by-row pass adds.
+    half = 0.5 * section.theta
+    rs = 0.5 * np.sqrt(section.sigma)
+    cr, ci = rs * np.cos(half), rs * np.sin(half)
+    for a in range(1, N + 1, ROW_BLOCK):
+        e = min(a + ROW_BLOCK, N + 1)
+        rows = P[a:e, 1:]
+        rows *= cr[a - 1:e - 1, None] * cr + ci[a - 1:e - 1, None] * ci
+        np.cumsum(rows, axis=1, out=rows)
+        for i in range(a, e):
+            np.add(P[i], P[i - 1], out=P[i])
+    return P
+
+
 def tolsa_scan(section: CauchySection) -> TolsaReport:
     """Scan every arc whose endpoints are midpoints between consecutive
     atoms; since sigma is atomic those arcs realize every contiguous atom
@@ -199,20 +237,7 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
     N = section.N
     if N < 2:
         raise NotEnoughAtoms("Tolsa scan needs at least 2 atoms")
-    S = section._skew()
-    P = np.zeros((N + 1, N + 1))
-    np.matmul(S.T, S, out=P[1:, 1:])
-    del S
-    # Re c and Im c, halved so that their products carry the 1/4; row by
-    # row, P[a] is the prefix sum of its weighted row of G plus P[a - 1]
-    half = 0.5 * section.theta
-    rs = 0.5 * np.sqrt(section.sigma)
-    cr, ci = rs * np.cos(half), rs * np.sin(half)
-    for a in range(1, N + 1):
-        row = P[a, 1:]
-        row *= cr[a - 1] * cr + ci[a - 1] * ci
-        np.cumsum(row, out=row)
-        P[a] += P[a - 1]
+    P = _arc_gram(section)
     # an arc from start a with count c ends at b = a + c; an end b = N + e
     # stands for U_N + U_e, so d_end[b] = ||U_b||^2 and cross[., b] =
     # Re <U_a, U_b> hold for both kinds of arc.  Row a of a window view

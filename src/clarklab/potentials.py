@@ -20,8 +20,8 @@ from .circle import AtomicMeasure, CirclePoint, TWO_PI, kernel_sum
 from .clark import ClarkData
 from .errors import (InvalidConfig, MateZero, NotEnoughAtoms,
                      QuadratureNotConverged, SupportMismatch)
-from .inner import (InnerFunction, _angular_derivatives, angular_derivative, evaluate,
-                    pythagorean_pair, spectrum)
+from .inner import (EVAL_ATOM_TOL, InnerFunction, _angular_derivatives, angular_derivative,
+                    evaluate, pythagorean_pair, singular_angles, spectrum)
 
 #: z closer than this to an atom makes the potential infinite.
 ATOM_HIT_TOL = 1e-14
@@ -330,6 +330,23 @@ class PotentialReport:
     refined_sup_estimate: float
 
 
+def _check_atom_reach(u: InnerFunction, cfg: ScanConfig) -> None:
+    """InvalidConfig when the scan could put a point within evaluate's
+    EVAL_ATOM_TOL of a singular atom of u.  Every point of ring j lies at
+    least 2^-j from the circle and every cluster point at scale 2^-k at
+    least 2^-(k+1), so the deepest ring (grid_depth + 1) and cluster
+    (cluster_depth + 1) of the refinement level bound the distance; a
+    cluster centered on the atom, or a ring through its angle, comes that
+    close."""
+    theta = singular_angles(u)
+    gap = min(2.0 ** -(cfg.grid_depth + 1), 2.0 ** -(cfg.cluster_depth + 2))
+    if theta.size and gap < EVAL_ATOM_TOL:
+        raise InvalidConfig(
+            f"grid_depth {cfg.grid_depth} and cluster_depth {cfg.cluster_depth} bring "
+            f"scan points {gap:.3g} from the circle, within {EVAL_ATOM_TOL:g} of the "
+            f"singular atom at theta={theta[0]}, where u has no value")
+
+
 def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig,
                  rings, scales) -> np.ndarray:
     """Rings r = 1 - 2^-j for j in ``rings``, of min(angular_base 2^j,
@@ -378,6 +395,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     at most 1% of the sup.
     """
     cfg = cfg or ScanConfig()
+    _check_atom_reach(u, cfg)
     if m.n_atoms == 0:
         raise SupportMismatch("empty measure")
     derivs = _angular_derivatives(u, m.thetas)

@@ -92,6 +92,14 @@ def clark_from_dict(d: dict) -> ClarkData:
 _NATIVE = frozenset((str, int, float, bool, type(None)))
 
 
+def _plain(items: list) -> bool:
+    """True when every item is a native scalar, or every item a dict of
+    native scalars (measure_to_dict's atoms): nothing to convert."""
+    return (_NATIVE.issuperset(map(type, items))
+            or all(type(d) is dict and _NATIVE.issuperset(map(type, d.values()))
+                   for d in items))
+
+
 def to_jsonable(obj):
     """Recursively convert dataclasses / numpy objects for json.dump."""
     if type(obj) in _NATIVE:
@@ -101,6 +109,8 @@ def to_jsonable(obj):
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if type(obj) is list and _plain(obj):
+            return obj
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         # real arrays list native scalars; complex and object ones need a pass
@@ -118,6 +128,36 @@ def to_jsonable(obj):
 
 def load_json(path):
     return json.loads(Path(path).read_text())
+
+
+#: Longest list write_json encodes in one call; longer ones go slice by slice.
+JSON_SLICE = 1024
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_json(obj, fp) -> None:
+    """Write obj to fp as compact JSON, parsing to what json.dump writes.
+
+    Dicts are walked key by key and lists longer than JSON_SLICE are
+    written JSON_SLICE items at a time, every piece through the C encoder
+    (an indent sends json.dump to the pure-Python one), so no piece is
+    much larger than a slice.  A key is encoded in a one-entry dict, so
+    it is converted exactly as json.dump converts it; NaN and infinities
+    are written as NaN and Infinity, as json.dump writes them."""
+    if type(obj) is dict:
+        fp.write("{")
+        for i, (k, v) in enumerate(obj.items()):
+            fp.write(("," if i else "") + _encode({k: 0})[1:-2])
+            write_json(v, fp)
+        fp.write("}")
+    elif type(obj) is list and len(obj) > JSON_SLICE:
+        fp.write("[")
+        for s in range(0, len(obj), JSON_SLICE):
+            fp.write(("," if s else "") + _encode(obj[s:s + JSON_SLICE])[1:-1])
+        fp.write("]")
+    else:
+        fp.write(_encode(obj))
 
 
 def csv_number(x) -> str:

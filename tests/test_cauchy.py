@@ -113,6 +113,48 @@ def counterexample_measure():
     return cl.clark_data_for(cl.parse_family("counterexample:1.0:64")).measure
 
 
+def _full_square_skew(sec):
+    half, rs = 0.5 * sec.theta, np.sqrt(sec.sigma)
+    S = np.sin(np.subtract.outer(half, half))
+    np.fill_diagonal(S, 1.0)
+    S = np.multiply.outer(rs, rs) / S
+    np.fill_diagonal(S, 0.0)
+    return S
+
+
+def _row_by_row_arc_gram(sec):
+    N, S = sec.N, _full_square_skew(sec)
+    P = np.zeros((N + 1, N + 1))
+    P[1:, 1:] = S.T @ S
+    rs = 0.5 * np.sqrt(sec.sigma)
+    cr, ci = rs * np.cos(0.5 * sec.theta), rs * np.sin(0.5 * sec.theta)
+    for a in range(1, N + 1):
+        P[a, 1:] = np.cumsum(P[a, 1:] * (cr[a - 1] * cr + ci[a - 1] * ci))
+        P[a] += P[a - 1]
+    return P
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: cl.exp_clark_data(40).measure, lambda: perturbed_measure(),
+    lambda: counterexample_measure(),
+], ids=["exp", "perturbed", "counterexample"])
+@pytest.mark.parametrize("rows", [1, 7, cauchy.ROW_BLOCK])
+def test_blocked_dense_builds_match_the_full_square(measure, rows, monkeypatch):
+    # _skew computes the upper triangle by blocks of rows and mirrors it
+    # negated; the Tolsa prefix pass goes by blocks of rows.  Both equal
+    # the full-square build and the row-by-row pass bit for bit, so the
+    # scan's ratios and witnesses do not depend on the block size
+    sec = cl.CauchySection(measure())
+    assert sec.N > rows
+    want = cl.tolsa_scan(sec)
+    monkeypatch.setattr(cauchy, "ROW_BLOCK", rows)
+    assert np.array_equal(sec._skew(), _full_square_skew(sec))
+    assert np.array_equal(cauchy._arc_gram(sec), _row_by_row_arc_gram(sec))
+    got = cl.tolsa_scan(sec)
+    assert (got.max_ratio, got.witness_start, got.witness_count) == (
+        want.max_ratio, want.witness_start, want.witness_count)
+
+
 def load_checks():
     """perfbench's independent checks, which import nothing from clarklab."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"

@@ -25,6 +25,20 @@ def test_canonical_angle_range(theta):
     assert 0.0 <= t < TWO_PI
 
 
+def test_canonical_angle_is_np_mod_bitwise():
+    # float % rounds as np.mod does, sign of zero included; 2 pi itself
+    # (from a tiny negative angle) maps to 0
+    special = [1e-300, -1e-300, 0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0),
+               1e300, -1e300, 5e-324, -5e-324, np.pi, -np.pi]
+    values = np.concatenate([special, np.random.default_rng(1).uniform(-20, 20, 1000)])
+    for theta in values:
+        want = float(np.mod(theta, TWO_PI))
+        want = 0.0 if want >= TWO_PI else want
+        got = canonical_angle(theta)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert canonical_angle(-1e-300) == 0.0
+
+
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_chord_symmetric(a, b):
     p, q = cl.CirclePoint(a), cl.CirclePoint(b)

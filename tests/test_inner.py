@@ -305,3 +305,39 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_inputs_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+def _blaschke_times_two_atoms():
+    return cl.Product(factors=(cl.FiniteBlaschke(zeros=(0.0, 0.3 + 0.1j, -0.5j)),
+                               cl.SingularAtomic(atoms=((1.0, 0.5), (4.0, 2.0)))))
+
+
+@pytest.mark.parametrize("family", [
+    "monomial:64", "counterexample:1.0:256", "counterexample:1.0:256:sym", "exp", "product",
+])
+def test_single_point_derivative_is_the_batched_kernel(family):
+    # angular_derivative reads the normal form at its one point; at the
+    # located atoms and at seeded angles it equals _angular_derivatives'
+    # value bit for bit
+    if family == "product":
+        u = _blaschke_times_two_atoms()
+        atoms = [p for a, b in ((1.1, 3.9), (4.1, 0.9))
+                 for p in cl.find_atoms(u, 0.0, cl.arc_between(a, b))]
+    else:
+        fam = cl.parse_family(family)
+        u = cl.inner_function(fam)
+        atoms = [cl.CirclePoint(t) for t in cl.clark_data_for(fam).measure.thetas]
+    assert len(atoms) >= 3
+    rng = np.random.default_rng(64)
+    points = atoms + [cl.CirclePoint(t) for t in rng.uniform(0.0, 2 * np.pi, 64)]
+    spec = np.array([p.theta for p in cl.spectrum(u)])
+    points = [p for p in points
+              if circle.chord_angles(p.theta, spec).min(initial=np.inf) > inner.EPS_SPECTRUM]
+    batched = inner._angular_derivatives(u, np.array([p.theta for p in points]))
+    single = np.array([cl.angular_derivative(u, p) for p in points])
+    assert single.tobytes() == batched.tobytes()
+    for theta in inner.singular_angles(u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumPoint, match="angular derivative at singular atom"):
+                cl.angular_derivative(u, cl.CirclePoint(theta))

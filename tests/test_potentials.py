@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import clarklab as cl
 from clarklab.errors import (InvalidConfig, MateZero, NotEnoughAtoms, QuadratureNotConverged,
                              SupportMismatch)
-from clarklab import circle, potentials
+from clarklab import circle, cli, potentials
 from clarklab.inner import _angular_derivatives
 from clarklab.potentials import QuadConfig, ScanConfig, dirichlet_quadrature
 
@@ -315,6 +316,33 @@ def test_scan_config_rejects_radii_at_one_and_oversized_grids():
         ScanConfig(angular_cap=10**9)
     with pytest.raises(InvalidConfig, match="more than the budget"):
         ScanConfig(angular_base=10**30, angular_cap=10**30)
+
+
+@pytest.mark.parametrize("grid_depth, cluster_depth", [(46, 3), (47, 3), (52, 3), (3, 45)])
+def test_scan_refuses_depths_reaching_a_singular_atom(grid_depth, cluster_depth, tmp_path,
+                                                       capsys, monkeypatch):
+    # the refinement level's deepest ring (radius 1 - 2^-(grid_depth + 1))
+    # or cluster (1 - 2^-(cluster_depth + 2)) would pass within evaluate's
+    # 1e-14 of exp's atom at 0; the scan refuses before building any grid
+    built = []
+    monkeypatch.setattr(potentials, "_grid_points", lambda *args: built.append(args))
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"grid_depth": grid_depth, "cluster_depth": cluster_depth,
+                               "angular_cap": 64}))
+    rc = cli.main(["potential", "--family", "exp", "--truncation", "5", "--config", str(cfg)])
+    assert rc == 2 and not built
+    assert "within 1e-14 of the singular atom at theta=0.0" in capsys.readouterr().err
+
+
+def test_scan_depths_short_of_the_atom_tolerance_run():
+    # 2^-46 > 1e-14 > 2^-47: grid_depth 45 and cluster_depth 44 are the
+    # deepest the exp scan takes; a Blaschke product has no singular atom
+    u, m = _exp20()
+    cl.sup_inf_scan(u, m, ScanConfig(grid_depth=45, cluster_depth=44, angular_cap=64))
+    b = cl.FiniteBlaschke(zeros=(0.5, -0.3j))
+    data = cl.clark_data(b, 0.0, cl.Arc.full_circle())
+    cl.sup_inf_scan(b, cl.squared_measure(data.measure),
+                    ScanConfig(grid_depth=52, cluster_depth=51, angular_cap=64))
 
 
 def test_scan_checks_the_grid_budget_before_allocating(monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -7,9 +8,9 @@ import pytest
 
 import clarklab as cl
 from clarklab.cli import main
-from clarklab.serialize import (clark_from_dict, clark_to_dict, csv_number,
+from clarklab.serialize import (JSON_SLICE, clark_from_dict, clark_to_dict, csv_number,
                                 inner_from_dict, inner_to_dict,
-                                measure_from_dict, measure_to_dict, to_jsonable)
+                                measure_from_dict, measure_to_dict, to_jsonable, write_json)
 
 
 def test_measure_roundtrip_bit_identical():
@@ -82,6 +83,50 @@ def test_to_jsonable_converts_numpy_and_dataclasses():
     assert [type(v) for v in got["pair"][:2] + got["ints"] + got["mask"]] == \
         [int, float, int, int, int, bool, bool]
     assert type(got["node"]["leaf"]["value"]) is float
+
+
+def _written(obj) -> str:
+    out = io.StringIO()
+    write_json(obj, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, JSON_SLICE - 1, JSON_SLICE, JSON_SLICE + 1,
+                               2 * JSON_SLICE + 1])
+def test_write_json_parses_as_json_dump(n):
+    # lists longer than a slice go slice by slice, dicts key by key; the
+    # parsed document is what json.dumps writes, NaN and infinities included
+    items = [{"theta": 0.1 * i, "mass": float(i)} for i in range(n)]
+    obj = {"atoms": items, "flat": list(range(n)), "n": n,
+           "nested": {"inner": {"values": [float("nan"), float("inf"), -float("inf")] * n,
+                                "empty": {}, "list": []}},
+           "special": [float("nan"), float("inf"), -float("inf"), None, True, "s"]}
+    text = _written(obj)
+    assert "\n" not in text and ": " not in text  # compact
+    want = json.loads(json.dumps(obj))
+    got = json.loads(text)
+    assert json.dumps(got) == json.dumps(want)  # NaN != NaN, so compare the text
+    assert _written(items) == json.dumps(items, separators=(",", ":"))
+
+
+def test_write_json_converts_keys_as_json_dump():
+    obj = {1: "int", 2.5: "float", float("nan"): "nan", float("inf"): "inf", True: "bool",
+           False: "false", None: "none", "s": {3: [1.5] * (JSON_SLICE + 1)}}
+    assert json.loads(_written(obj)) == json.loads(json.dumps(obj))
+    assert _written(obj) == json.dumps(obj, separators=(",", ":"))
+    with pytest.raises(TypeError):
+        _written({(1, 2): 0})
+
+
+def test_to_jsonable_passes_plain_lists_through():
+    # lists of native scalars, or of dicts of them (measure_to_dict's
+    # atoms), need no conversion and are not rebuilt
+    atoms = measure_to_dict(cl.AtomicMeasure([0.1, 2.5], [0.25, 1.0]))["atoms"]
+    flat = [1, 2.5, True, None, "s"]
+    assert to_jsonable(atoms) is atoms and to_jsonable(flat) is flat
+    mixed = [{"theta": np.float64(0.5)}, {"theta": 1.0}]
+    got = to_jsonable(mixed)
+    assert got == [{"theta": 0.5}, {"theta": 1.0}] and type(got[0]["theta"]) is float
 
 
 def test_csv_number_formats():
@@ -246,6 +291,26 @@ def test_cli_potential_rejects_bad_config(name, text, message, tmp_path, capsys,
     rc = main(["potential", "--family", "exp", "--truncation", "20", "--config", str(cfg)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: " + message)
+
+
+def test_cli_calls_in_one_process_share_no_options(tmp_path, capsys):
+    # the parser is built once per process; every call parses into a
+    # fresh namespace, so an option of one call never reaches the next
+    cfg = tmp_path / "scan.json"
+    cfg.write_text('{"grid_depth": 3, "cluster_depth": 3}')
+    outs = [tmp_path / "with.json", tmp_path / "without.json"]
+    base = ["potential", "--family", "exp", "--truncation", "5"]
+    assert main(base + ["--config", str(cfg), "--out", str(outs[0])]) == 1
+    assert main(base + ["--out", str(outs[1])]) == 0
+    docs = [json.loads(p.read_text())["outputs"]["sup_inf"] for p in outs]
+    assert docs[0]["grid_description"].startswith("radial depth 3,")
+    assert docs[1]["grid_description"].startswith("radial depth 20,")
+    capsys.readouterr()
+    assert main(["atoms", "--family", "monomial:3", "--alpha", "0.25"]) == 0
+    assert main(["atoms", "--family", "monomial:3"]) == 0
+    first, second = (json.loads(doc) for doc in capsys.readouterr().out.strip().split("\n"))
+    assert (first["outputs"]["alpha"], second["outputs"]["alpha"]) == (0.25, 0.0)
+    assert first["inputs_digest"] != second["inputs_digest"]
 
 
 def test_cli_reports_are_deterministic(tmp_path):
