@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateAtoms, InvalidAngle, InvalidMeasure, NotEnoughAtoms
+from .errors import DuplicateAtoms, InvalidAngle, InvalidMeasure
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,6 +42,13 @@ def canonical_angle(theta: float) -> float:
     return 0.0 if t >= TWO_PI else t
 
 
+def canonical_angles(theta: np.ndarray) -> np.ndarray:
+    """canonical_angle on each entry of a float array, into a new array."""
+    t = np.mod(theta, TWO_PI)
+    t[t >= TWO_PI] = 0.0
+    return t
+
+
 def chord_angles(a, b):
     """Chordal distance between angles (vectorized)."""
     return np.abs(2.0 * np.sin(0.5 * (np.asarray(a) - np.asarray(b))))
@@ -62,9 +69,6 @@ class CirclePoint:
     def complex(self) -> complex:
         return complex(np.cos(self.theta), np.sin(self.theta))
 
-    def rotated(self, delta: float) -> "CirclePoint":
-        return CirclePoint(self.theta + delta)
-
 
 def chord_distance(p: CirclePoint, q: CirclePoint) -> float:
     """|e^{i p} - e^{i q}| = 2 |sin((p - q)/2)|, in [0, 2]."""
@@ -77,7 +81,8 @@ class Arc:
 
     ``start == end`` denotes the full circle (length 2*pi); zero-length
     arcs are not representable.  Endpoint membership follows the
-    closed-left / closed-right flags.
+    closed-left / closed-right flags; on the full circle the start is
+    also the end, so either flag closes it.
     """
 
     start: CirclePoint
@@ -99,19 +104,17 @@ class Arc:
         """Angle of p measured counterclockwise from the start, in [0, 2*pi)."""
         return canonical_angle(p.theta - self.start.theta)
 
-    def contains(self, p: CirclePoint) -> bool:
-        d = self.offset_of(p)
+    def mask(self, thetas) -> np.ndarray:
+        """Boolean mask of the angles inside the arc, their offsets taken
+        as offset_of takes them."""
+        d = canonical_angles(np.asarray(thetas, dtype=float) - self.start.theta)
         L = self.length
-        if d == 0.0:
-            # start of the arc; for a full circle also the end point
-            if self.closed_left:
-                return True
-            return L == TWO_PI and self.closed_right
-        if L == TWO_PI:
-            return True
-        if d == L:
-            return self.closed_right
-        return d < L
+        at_start = d == 0.0
+        at_end = at_start if L == TWO_PI else d == L
+        return (~at_start & (d < L)) | (self.closed_left & at_start) | (self.closed_right & at_end)
+
+    def contains(self, p: CirclePoint) -> bool:
+        return bool(self.mask([p.theta])[0])
 
     @staticmethod
     def full_circle() -> "Arc":
@@ -131,8 +134,7 @@ class AtomicMeasure:
     Atoms are kept sorted by angle, strictly separated (rejects pairs
     closer than DUPLICATE_TOL radians), with finite angles and finite
     positive masses; other input raises InvalidMeasure.  The empty
-    measure is allowed so that restrictions and transforms compose; any
-    neighbor-based operation then raises NotEnoughAtoms.
+    measure is allowed so that restrictions and transforms compose.
 
     ``gaps[i]`` is the angle from atom i to the next one, cyclically, and
     ``chord_gaps[i]`` the chord between them, computed on first use.
@@ -149,8 +151,7 @@ class AtomicMeasure:
             raise InvalidMeasure("thetas and masses must be finite")
         if np.any(masses <= 0):
             raise InvalidMeasure("all masses must be positive")
-        thetas = np.mod(thetas, TWO_PI)
-        thetas[thetas >= TWO_PI] = 0.0
+        thetas = canonical_angles(thetas)
         order = np.argsort(thetas, kind="stable")
         thetas = thetas[order]
         masses = masses[order]
@@ -174,9 +175,6 @@ class AtomicMeasure:
     def n_atoms(self) -> int:
         return self.thetas.size
 
-    def point(self, n: int) -> CirclePoint:
-        return CirclePoint(self.thetas[n])
-
     @property
     def chord_gaps(self) -> np.ndarray:
         if self._chord_gaps is None:
@@ -187,64 +185,17 @@ class AtomicMeasure:
     def points_complex(self) -> np.ndarray:
         return np.exp(1j * self.thetas)
 
-    def scaled(self, c: float) -> "AtomicMeasure":
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return AtomicMeasure(self.thetas.copy(), c * self.masses)
-
     def rotated(self, delta: float) -> "AtomicMeasure":
         return AtomicMeasure(self.thetas + delta, self.masses.copy())
 
     def membership(self, arc: Arc) -> np.ndarray:
         """Boolean mask of atoms inside the arc, honoring endpoint flags."""
-        if not self.thetas.size:
-            return np.zeros(0, dtype=bool)
-        d = np.mod(self.thetas - arc.start.theta, TWO_PI)
-        L = arc.length
-        inside = d < L if L < TWO_PI else np.ones_like(d, dtype=bool)
-        at_left = d == 0.0
-        at_right = d == (L if L < TWO_PI else 0.0)
-        inside = inside & ~at_left
-        if arc.closed_left:
-            inside |= at_left
-        if arc.closed_right and L < TWO_PI:
-            inside |= at_right
-        return inside
-
-    def neighbor(self, n: int, direction: int) -> int:
-        """Index of the circularly adjacent atom (+1 ccw, -1 cw)."""
-        if self.n_atoms < 2:
-            raise NotEnoughAtoms("neighbor structure needs at least 2 atoms")
-        if direction not in (+1, -1):
-            raise ValueError("direction must be +1 or -1")
-        return (n + direction) % self.n_atoms
-
-    def neighbor_gaps(self, n: int) -> tuple[float, float]:
-        """Chordal distances (gap_plus, gap_minus) to the adjacent atoms."""
-        ip = self.neighbor(n, +1)
-        im = self.neighbor(n, -1)
-        gp = float(chord_angles(self.thetas[n], self.thetas[ip]))
-        gm = float(chord_angles(self.thetas[n], self.thetas[im]))
-        return gp, gm
+        return arc.mask(self.thetas)
 
 
 def measure_of_arc(m: AtomicMeasure, arc: Arc) -> float:
     """Mass that the measure puts on the arc."""
-    if not m.n_atoms:
-        return 0.0
     return float(m.masses[m.membership(arc)].sum())
-
-
-def gap_arcs(m: AtomicMeasure) -> list[Arc]:
-    """The open arcs between consecutive atoms (cyclically)."""
-    if m.n_atoms < 2:
-        raise NotEnoughAtoms("gap structure needs at least 2 atoms")
-    arcs = []
-    for i in range(m.n_atoms):
-        j = (i + 1) % m.n_atoms
-        arcs.append(arc_between(m.thetas[i], m.thetas[j],
-                                closed_left=False, closed_right=False))
-    return arcs
 
 
 def neighbor_constants(m: AtomicMeasure, excluded_points=()) -> tuple[float, float, int, int]:

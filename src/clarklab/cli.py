@@ -26,6 +26,7 @@ from .errors import ClarkLabError, ConstraintViolation, InvalidConfig
 from .families import (ExpSingular, Monomial, clark_data_for, divergence_ladder,
                        exp_clark_data, exp_tail_mass_bound, exp_tail_potential_bound,
                        exp_total_mass, inner_function, parse_family)
+from .inner import spectrum
 from .perturb import PerturbationPlan, generate, random_plan, squared_measure
 from .potentials import (ScanConfig, atom_potential_sup, mass_ratio_check, potential,
                          sup_inf_scan)
@@ -64,12 +65,6 @@ def _emit(args, payload: dict, passed: bool, truncation=None) -> int:
     return 0 if passed else 1
 
 
-def _accumulation(fam) -> tuple:
-    if isinstance(fam, Monomial):
-        return ()
-    return (CirclePoint(0.0),)
-
-
 def _load_measure(args) -> AtomicMeasure:
     """A measure document, or a `perturb` report (outputs.perturbed)."""
     doc = load_json(args.measure)
@@ -91,7 +86,7 @@ def cmd_bessonov(args) -> int:
     else:
         fam = parse_family(args.family)
         m = clark_data_for(fam, truncation=args.truncation, tol=args.tol).measure
-        accum = _accumulation(fam)
+        accum = spectrum(inner_function(fam))
     report = bessonov_check(m, accum)
     return _emit(args, report, passed=report.verdict != "fail",
                  truncation=args.truncation)
@@ -169,7 +164,7 @@ def cmd_perturb(args) -> int:
     except ConstraintViolation as e:
         return _emit(args, {"rejected": str(e), "index": e.index, "bound": e.bound},
                      passed=False, truncation=args.truncation)
-    report = bessonov_check(lam, _accumulation(fam))
+    report = bessonov_check(lam, spectrum(inner_function(fam)))
     payload = {"perturbed": measure_to_dict(lam), "bessonov": report}
     return _emit(args, payload, passed=report.verdict != "fail",
                  truncation=args.truncation)
@@ -219,7 +214,7 @@ def _example_exp(args, fam) -> int:
 
 
 def _example_monomial(args, fam) -> int:
-    data = clark_data_for(fam)
+    data = clark_data_for(fam, tol=args.tol)
     checks = {
         "atom_count": data.n_atoms == fam.k,
         "masses_uniform": bool(np.allclose(data.measure.masses, 1.0 / fam.k,
@@ -250,34 +245,44 @@ def _example_counterexample(args, fam) -> int:
 
 
 def cmd_report(args) -> int:
+    """Flatten a report's body to CSV.  The body is a norm ladder
+    {"sizes": [...], "values": [...]}; a non-empty list of records, bare
+    or as {"ladder": [...]}; or any other object, whose numeric entries
+    become key/value rows."""
     doc = load_json(args.json)
-    body = doc.get("outputs", doc)
-    rows = []
-    header = None
+    body = doc.get("outputs", doc) if isinstance(doc, dict) else doc
+    records = body.get("ladder") if isinstance(body, dict) else body
     if isinstance(body, dict) and "sizes" in body and "values" in body:
         header = ["size", "value"]
         rows = list(zip(body["sizes"], body["values"]))
-    elif isinstance(body, dict) and "ladder" in body:
-        recs = body["ladder"]
-        header = list(recs[0].keys())
-        rows = [[r[k] for k in header] for r in recs]
-    elif isinstance(body, list) and body and isinstance(body[0], dict):
-        header = list(body[0].keys())
-        rows = [[r.get(k) for k in header] for r in body]
-    else:
+    elif isinstance(records, list) and records and all(isinstance(r, dict) for r in records):
+        header = list(records[0])
+        rows = [[r.get(k) for k in header] for r in records]
+    elif isinstance(body, dict) and "ladder" not in body:
         header = ["key", "value"]
         rows = [(k, v) for k, v in body.items()
                 if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    else:
+        raise ValueError("cannot flatten the report body: expected {sizes, values}, "
+                         "a non-empty list of records (bare or as {ladder: [...]}) "
+                         "or an object")
     write_csv(args.csv, header, rows)
     print(f"csv written to {args.csv}")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error to main as an input error: one line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by later calls
     (each parse fills a fresh namespace)."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="clarklab",
         description="Clark measures of inner functions: atoms, one-component "
                     "criteria, Cauchy-transform sections, potential conditions, "
@@ -290,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-13,
                         help="atom location tolerance: the width of each atom's final "
                              "bracket (radians)")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="write the JSON report here")
 
     sp = sub.add_parser("atoms", help="locate Clark atoms and masses")
@@ -300,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_atoms)
 
     sp = sub.add_parser("bessonov", help="one-component condition records")
-    sp.add_argument("--family")
-    sp.add_argument("--measure", help="measure JSON file")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family")
+    source.add_argument("--measure", help="measure JSON file")
     sp.add_argument("--accumulation", type=float, nargs="*",
                     help="declared accumulation angles for --measure input")
     common(sp)
@@ -333,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("perturb", help="generate and verify a perturbed measure")
     sp.add_argument("--family", required=True)
     sp.add_argument("--plan", help="plan JSON ({alpha, t_offsets, eps} or {seed})")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_perturb)
 
@@ -349,10 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._t0 = time.time()
     try:
+        args = build_parser().parse_args(argv)
+        args._t0 = time.time()
         return args.func(args)
     except ConstraintViolation as e:
         print(f"constraint violation: {e}", file=sys.stderr)

@@ -57,18 +57,18 @@ FamilySpec = Monomial | ExpSingular | CounterexampleBlaschke
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse CLI family descriptors: 'exp', 'monomial:K',
-    'counterexample:ALPHA:K[:sym]'."""
-    parts = text.split(":")
-    if parts[0] == "exp":
+    """Parse CLI family descriptors: exactly 'exp', 'monomial:K' or
+    'counterexample:ALPHA:K[:sym]'; anything else raises ValueError."""
+    name, *args = text.split(":")
+    if name == "exp" and not args:
         return ExpSingular()
-    if parts[0] == "monomial":
-        return Monomial(k=int(parts[1]))
-    if parts[0] == "counterexample":
-        sym = len(parts) > 3 and parts[3] == "sym"
-        return CounterexampleBlaschke(alpha=float(parts[1]), K=int(parts[2]),
-                                      symmetrized=sym)
-    raise ValueError(f"unknown family {text!r}")
+    if name == "monomial" and len(args) == 1:
+        return Monomial(k=int(args[0]))
+    if name == "counterexample" and len(args) >= 2 and args[2:] in ([], ["sym"]):
+        return CounterexampleBlaschke(alpha=float(args[0]), K=int(args[1]),
+                                      symmetrized=len(args) == 3)
+    raise ValueError(f"unknown family {text!r}; expected exp, monomial:K "
+                     "or counterexample:ALPHA:K[:sym]")
 
 
 def family_name(fam: FamilySpec) -> str:
@@ -398,8 +398,6 @@ def clark_data_for(fam: FamilySpec, alpha: float = 0.0, truncation: int = 100,
     are available separately for cross-checks).
     """
     u = inner_function(fam)
-    if isinstance(fam, Monomial):
-        return clark_data(u, alpha, Arc.full_circle(), tol)
     if isinstance(fam, ExpSingular):
         theta_out, _, _ = exp_lattice([-(truncation + 1), truncation + 1])
         lo = 0.5 * (theta_out[0] + exp_lattice([-truncation])[0][0])

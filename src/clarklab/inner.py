@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import circle
-from .circle import CirclePoint, TWO_PI, _blockwise, canonical_angle, chord_angles, kernel_sum
+from .circle import (CirclePoint, TWO_PI, _blockwise, canonical_angle, canonical_angles,
+                     chord_angles, kernel_sum)
 from .errors import DegenerateSymbol, SpectrumPoint
 
 #: Default chordal radius around the spectrum inside which boundary
@@ -111,8 +112,7 @@ class SingularAtomic:
             raise ValueError("singular weights must be finite and positive")
         if not np.isfinite(theta).all():
             raise ValueError("singular atom angles must be finite")
-        theta = np.mod(theta, TWO_PI)
-        theta[theta >= TWO_PI] = 0.0
+        theta = canonical_angles(theta)
         object.__setattr__(self, "atoms", tuple(zip(theta.tolist(), w.tolist())))
         object.__setattr__(self, "_form", _NormalForm(sing_theta=theta, sing_w=w,
                                                       spectrum=theta))

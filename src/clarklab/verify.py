@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CauchySection
-from .circle import AtomicMeasure, CirclePoint, TWO_PI, chord_angles, neighbor_constants
+from .circle import Arc, AtomicMeasure, CirclePoint, TWO_PI, chord_angles, neighbor_constants
 from .clark import ClarkData
 from .errors import SupportMismatch
 from .perturb import admissible_alpha_bound
@@ -96,10 +96,9 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=()) -> BessonovReport:
         edge = 2.0 * dist.min(axis=0)
         near_accum = int(np.sum(dist < edge + 1e-300))
         keep = (dist >= edge).all(axis=1)
-        span = np.mod(np.roll(etas, -1) - etas, TWO_PI)
-        span[span == 0.0] = TWO_PI
-        d = np.mod(m.thetas[:, None] - etas, TWO_PI)
-        components_ok = bool(((d > 0) & (d < span)).any(axis=0).all())
+        components_ok = all(
+            Arc(CirclePoint(a), CirclePoint(b), False, False).mask(m.thetas).any()
+            for a, b in zip(etas, np.roll(etas, -1)))
     records.append(ConditionRecord(
         name="iii-neighbors", passed=(n >= 2 or not accum) and components_ok,
         flagged=bool(accum),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import clarklab as cl
 from clarklab import circle
-from clarklab.circle import canonical_angle, gap_arcs, kernel_sum, neighbor_constants
-from clarklab.errors import ClarkLabError, InvalidAngle, InvalidMeasure, NotEnoughAtoms
+from clarklab.circle import canonical_angle, canonical_angles, kernel_sum, neighbor_constants
+from clarklab.errors import ClarkLabError, InvalidAngle, InvalidMeasure
 
 TWO_PI = 2 * np.pi
 
@@ -37,6 +37,9 @@ def test_canonical_angle_is_np_mod_bitwise():
         got = canonical_angle(theta)
         assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
     assert canonical_angle(-1e-300) == 0.0
+    # the array form rounds entry by entry as the scalar form does
+    want = np.array([canonical_angle(theta) for theta in values])
+    assert canonical_angles(values).tobytes() == want.tobytes()
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -72,6 +75,27 @@ def test_full_circle_arc():
     assert full.length == pytest.approx(TWO_PI)
     for t in (0.0, 1.0, np.pi, 6.2):
         assert full.contains(cl.CirclePoint(t))
+    # the start is also the end, so either flag closes it
+    assert cl.arc_between(1.0, 1.0, False, True).contains(cl.CirclePoint(1.0))
+    assert not cl.arc_between(1.0, 1.0, False, False).contains(cl.CirclePoint(1.0))
+
+
+@pytest.mark.parametrize("closed_left, closed_right",
+                         [(True, True), (True, False), (False, True), (False, False)])
+@pytest.mark.parametrize("full", [False, True], ids=["arc", "full-circle"])
+def test_membership_agrees_with_contains(full, closed_left, closed_right):
+    # random angles, both endpoints and one ulp to either side of each;
+    # an angle one ulp below a start near 0 has an offset that rounds to
+    # 2 pi, which canonicalizes to 0, the start itself
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a = rng.uniform(0, TWO_PI)
+        arc = cl.arc_between(a, a if full else rng.uniform(0, TWO_PI), closed_left, closed_right)
+        ends = (arc.start.theta, arc.end.theta)
+        probes = [*rng.uniform(0, TWO_PI, 20), *ends,
+                  *(np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf))]
+        for t in probes:
+            assert cl.AtomicMeasure([t], [1.0]).membership(arc)[0] == arc.contains(cl.CirclePoint(t))
 
 
 def test_measure_of_arc_z2():
@@ -92,27 +116,6 @@ def test_measure_additivity_over_partition(rng):
             for i in range(len(cuts))]
     total = sum(cl.measure_of_arc(m, a) for a in arcs)
     assert total == pytest.approx(m.total_mass, rel=1e-12)
-
-
-def test_neighbor_gaps_examples():
-    z2 = cl.AtomicMeasure([0.0, np.pi], [0.5, 0.5])
-    assert z2.neighbor_gaps(0) == pytest.approx((2.0, 2.0))
-    z4 = cl.AtomicMeasure([0, np.pi / 2, np.pi, 3 * np.pi / 2], [0.25] * 4)
-    gp, gm = z4.neighbor_gaps(0)
-    assert gp == pytest.approx(np.sqrt(2), abs=1e-12)
-    assert gm == pytest.approx(np.sqrt(2), abs=1e-12)
-    single = cl.AtomicMeasure([1.0], [1.0])
-    with pytest.raises(NotEnoughAtoms):
-        single.neighbor_gaps(0)
-
-
-def test_neighbor_structure_is_permutation(rng):
-    thetas = np.sort(rng.uniform(0, TWO_PI, 23))
-    m = cl.AtomicMeasure(thetas, np.ones(23))
-    i = 5
-    for _ in range(m.n_atoms):
-        i = m.neighbor(i, +1)
-    assert i == 5
 
 
 def test_duplicate_atoms_rejected():
@@ -148,14 +151,6 @@ def test_circle_point_rejects_non_finite_angle(theta):
         cl.CirclePoint(theta)
     assert issubclass(InvalidAngle, ClarkLabError)
     assert issubclass(InvalidAngle, ValueError)
-    with pytest.raises(InvalidAngle):
-        cl.CirclePoint(0.5).rotated(theta)
-
-
-def test_gap_arcs_cover_circle():
-    m = cl.AtomicMeasure([0.0, 1.0, 4.0], [1, 1, 1])
-    arcs = gap_arcs(m)
-    assert sum(a.length for a in arcs) == pytest.approx(TWO_PI)
 
 
 def neighbor_constants_loop(m, excluded=()):

@@ -255,6 +255,29 @@ def test_cli_usage_error():
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["atoms", "--family", "monomial"],
+    ["atoms", "--family", "counterexample:1.0"],
+    ["atoms", "--family", "exp:5"],
+    ["atoms", "--family", "counterexample:1:8:foo"],
+    ["example", "monomial:four"],
+    ["bessonov"],
+    ["bessonov", "--family", "exp", "--measure", "measure.json"],
+    ["atoms", "--family", "exp", "--seed", "3"],
+    ["report", "--json", "ladder.json", "--csv", "ladder.csv"],
+], ids=["monomial-no-k", "counterexample-no-k", "exp-with-arg", "counterexample-bad-suffix",
+        "monomial-bad-k", "bessonov-no-source", "bessonov-two-sources", "seed-off-perturb",
+        "report-empty-ladder"])
+def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ladder.json").write_text('{"outputs": {"ladder": []}}')
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("input error: ")
+
+
 def test_cli_tolsa(tmp_path):
     out = tmp_path / "t.json"
     rc = main(["tolsa", "--family", "monomial:2", "--out", str(out)])
