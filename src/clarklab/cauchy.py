@@ -17,6 +17,15 @@ real and antisymmetric with zero diagonal.  S is the one dense section
 built here, in real arithmetic from angle differences, so nearby atoms
 lose no digits to the cancellation in 1 - conj(zeta_m) zeta_n.  Norms
 read ||A|| = ||S||/2, and the Tolsa scan reads the Gram S^T S.
+
+The section is applied without storing it, in the same half-angle
+differences d = (theta_n - theta_m)/2: 1/(1 - e^{2id}) = 1/2 + (i/2) cot d,
+so with g = f sigma
+
+    (C f)(zeta_n) = (sum_m g_m - g_n)/2 + (i/2) sum_{m != n} g_m cot d,
+
+a real sum over each pair of atoms once (circle.kernel_sum), with no
+complex division and no rounded e^{i theta}.
 """
 from __future__ import annotations
 
@@ -26,14 +35,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import circle
-from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between, chord_angles,
-                     kernel_sum)
+from .circle import (ROW_BLOCK, Arc, AtomicMeasure, TWO_PI, arc_between, arc_mask,
+                     chord_angles, kernel_sum)
 from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
-
-#: Rows per block in the dense builds (``CauchySection._skew``'s upper
-#: triangle, the Tolsa scan's prefix pass).
-ROW_BLOCK = 32
 
 #: Largest section built densely.  A norm or a Tolsa scan holds two
 #: real N x N arrays at once (16 N^2 bytes), 1 GiB at the cap; ``apply``
@@ -48,8 +53,8 @@ class CauchySection:
     def __init__(self, measure: AtomicMeasure, lattice_indices=None):
         self.measure = measure
         self.theta = measure.thetas
+        self.half = 0.5 * measure.thetas
         self.sigma = measure.masses
-        self.z = measure.points_complex
         self.N = measure.n_atoms
         # integer lattice labels when the section comes from the
         # single-point-mass exponential family's closed forms
@@ -67,7 +72,7 @@ class CauchySection:
         N = self.N
         if N > DENSE_CAP:
             raise DenseCapExceeded(f"section size {N} exceeds dense cap {DENSE_CAP}")
-        half = 0.5 * self.theta
+        half = self.half
         rs = np.sqrt(self.sigma)
         S = np.empty((N, N))
         for r in range(0, N, ROW_BLOCK):
@@ -88,24 +93,24 @@ class CauchySection:
         return 0.5j * e[:, None] * self._skew() * np.conj(e)[None, :]
 
     def cauchy_of_one(self, n: int) -> complex:
-        """(C 1)(zeta_n) = sum_{m != n} sigma_m / (1 - conj(zeta_m) zeta_n)."""
+        """(C 1)(zeta_n) = sum_{m != n} sigma_m / (1 - conj(zeta_m) zeta_n),
+        in the angle form of the module docstring."""
         others = np.arange(self.N) != n
-        return complex(kernel_sum(self.z[n], self.z[others],
-                                  -(self.sigma * self.z)[others], "1/d"))
+        cot = kernel_sum(self.half[n], self.half[others], self.sigma[others], "cot")
+        return complex(0.5 * (self.sigma.sum() - self.sigma[n]) + 0.5j * cot)
 
     def cauchy_one_all(self) -> np.ndarray:
         return self.apply(np.ones(self.N))
 
     def apply(self, f) -> np.ndarray:
-        """(C f) at all atoms, in the unweighted coordinates.
-
-        On the circle 1/(1 - conj(zeta_m) zeta_n) = -zeta_m/(zeta_n - zeta_m),
-        a Cauchy kernel on Cartesian differences.
-        """
+        """(C f) at all atoms, in the unweighted coordinates, in the angle
+        form of the module docstring."""
         f = np.asarray(f, dtype=complex)
         if f.shape != (self.N,):
             raise DimensionMismatch(f"expected {self.N} values, got {f.shape}")
-        return kernel_sum(self.z, self.z, -f * self.sigma * self.z, "1/d", skip_self=True)
+        g = f * self.sigma
+        cot = kernel_sum(self.half, self.half, g, "cot", skip_self=True)
+        return 0.5 * (g.sum() - g) + 0.5j * cot
 
 
 def nested_sections(measure: AtomicMeasure, sizes) -> list[CauchySection]:
@@ -202,9 +207,8 @@ def _arc_gram(section: CauchySection) -> np.ndarray:
     # rows the weights and the prefix sums are whole-block passes; the
     # carry goes row by row (a cumsum down axis 0 walks columns, which was
     # slower at 2049 atoms), adding in the order a row-by-row pass adds.
-    half = 0.5 * section.theta
     rs = 0.5 * np.sqrt(section.sigma)
-    cr, ci = rs * np.cos(half), rs * np.sin(half)
+    cr, ci = rs * np.cos(section.half), rs * np.sin(section.half)
     for a in range(1, N + 1, ROW_BLOCK):
         e = min(a + ROW_BLOCK, N + 1)
         rows = P[a:e, 1:]
@@ -294,19 +298,18 @@ class TailIntegralReport:
 
 
 def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralReport:
-    p = CirclePoint(section.theta[i])
-    if not Q.is_full_circle:
-        d = Q.offset_of(p)
-        if d == 0.0 or d == Q.length:
+    theta = section.theta[i:i + 1]
+    if not (Q.is_full_circle or arc_mask(theta, Q.start.theta, Q.length)[0]):
+        if arc_mask(theta, Q.start.theta, Q.length, True, True)[0]:
             raise BoundaryAtom("atom sits on the boundary of the arc")
-        if not Q.contains(p):
-            raise AtomOutsideArc("atom must lie strictly inside the arc")
+        raise AtomOutsideArc("atom must lie strictly inside the arc")
     outside = ~section.measure.membership(Q)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)
-    lhs = float(kernel_sum(section.z[i], section.z[outside], section.sigma[outside], "1/|d|^2"))
-    dist = min(float(chord_angles(p.theta, Q.start.theta)),
-               float(chord_angles(p.theta, Q.start.theta + Q.length)))
+    z = section.measure.points_complex
+    lhs = float(kernel_sum(z[i], z[outside], section.sigma[outside], "1/|d|^2"))
+    dist = min(float(chord_angles(theta[0], Q.start.theta)),
+               float(chord_angles(theta[0], Q.start.theta + Q.length)))
     rhs_scale = 1.0 / dist
     return TailIntegralReport(lhs=lhs, rhs_scale=rhs_scale, ratio=lhs / rhs_scale)
 
@@ -324,7 +327,7 @@ def hilbert_route(section: CauchySection, f) -> np.ndarray:
     n = section.lattice_indices
     zeta = (2 * n * np.pi * 1j + 1) / (2 * n * np.pi * 1j - 1)
     sig = 2.0 / (4.0 * n.astype(float) ** 2 * np.pi**2 + 1.0)
-    if (np.max(np.abs(zeta - section.z)) > 1e-9
+    if (np.max(np.abs(zeta - section.measure.points_complex)) > 1e-9
             or np.max(np.abs(sig - section.sigma)) > 1e-9):
         raise WrongFamily("section does not match the family's closed forms")
     f = np.asarray(f, dtype=complex)

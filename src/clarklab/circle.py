@@ -28,8 +28,13 @@ DUPLICATE_TOL = 1e-12
 #: page faults and 0.6 s at this budget, 261k faults and 1.2 s at 1.5
 #: times it.  That bound governs the temporaries of every 2-D block;
 #: kernel_sum's loop over sources, which PAIR_BLOCK or more targets take,
-#: runs over this many targets at a time in buffers it allocates once.
+#: runs over this many targets at a time in buffers it allocates once,
+#: and its self-sums take ROW_BLOCK rows at a time in one buffer per call.
 PAIR_BLOCK = 1 << 13
+
+#: Rows per block in the upper-triangle passes: kernel_sum's self-sums,
+#: ``cauchy.CauchySection._skew`` and the Tolsa scan's prefix pass.
+ROW_BLOCK = 32
 
 
 def canonical_angle(theta: float) -> float:
@@ -100,18 +105,9 @@ class Arc:
     def is_full_circle(self) -> bool:
         return self.length == TWO_PI
 
-    def offset_of(self, p: CirclePoint) -> float:
-        """Angle of p measured counterclockwise from the start, in [0, 2*pi)."""
-        return canonical_angle(p.theta - self.start.theta)
-
     def mask(self, thetas) -> np.ndarray:
-        """Boolean mask of the angles inside the arc, their offsets taken
-        as offset_of takes them."""
-        d = canonical_angles(np.asarray(thetas, dtype=float) - self.start.theta)
-        L = self.length
-        at_start = d == 0.0
-        at_end = at_start if L == TWO_PI else d == L
-        return (~at_start & (d < L)) | (self.closed_left & at_start) | (self.closed_right & at_end)
+        """Boolean mask of the angles inside the arc (see arc_mask)."""
+        return arc_mask(thetas, self.start.theta, self.length, self.closed_left, self.closed_right)
 
     def contains(self, p: CirclePoint) -> bool:
         return bool(self.mask([p.theta])[0])
@@ -119,6 +115,19 @@ class Arc:
     @staticmethod
     def full_circle() -> "Arc":
         return Arc(CirclePoint(0.0), CirclePoint(0.0), True, False)
+
+
+def arc_mask(thetas, starts, lengths, closed_left=False, closed_right=False) -> np.ndarray:
+    """Whether each angle lies in the counterclockwise arc of the given
+    length in (0, 2*pi] from its start, broadcast over angles and arcs:
+    the package's one arc-membership rule.  An angle's offset is
+    canonical_angles(theta - start); the open arc is 0 < offset < length,
+    and the flags add its endpoints.  On a full circle the start is also
+    the end, so either flag closes it."""
+    d = canonical_angles(np.asarray(thetas, dtype=float) - starts)
+    at_start = d == 0.0
+    at_end = np.where(np.equal(lengths, TWO_PI), at_start, d == lengths)
+    return ((d > 0.0) & (d < lengths)) | (closed_left & at_start) | (closed_right & at_end)
 
 
 def arc_between(theta_start: float, theta_end: float,
@@ -214,8 +223,7 @@ def neighbor_constants(m: AtomicMeasure, excluded_points=()) -> tuple[float, flo
     crossing = np.zeros(n, dtype=bool)
     for p in excluded_points:
         eta = p.theta if isinstance(p, CirclePoint) else canonical_angle(p)
-        d = np.mod(eta - m.thetas, TWO_PI)
-        crossing |= (d > 0) & (d < m.gaps)
+        crossing |= arc_mask(eta, m.thetas, m.gaps)
     # fwd[i - 1] is atom i's backward gap; a dropped gap is nan, which
     # fmax/fmin skip
     fwd = np.where(crossing, np.nan, m.chord_gaps)
@@ -247,12 +255,6 @@ def _inverse(d, dy=None, c=1.0):
     return np.divide(c, d, d)
 
 
-def _inverse_modulus(d, dy=None, c=1.0):
-    """c/|d|."""
-    r = np.abs(d) if dy is None else np.hypot(d, dy, d)
-    return np.divide(c, r, r)
-
-
 def _inverse_square(d, dy=None, c=1.0):
     """c/|d|^2."""
     if dy is None:
@@ -262,34 +264,65 @@ def _inverse_square(d, dy=None, c=1.0):
     return np.divide(c, q, q)
 
 
-#: The pairwise kernels of kernel_sum: k(d, dy=None, c=1.0) is c k(d + i dy)
-#: for a real c.  The difference comes whole in d (real or complex), or
-#: as its real and imaginary parts d and dy; either way the kernel may
-#: overwrite its arguments, and returns its values in place where it can.
-#: The in-place ufunc calls here and in _by_source pass their output
-#: positionally: they run once per source and run of targets, where the
-#: out= keyword cost about 5% of the 20 001-atom square sum (2-core Xeon,
-#: numpy 2.4).
-KERNELS = {"1/d": _inverse, "1/|d|": _inverse_modulus, "1/|d|^2": _inverse_square}
+def _cot(d, dy=None, c=1.0):
+    """c cot d for a real d, as c/tan d."""
+    return np.divide(c, np.tan(d, d), d)
+
+
+def _csc_square(d, dy=None, c=1.0):
+    """c (1 + cot^2 d) = c/sin^2 d for a real d, as c/tan^2 d + c."""
+    t = np.square(np.tan(d, d), d)
+    return np.add(np.divide(c, t, t), c, t)
+
+
+def _csc_modulus(d, dy=None, c=1.0):
+    """c sqrt(1 + cot^2 d) = c/|sin d| for a real d."""
+    return np.multiply(np.sqrt(_csc_square(d), d), c, d)
+
+
+#: The pairwise kernels of kernel_sum, with their parity: k(d, dy=None,
+#: c=1.0) is c k(d + i dy) for a real c, and k(-d) = parity k(d).  The
+#: difference comes whole in d (real or complex), or as its real and
+#: imaginary parts d and dy; either way the kernel may overwrite its
+#: arguments, and returns its values in place where it can.  The cot
+#: kernels take a real d only: on the circle they are the Cartesian ones
+#: in the half-angle difference d = (a - b)/2, since |e^{ia} - e^{ib}| =
+#: 2 |sin d| and 1/sin^2 d = 1 + cot^2 d.  np.tan is within 0.55 ulp on
+#: 29k arguments checked against mpmath (numpy 2.4, x86-64) and costs
+#: about a fifth of np.sin.  The in-place ufunc calls here and in
+#: _by_source pass their output positionally: they run once per source and
+#: run of targets, where the out= keyword cost about 5% of the 20 001-atom
+#: square sum (2-core Xeon, numpy 2.4).
+KERNELS = {"1/d": (_inverse, -1), "1/|d|^2": (_inverse_square, 1), "cot": (_cot, -1),
+           "1+cot^2": (_csc_square, 1), "sqrt(1+cot^2)": (_csc_modulus, 1)}
 
 
 def kernel_sum(targets, sources, weights, kernel, skip_self=False):
     """sum_m weights_m k(targets_n - sources_m) at every target, with k one
     of KERNELS; the result has the shape of targets.
 
-    Differences are taken in Cartesian form, which stays accurate for
-    nearly coincident points, where 2 - 2 cos(a - b) would cancel.  With
-    skip_self the targets are the sources and the term m = n is dropped:
-    its difference is set to inf, where every kernel is 0.
+    With skip_self the targets are the sources, a real 1-D array x, the
+    term m = n is dropped, and each pair is taken once (_self_sum).  Row
+    n's sum is then one BLAS product over at most N terms, added after the
+    p = n // ROW_BLOCK products over at most ROW_BLOCK terms that the row
+    blocks above it pass down, in block order.  It errs by at most
+    gamma_{N + p} = (N + p) u/(1 - (N + p) u) times the sum of its terms'
+    moduli, u the unit roundoff, in whatever order BLAS adds (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1
+    and 4.2); each part of a complex-weighted sum errs by as much over the
+    moduli of its real terms.  Each term carries the rounding of its
+    difference x_n - x_m, which is exact when x_m/2 <= x_n <= 2 x_m
+    (Sterbenz), and at most 3 ulp from its kernel: 0.55 ulp from np.tan
+    (see KERNELS) and 0.5 ulp from each further operation.
 
-    The loop order follows the target count alone.  Fewer than PAIR_BLOCK
-    targets go in (rows x columns) blocks of at most PAIR_BLOCK pairs;
-    more than PAIR_BLOCK sources are cut into equal column blocks.  Each
-    block's row sums are one BLAS product, and each row's sum over a block
-    of w terms errs by at most gamma_w = w u/(1 - w u) times the sum of
-    their moduli, u the unit roundoff, in whatever order BLAS adds them
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 3.1); the column blocks' sums are then added in order.
+    Otherwise differences are taken in Cartesian form, which stays
+    accurate for nearly coincident points, where 2 - 2 cos(a - b) would
+    cancel, and the loop order follows the target count alone.  Fewer than
+    PAIR_BLOCK targets go in (rows x columns) blocks of at most PAIR_BLOCK
+    pairs; more than PAIR_BLOCK sources are cut into equal column blocks.
+    Each block's row sums are one BLAS product, and each row's sum over a
+    block of w terms errs by at most gamma_w times the sum of their moduli
+    (Higham, section 3.1); the column blocks' sums are then added in order.
     PAIR_BLOCK or more targets go one source at a time, in 1-D passes over
     runs of at most PAIR_BLOCK targets with the differences in reused
     buffers; the sum over S sources is then recursive and errs by at most
@@ -297,26 +330,20 @@ def kernel_sum(targets, sources, weights, kernel, skip_self=False):
     Either way each term also carries the few ulp of rounding of its
     kernel.
     """
-    k = KERNELS[kernel]
+    k, parity = KERNELS[kernel]
+    if skip_self:
+        return _self_sum(k, parity, sources, weights)
     t = np.asarray(targets)
     flat = t.reshape(-1)
     if flat.size >= PAIR_BLOCK:
-        return _by_source(k, flat, sources, weights, skip_self).reshape(t.shape)
+        return _by_source(k, flat, sources, weights).reshape(t.shape)
     n = len(sources)
     col_blocks = -(-n // PAIR_BLOCK) or 1  # ceil(n / PAIR_BLOCK)
     width = -(-n // col_blocks) or 1
     step = PAIR_BLOCK // width
 
     def block(r, c):
-        d = flat[r:r + step, None] - sources[c:c + width]
-        if skip_self:
-            # the terms m = n sit on rows i0..i1 of the block, a stride-(w + 1)
-            # run in flat order
-            w = d.shape[1]
-            i0 = max(0, c - r)
-            i1 = max(i0, min(d.shape[0], c + w - r))
-            d.flat[i0 * (w + 1) + r - c:i1 * (w + 1) + r - c:w + 1] = np.inf
-        return k(d) @ weights[c:c + width]
+        return k(flat[r:r + step, None] - sources[c:c + width]) @ weights[c:c + width]
 
     def rows(r):
         total = block(r, 0)
@@ -327,7 +354,39 @@ def kernel_sum(targets, sources, weights, kernel, skip_self=False):
     return np.concatenate([rows(r) for r in range(0, max(flat.size, 1), step)]).reshape(t.shape)
 
 
-def _by_source(k, flat, sources, weights, skip_self):
+def _self_sum(k, parity, x, weights):
+    """sum_{m != n} weights_m k(x_n - x_m) at every n, each pair once;
+    kernel_sum states its error bound.
+
+    The upper triangle goes by blocks of ROW_BLOCK rows from their
+    diagonal on, as cauchy.CauchySection._skew builds it, in one buffer
+    allocated per call: a block T[i, j] = k(x_{r+i} - x_{r+j}) gives its own
+    rows as T @ w, and by the kernel's parity the rows below it as
+    parity (T^T @ w_block).  Only the ROW_BLOCK x ROW_BLOCK squares on the
+    diagonal are evaluated whole, both triangles, which adds ROW_BLOCK/N to
+    the pairs.  Complex weights go in as two real columns.
+    """
+    x = np.asarray(x)
+    N = x.size
+    real = np.isrealobj(weights)
+    w = weights[:, None] if real else np.stack([weights.real, weights.imag], axis=1)
+    out = np.zeros(w.shape)
+    buf = np.empty(min(ROW_BLOCK, N) * N)
+    for r in range(0, N, ROW_BLOCK):
+        e = min(r + ROW_BLOCK, N)
+        T = buf[:(e - r) * (N - r)].reshape(e - r, N - r)
+        np.subtract.outer(x[r:e], x[r:], out=T)
+        # any nonzero difference keeps every kernel finite on the diagonal,
+        # which is then zeroed
+        np.fill_diagonal(T, 1.0)
+        T = k(T)
+        np.fill_diagonal(T, 0.0)
+        out[r:e] += T @ w[r:]
+        out[e:] += parity * (T[:, e - r:].T @ w[r:e])
+    return out[:, 0] if real else out[:, 0] + 1j * out[:, 1]
+
+
+def _by_source(k, flat, sources, weights):
     """kernel_sum's loop over sources for PAIR_BLOCK or more targets.  Real
     weights fold into the kernel's numerator, and complex differences then
     go to the kernel as their real and imaginary parts; complex weights
@@ -352,8 +411,6 @@ def _by_source(k, flat, sources, weights, skip_self):
             np.subtract(xr, sx[m], dx)
             if split:
                 np.subtract(yr, sy[m], dy)
-            if skip_self and 0 <= m - r < size:
-                dx[m - r] = np.inf
             term = k(dx, dy, w[m]) if fold else w[m] * k(dx)
             if m:
                 np.add(acc, term, acc)

@@ -80,6 +80,9 @@ def cmd_atoms(args) -> int:
 
 
 def cmd_bessonov(args) -> int:
+    if args.family and args.accumulation is not None:
+        raise ValueError("clarklab bessonov: argument --accumulation: not allowed with "
+                         "argument --family")
     if args.measure:
         m = _load_measure(args)
         accum = tuple(CirclePoint(t) for t in (args.accumulation or ()))

@@ -29,14 +29,16 @@ def admissible_alpha_bound(A: float, B: float) -> float:
 
 def interaction_sup(base: ClarkData, alpha) -> tuple[float, int]:
     """sup_n sum_{m != n} sigma_m alpha_m / |zeta_n - zeta_m| with witness;
-    the finiteness hypothesis of the perturbation construction."""
+    the finiteness hypothesis of the perturbation construction.  In
+    half-angle differences d = (theta_n - theta_m)/2, 1/|zeta_n - zeta_m| =
+    sqrt(1 + cot^2 d)/2."""
     alpha = np.asarray(alpha, dtype=float)
     m = base.measure
     if alpha.shape != (m.n_atoms,):
         raise DimensionMismatch(
             f"alpha length {alpha.shape} != atom count {m.n_atoms}")
-    z = m.points_complex
-    vals = kernel_sum(z, z, m.masses * alpha, "1/|d|", skip_self=True)
+    half = 0.5 * m.thetas
+    vals = 0.5 * kernel_sum(half, half, m.masses * alpha, "sqrt(1+cot^2)", skip_self=True)
     if not vals.size:
         return -np.inf, -1
     i = int(np.argmax(vals))

@@ -65,12 +65,14 @@ class AtomPotentialSup:
 
 
 def atom_potential_sup(m: AtomicMeasure) -> AtomPotentialSup:
-    """Exact finite double sum; the boundedness of this quantity is the
-    atom-wise criterion for the potential condition."""
+    """Exact finite double sum, within kernel_sum's rounding bound; the
+    boundedness of this quantity is the atom-wise criterion for the
+    potential condition.  In half-angle differences d = (theta_n -
+    theta_m)/2, 1/|zeta_n - zeta_m|^2 = (1 + cot^2 d)/4."""
     if m.n_atoms < 2:
         raise NotEnoughAtoms("need at least 2 atoms")
-    pts = m.points_complex
-    vals = kernel_sum(pts, pts, m.masses, "1/|d|^2", skip_self=True)
+    half = 0.5 * m.thetas
+    vals = 0.25 * kernel_sum(half, half, m.masses, "1+cot^2", skip_self=True)
     i = int(np.argmax(vals))
     return AtomPotentialSup(value=float(vals[i]), witness=i)
 

@@ -37,6 +37,32 @@ def test_cauchy_of_one_examples():
                        [sec.cauchy_of_one(0), sec.cauchy_of_one(1)])
 
 
+def test_cauchy_of_one_is_the_row_of_cauchy_one_all():
+    # one row's sum over the other atoms and the pair-once sum over all of
+    # them add the same terms in different orders
+    sec = cl.CauchySection(perturbed_measure())
+    all_rows = sec.cauchy_one_all()
+    for n in range(sec.N):
+        assert abs(sec.cauchy_of_one(n) - all_rows[n]) <= 1e-14 * abs(all_rows[n])
+
+
+def test_cauchy_one_all_against_mpmath_next_to_the_wrap():
+    # exp N = 1500: atoms accumulate at 1 from both sides, and the rows next
+    # to theta = 0 and theta = 2 pi pair with atoms across the wrap.  The
+    # reference takes the stored angles as exact and sums at 40 digits.
+    # A Cartesian sum on the rounded e^{i theta} is off there by 4.4e-11
+    mp = pytest.importorskip("mpmath")
+    m = cl.exp_clark_data(1500).measure
+    c1 = cl.CauchySection(m).cauchy_one_all()
+    th, sigma = m.thetas, m.masses
+    with mp.workdps(40):
+        for n in (int(np.argmin(th)), int(np.argmax(th))):
+            tn = mp.mpf(float(th[n]))
+            want = complex(mp.fsum(mp.mpf(float(sigma[k])) / (1 - mp.expj(tn - mp.mpf(float(th[k]))))
+                                   for k in range(th.size) if k != n))
+            assert abs(c1[n] - want) <= 1e-12 * abs(want)
+
+
 def test_cauchy_of_one_exp_stable():
     sup1 = np.abs(exp_section(500).cauchy_one_all()).max()
     sup2 = np.abs(exp_section(1000).cauchy_one_all()).max()
@@ -430,6 +456,30 @@ def test_tail_integral_atom_outside_arc():
     with pytest.raises(AtomOutsideArc) as err:
         cl.tail_integral_check(sec, Q, 2)  # the atom at pi
     assert isinstance(err.value, ClarkLabError) and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: cl.clark_data_for(cl.Monomial(16)).measure, lambda: cl.exp_clark_data(40).measure,
+    lambda: perturbed_measure(), lambda: counterexample_measure(),
+], ids=["monomial", "exp", "perturbed", "counterexample"])
+def test_tail_integral_errors_follow_the_offset_rule(measure):
+    # an atom at offset 0 or at the length of a non-full arc is on its
+    # boundary, one beyond the length outside it, the offset taken by the
+    # scalar canonical_angle; arcs from an atom, and from one ulp before it
+    m = measure()
+    sec, th, N = cl.CauchySection(m), m.thetas, m.n_atoms
+    for a in range(0, N, max(1, N // 8)):
+        for Q in (cl.arc_between(th[a], th[(a + 3) % N], True, True),
+                  cl.arc_between(np.nextafter(th[a], -1), th[(a + N // 2) % N], False, False)):
+            for i in range(N):
+                d = circle.canonical_angle(th[i] - Q.start.theta)
+                want = (BoundaryAtom if d in (0.0, Q.length)
+                        else AtomOutsideArc if d > Q.length else None)
+                if want is None:
+                    cl.tail_integral_check(sec, Q, i)
+                else:
+                    with pytest.raises(want):
+                        cl.tail_integral_check(sec, Q, i)
 
 
 def test_tail_integral_exp_dyadic_scales(exp_u):

@@ -181,6 +181,7 @@ def test_neighbor_constants_exclusion():
     measures = [m, cl.exp_clark_data(50).measure,
                 cl.clark_data_for(cl.Monomial(16)).measure,
                 cl.clark_data_for(cl.CounterexampleBlaschke(1.0, 64)).measure,
+                cl.generate(cl.random_plan(cl.exp_clark_data(60), 4)),
                 cl.AtomicMeasure([0.5, 2.0], [0.1, 0.3])]
     for measure in measures:
         for excluded in ([], [0.0], [0.0, 1.0]):
@@ -190,8 +191,11 @@ def test_neighbor_constants_exclusion():
     assert np.isnan(neighbor_constants(measures[-1], [0.0, 1.0])[:2]).all()
 
 
-REFERENCE_KERNELS = {"1/d": lambda d: 1 / d, "1/|d|": lambda d: 1 / abs(d),
-                     "1/|d|^2": lambda d: 1 / abs(d) ** 2}
+REFERENCE_KERNELS = {"1/d": lambda d: 1 / d, "1/|d|^2": lambda d: 1 / abs(d) ** 2,
+                     "cot": lambda d: 1 / math.tan(d), "1+cot^2": lambda d: 1 / math.sin(d) ** 2,
+                     "sqrt(1+cot^2)": lambda d: 1 / abs(math.sin(d))}
+#: the kernels that take a real difference only
+ANGLE_KERNELS = {"cot", "1+cot^2", "sqrt(1+cot^2)"}
 
 
 @pytest.mark.parametrize("kernel", sorted(circle.KERNELS))
@@ -199,41 +203,81 @@ def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
     # reference: a plain double loop summed with math.fsum.  Each term
     # carries a few ulp of rounding and either path's sum adds at most
     # (sources) ulp of the absolute sum, so 1e-14 of sum |terms| bounds it.
+    # The angle kernels take real differences (half-angles in [0, pi)).
     k = REFERENCE_KERNELS[kernel]
-    circle_kernel = circle.KERNELS[kernel]
-    t = rng.uniform(0.2, 0.9, 8) * np.exp(1j * rng.uniform(0, TWO_PI, 8))
-    s = np.exp(1j * rng.uniform(0, TWO_PI, 5))
+    circle_kernel, parity = circle.KERNELS[kernel]
+    if kernel in ANGLE_KERNELS:
+        t, s = rng.uniform(0, np.pi, 8), rng.uniform(0, np.pi, 5)
+    else:
+        t = rng.uniform(0.2, 0.9, 8) * np.exp(1j * rng.uniform(0, TWO_PI, 8))
+        s = np.exp(1j * rng.uniform(0, TWO_PI, 5))
     w = rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, TWO_PI, 5))
 
-    def ref(tn, sources, weights, skip=None):
-        terms = [complex(weights[m] * k(tn - sources[m])) for m in range(5) if m != skip]
+    def ref(tn, sources, weights):
+        terms = [complex(weights[m] * k(tn - sources[m])) for m in range(5)]
         return (complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)),
                 math.fsum(abs(x) for x in terms))
 
     # a budget of 10 pairs, above every target count, keeps the (rows x
-    # columns) blocks: two targets each, so four blocks for t, three for the
-    # sources as targets and one for two targets.  A budget of 3 sends the 8
-    # and the 5 targets one source at a time over runs of at most 3 targets
-    # and drops the diagonal there; two targets stay in column blocks of 3
-    # and 2 sources, one target each.  Complex and real weights take each
+    # columns) blocks: two targets each, so four blocks for t and one for
+    # two targets.  A budget of 3 sends the 8 targets one source at a time
+    # over runs of at most 3 targets; two targets stay in column blocks of
+    # 3 and 2 sources, one target each.  Complex and real weights take each
     # block once; the kernel sees every block of both paths.
     blocks = []
     monkeypatch.setitem(circle.KERNELS, kernel,
-                        lambda d, *rest: blocks.append(d.size) or circle_kernel(d, *rest))
-    for budget, n_blocks in ((10, 4 + 3 + 1), (3, 5 * (3 + 2) + 2 * 2)):
+                        (lambda d, *rest: blocks.append(d.size) or circle_kernel(d, *rest),
+                         parity))
+    for budget, n_blocks in ((10, 4 + 1), (3, 5 * 3 + 2 * 2)):
         monkeypatch.setattr(circle, "PAIR_BLOCK", budget)
         blocks.clear()
-        for weights in (w, np.abs(w)):
+        for weights in (w, w.real):
             cases = [(kernel_sum(t.reshape(2, 4), s, weights, kernel).ravel(),
                       [ref(x, s, weights) for x in t]),
-                     (kernel_sum(s, s, weights, kernel, skip_self=True),
-                      [ref(x, s, weights, n) for n, x in enumerate(s)]),
                      (kernel_sum(t[:2], s, weights, kernel), [ref(x, s, weights) for x in t[:2]])]
             for got, want in cases:
-                assert np.isrealobj(got) == (np.isrealobj(weights) and kernel != "1/d")
+                assert np.isrealobj(got) == (np.isrealobj(weights)
+                                             and (kernel != "1/d" or np.isrealobj(t)))
                 for g, (value, scale) in zip(got, want, strict=True):
                     assert abs(g - value) <= 1e-14 * scale
         assert len(blocks) == 2 * n_blocks and max(blocks) <= budget
     assert kernel_sum(t.reshape(2, 4), s, w, kernel).shape == (2, 4)
-    empty = kernel_sum(t, np.empty(0, complex), np.empty(0), kernel)
+    empty = kernel_sum(t, np.empty(0, s.dtype), np.empty(0), kernel)
     assert empty.shape == t.shape and not empty.any()
+
+
+@pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 65])
+@pytest.mark.parametrize("kernel", sorted(circle.KERNELS))
+def test_self_sum_matches_mpmath_double_loop(kernel, N, rng):
+    # kernel_sum with skip_self takes each pair once, by blocks of
+    # ROW_BLOCK = 32 rows; N runs around that.  The reference evaluates
+    # each kernel exactly (mpmath, 40 digits) at the rounded differences
+    # x_n - x_m, which both sides share, and sums exactly.  The bound
+    # stated by kernel_sum: each term within 3 ulp, and row n's sum
+    # within gamma_{N + p} of the sum of its terms' moduli, p = n // 32;
+    # the reference's own rounding adds 1/2 ulp of that sum
+    mp = pytest.importorskip("mpmath")
+    exact = {"1/d": lambda d: 1 / d, "1/|d|^2": lambda d: 1 / d ** 2, "cot": mp.cot,
+             "1+cot^2": lambda d: 1 / mp.sin(d) ** 2,
+             "sqrt(1+cot^2)": lambda d: 1 / abs(mp.sin(d))}[kernel]
+    assert circle.ROW_BLOCK == 32
+    # half-angles of points anywhere on the circle, two of them next to
+    # 0 and pi, where the angle kernels' differences wrap
+    x = np.sort(rng.uniform(0, np.pi, N))
+    if N > 1:
+        x[0], x[-1] = 1e-3, np.pi - 1e-3
+    u = np.finfo(float).eps / 2
+    w = rng.uniform(0.1, 1.0, N) * np.exp(1j * rng.uniform(0, TWO_PI, N))
+    with mp.workdps(40):
+        values = [[exact(mp.mpf(float(x[n] - x[m]))) if m != n else mp.mpf(0)
+                   for m in range(N)] for n in range(N)]
+        for weights in (w, w.real):
+            got = kernel_sum(x, x, weights, kernel, skip_self=True)
+            assert got.shape == (N,) and np.isrealobj(got) == np.isrealobj(weights)
+            for n in range(N):
+                terms = [mp.mpc(complex(weights[m])) * values[n][m] for m in range(N)]
+                want = mp.fsum(terms)
+                scale = float(mp.fsum(abs(t) for t in terms))
+                c = N + n // 32 + 3.5
+                err = complex(got[n]) - complex(want)
+                assert max(abs(err.real), abs(err.imag)) <= c * u / (1 - c * u) * scale

@@ -382,23 +382,40 @@ def test_scan_agrees_across_the_kernel_switch(case, monkeypatch):
     np.testing.assert_array_equal(by_source.spectrum_values, blocks.spectrum_values)
 
 
-def test_kernel_sum_below_the_switch_is_the_block_expression():
-    # fewer than PAIR_BLOCK targets: rows of PAIR_BLOCK // N targets, each
-    # block k(d) @ w with the diagonal difference set to inf, bit for bit
+def test_self_sum_is_the_upper_triangle_block_expression():
+    # kernel_sum with skip_self: blocks of ROW_BLOCK rows from their
+    # diagonal on, T = k(x_block - x[r:]) with a zero diagonal; the block's
+    # own rows get T @ w, the rows below parity (T^T @ w_block), bit for
+    # bit.  Complex weights go in as two real columns.  The Cauchy apply and
+    # the atom sups are these sums, scaled
     m = cl.generate(cl.random_plan(cl.exp_clark_data(60), 4))
-    z, N = m.points_complex, m.n_atoms
-    assert N < circle.PAIR_BLOCK
-    step = circle.PAIR_BLOCK // N
-    cases = {"1/d": (lambda d: 1.0 / d, -m.masses * z),
-             "1/|d|": (lambda d: 1.0 / np.abs(d), m.masses),
-             "1/|d|^2": (lambda d: 1.0 / (d.real ** 2 + d.imag ** 2), m.masses)}
-    for kernel, (k, w) in cases.items():
-        want = []
-        for r in range(0, N, step):
-            d = z[r:r + step, None] - z
-            d[np.arange(d.shape[0]), r + np.arange(d.shape[0])] = np.inf
-            want.append(k(d) @ w)
-        want = np.concatenate(want)
-        got = circle.kernel_sum(z, z, w, kernel, skip_self=True)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert cl.atom_potential_sup(m).value == want.max()
+    half, N, R = 0.5 * m.thetas, m.n_atoms, circle.ROW_BLOCK
+    assert N > 3 * R
+    f = np.exp(1j * np.arange(N))
+    alpha = np.linspace(0.1, 1.0, N)
+    cases = {"cot": (lambda d: 1.0 / np.tan(d), -1, f * m.masses),
+             "1+cot^2": (lambda d: 1.0 / np.tan(d) ** 2 + 1.0, 1, m.masses),
+             "sqrt(1+cot^2)": (lambda d: np.sqrt(1.0 / np.tan(d) ** 2 + 1.0), 1,
+                               m.masses * alpha),
+             "1/d": (lambda d: 1.0 / d, -1, f),
+             "1/|d|^2": (lambda d: 1.0 / d ** 2, 1, f)}
+    want = {}
+    for kernel, (k, parity, w) in cases.items():
+        W = w[:, None] if np.isrealobj(w) else np.stack([w.real, w.imag], axis=1)
+        out = np.zeros(W.shape)
+        for r in range(0, N, R):
+            e = min(r + R, N)
+            d = half[r:e, None] - half[r:]
+            diag = np.arange(e - r)
+            d[diag, diag] = 1.0
+            T = k(d)
+            T[diag, diag] = 0.0
+            out[r:e] += T @ W[r:]
+            out[e:] += parity * (T[:, e - r:].T @ W[r:e])
+        want[kernel] = out[:, 0] if np.isrealobj(w) else out[:, 0] + 1j * out[:, 1]
+        got = circle.kernel_sum(half, half, w, kernel, skip_self=True)
+        assert got.dtype == want[kernel].dtype and got.tobytes() == want[kernel].tobytes()
+    assert cl.atom_potential_sup(m).value == 0.25 * want["1+cot^2"].max()
+    g = f * m.masses
+    assert cl.CauchySection(m).apply(f).tobytes() == (
+        0.5 * (g.sum() - g) + 0.5j * want["cot"]).tobytes()

@@ -263,10 +263,12 @@ def test_cli_usage_error():
     ["example", "monomial:four"],
     ["bessonov"],
     ["bessonov", "--family", "exp", "--measure", "measure.json"],
+    ["bessonov", "--family", "monomial:4", "--accumulation", "1.0"],
     ["atoms", "--family", "exp", "--seed", "3"],
     ["report", "--json", "ladder.json", "--csv", "ladder.csv"],
 ], ids=["monomial-no-k", "counterexample-no-k", "exp-with-arg", "counterexample-bad-suffix",
-        "monomial-bad-k", "bessonov-no-source", "bessonov-two-sources", "seed-off-perturb",
+        "monomial-bad-k", "bessonov-no-source", "bessonov-two-sources",
+        "bessonov-family-accumulation", "seed-off-perturb",
         "report-empty-ladder"])
 def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
