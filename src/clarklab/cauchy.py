@@ -306,8 +306,8 @@ def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralR
     outside = ~section.measure.membership(Q)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)
-    z = section.measure.points_complex
-    lhs = float(kernel_sum(z[i], z[outside], section.sigma[outside], "1/|d|^2"))
+    lhs = float(kernel_sum((1.0, theta[0]), section.theta[outside], section.sigma[outside],
+                           "1/|d|^2"))
     dist = min(float(chord_angles(theta[0], Q.start.theta)),
                float(chord_angles(theta[0], Q.start.theta + Q.length)))
     rhs_scale = 1.0 / dist

@@ -21,16 +21,24 @@ TWO_PI = 2.0 * np.pi
 DUPLICATE_TOL = 1e-12
 
 #: Largest (points x sources) block in one broadcast sum or product: the
-#: package's one pair budget.  A full block's complex temporary is
-#: 128 KiB, glibc malloc's default mmap threshold; larger blocks got
-#: fresh pages from the OS on every allocation.  On an x86-64 host with
-#: numpy 2.4, locating the counterexample:1.0:1024 atoms took 3 minor
-#: page faults and 0.6 s at this budget, 261k faults and 1.2 s at 1.5
-#: times it.  That bound governs the temporaries of every 2-D block;
-#: kernel_sum's loop over sources, which PAIR_BLOCK or more targets take,
-#: runs over this many targets at a time in buffers it allocates once,
-#: and its self-sums take ROW_BLOCK rows at a time in one buffer per call.
+#: package's pair budget for temporaries built by broadcasting.  A full
+#: block's complex temporary is 128 KiB, glibc malloc's default mmap
+#: threshold; larger blocks got fresh pages from the OS on every
+#: allocation.  On an x86-64 host with numpy 2.4, locating the
+#: counterexample:1.0:1024 atoms took 3 minor page faults and 0.6 s at
+#: this budget, 261k faults and 1.2 s at 1.5 times it.  kernel_sum's
+#: blocks of real differences keep to it, but for a single row of more
+#: sources; its disk sums and self-sums work in one buffer allocated per
+#: call instead (DISK_BLOCK, ROW_BLOCK).
 PAIR_BLOCK = 1 << 13
+
+#: Entries of the buffer in which kernel_sum's disk sums take their blocks
+#: of (targets x sources), five passes each, so many rows that Python's
+#: per-block cost stays small: the exp N = 200 scan grid (108 712 points x
+#: 401 atoms) took 102-150, 93-129, 85-116, 88-122 and 111-160 ms at 2^14
+#: to 2^18 entries (best of 5 in three runs, x86-64 Xeon, numpy 2.4, one
+#: BLAS thread).
+DISK_BLOCK = 1 << 16
 
 #: Rows per block in the upper-triangle passes: kernel_sum's self-sums,
 #: ``cauchy.CauchySection._skew`` and the Tolsa scan's prefix pass.
@@ -239,7 +247,7 @@ def neighbor_constants(m: AtomicMeasure, excluded_points=()) -> tuple[float, flo
 
 def _blockwise(fn, x, width):
     """fn(x) for a kernel reducing a trailing axis of length width, in
-    slices of at most PAIR_BLOCK (points x width) entries."""
+    slices of at most PAIR_BLOCK (points x width) entries, or one point."""
     step = max(1, PAIR_BLOCK // max(width, 1))
     if x.size <= step:
         return fn(x)
@@ -248,62 +256,51 @@ def _blockwise(fn, x, width):
                            for s in range(0, flat.size, step)]).reshape(x.shape)
 
 
-def _inverse(d, dy=None, c=1.0):
-    """c/d."""
-    if dy is not None:
-        d = d + 1j * dy
-    return np.divide(c, d, d)
+def _inverse(d):
+    """1/d."""
+    return np.divide(1.0, d, d)
 
 
-def _inverse_square(d, dy=None, c=1.0):
-    """c/|d|^2."""
-    if dy is None:
-        q = d.real ** 2 + d.imag ** 2
-    else:
-        q = np.add(np.square(d, d), np.square(dy, dy), d)
-    return np.divide(c, q, q)
+def _inverse_square(d):
+    """1/d^2 for a real d."""
+    return np.divide(1.0, np.square(d, d), d)
 
 
-def _cot(d, dy=None, c=1.0):
-    """c cot d for a real d, as c/tan d."""
-    return np.divide(c, np.tan(d, d), d)
+def _cot(d):
+    """cot d, as 1/tan d."""
+    return np.divide(1.0, np.tan(d, d), d)
 
 
-def _csc_square(d, dy=None, c=1.0):
-    """c (1 + cot^2 d) = c/sin^2 d for a real d, as c/tan^2 d + c."""
+def _csc_square(d):
+    """1 + cot^2 d = 1/sin^2 d, as 1/tan^2 d + 1."""
     t = np.square(np.tan(d, d), d)
-    return np.add(np.divide(c, t, t), c, t)
+    return np.add(np.divide(1.0, t, t), 1.0, t)
 
 
-def _csc_modulus(d, dy=None, c=1.0):
-    """c sqrt(1 + cot^2 d) = c/|sin d| for a real d."""
-    return np.multiply(np.sqrt(_csc_square(d), d), c, d)
+def _csc_modulus(d):
+    """sqrt(1 + cot^2 d) = 1/|sin d|."""
+    return np.sqrt(_csc_square(d), d)
 
 
-#: The pairwise kernels of kernel_sum, with their parity: k(d, dy=None,
-#: c=1.0) is c k(d + i dy) for a real c, and k(-d) = parity k(d).  The
-#: difference comes whole in d (real or complex), or as its real and
-#: imaginary parts d and dy; either way the kernel may overwrite its
-#: arguments, and returns its values in place where it can.  The cot
-#: kernels take a real d only: on the circle they are the Cartesian ones
-#: in the half-angle difference d = (a - b)/2, since |e^{ia} - e^{ib}| =
+#: The pairwise kernels of kernel_sum, with their parity: k(d) for a real
+#: difference d, which k may overwrite and returns its values in, and
+#: k(-d) = parity k(d).  The cot kernels are the circle's Cartesian ones in
+#: the half-angle difference d = (a - b)/2, since |e^{ia} - e^{ib}| =
 #: 2 |sin d| and 1/sin^2 d = 1 + cot^2 d.  np.tan is within 0.55 ulp on
 #: 29k arguments checked against mpmath (numpy 2.4, x86-64) and costs
-#: about a fifth of np.sin.  The in-place ufunc calls here and in
-#: _by_source pass their output positionally: they run once per source and
-#: run of targets, where the out= keyword cost about 5% of the 20 001-atom
-#: square sum (2-core Xeon, numpy 2.4).
+#: about a fifth of np.sin.
 KERNELS = {"1/d": (_inverse, -1), "1/|d|^2": (_inverse_square, 1), "cot": (_cot, -1),
            "1+cot^2": (_csc_square, 1), "sqrt(1+cot^2)": (_csc_modulus, 1)}
 
 
 def kernel_sum(targets, sources, weights, kernel, skip_self=False):
     """sum_m weights_m k(targets_n - sources_m) at every target, with k one
-    of KERNELS; the result has the shape of targets.
+    of KERNELS; the result has the shape of targets.  Targets and sources
+    are real, but for the disk sum below.
 
-    With skip_self the targets are the sources, a real 1-D array x, the
-    term m = n is dropped, and each pair is taken once (_self_sum).  Row
-    n's sum is then one BLAS product over at most N terms, added after the
+    With skip_self the targets are the sources, a 1-D array x, the term
+    m = n is dropped, and each pair is taken once (_self_sum).  Row n's
+    sum is then one BLAS product over at most N terms, added after the
     p = n // ROW_BLOCK products over at most ROW_BLOCK terms that the row
     blocks above it pass down, in block order.  It errs by at most
     gamma_{N + p} = (N + p) u/(1 - (N + p) u) times the sum of its terms'
@@ -315,43 +312,64 @@ def kernel_sum(targets, sources, weights, kernel, skip_self=False):
     (Sterbenz), and at most 3 ulp from its kernel: 0.55 ulp from np.tan
     (see KERNELS) and 0.5 ulp from each further operation.
 
-    Otherwise differences are taken in Cartesian form, which stays
-    accurate for nearly coincident points, where 2 - 2 cos(a - b) would
-    cancel, and the loop order follows the target count alone.  Fewer than
-    PAIR_BLOCK targets go in (rows x columns) blocks of at most PAIR_BLOCK
-    pairs; more than PAIR_BLOCK sources are cut into equal column blocks.
-    Each block's row sums are one BLAS product, and each row's sum over a
-    block of w terms errs by at most gamma_w times the sum of their moduli
-    (Higham, section 3.1); the column blocks' sums are then added in order.
-    PAIR_BLOCK or more targets go one source at a time, in 1-D passes over
-    runs of at most PAIR_BLOCK targets with the differences in reused
-    buffers; the sum over S sources is then recursive and errs by at most
-    (S - 1) u times the sum of the terms' moduli (Higham, section 4.2).
-    Either way each term also carries the few ulp of rounding of its
-    kernel.
+    Without skip_self, 1/|d|^2 is the disk sum sum_m w_m/|z_n - zeta_m|^2:
+    the targets are a pair (r, phi) of polar coordinates z = r e^{i phi},
+    r >= 0, broadcast to the result's shape, and the sources the angles
+    theta of zeta = e^{i theta}.  It takes the half-angle form |z - zeta|^2
+    = (1 - r)^2 (1 + t^2), t = 2 sqrt(r) sin((phi - theta)/2)/|1 - r| (on
+    the circle 4 sin^2((phi - theta)/2)), the sine as the rank-2 BLAS
+    product sin(phi/2) cos(theta/2) - cos(phi/2) sin(theta/2) (_disk_sum).
+    np.sin and np.cos are within 0.52 ulp on 22k arguments checked against
+    mpmath (numpy 2.4, x86-64), so each term errs by at most
+    (25 sqrt(r)/|z - zeta| + 9) u of itself, to first order, and each row's
+    BLAS sum by gamma_N of its terms' sum.  1 - r is exact for r in [1/2, 2]
+    (Sterbenz): exact polar inputs keep it, where a complex z rounds |z|.
+
+    Otherwise the differences go whole to the kernel, by blocks of rows
+    (_blockwise): each row's sum is one BLAS product over all N sources,
+    which errs by at most gamma_N times the sum of its terms' moduli
+    (Higham, section 3.1), and each term carries the few ulp of rounding of
+    its kernel.
     """
     k, parity = KERNELS[kernel]
     if skip_self:
         return _self_sum(k, parity, sources, weights)
-    t = np.asarray(targets)
-    flat = t.reshape(-1)
-    if flat.size >= PAIR_BLOCK:
-        return _by_source(k, flat, sources, weights).reshape(t.shape)
-    n = len(sources)
-    col_blocks = -(-n // PAIR_BLOCK) or 1  # ceil(n / PAIR_BLOCK)
-    width = -(-n // col_blocks) or 1
-    step = PAIR_BLOCK // width
+    if kernel == "1/|d|^2":
+        return _disk_sum(*targets, sources, weights)
+    return _blockwise(lambda x: k(x[:, None] - sources) @ weights, np.ravel(targets),
+                      len(sources)).reshape(np.shape(targets))
 
-    def block(r, c):
-        return k(flat[r:r + step, None] - sources[c:c + width]) @ weights[c:c + width]
 
-    def rows(r):
-        total = block(r, 0)
-        for c in range(width, n, width):
-            total = total + block(r, c)
-        return total
-
-    return np.concatenate([rows(r) for r in range(0, max(flat.size, 1), step)]).reshape(t.shape)
+def _disk_sum(r, phi, theta, weights):
+    """kernel_sum's disk sum, whose form and error bound it states.  Each
+    block of rows takes the rank-2 product into one buffer of at most
+    DISK_BLOCK entries, allocated per call, then squares it, adds 1 (0 in
+    rows on the circle), takes reciprocals and multiplies by the weights;
+    rows off the circle are then divided by (1 - r)^2."""
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
+    shape = r.shape
+    r, half = r.ravel(), 0.5 * phi.ravel()
+    gap = np.abs(1.0 - r)
+    on = gap == 0.0
+    scale = 2.0 * np.sqrt(r) / np.where(on, 1.0, gap)
+    lhs = np.stack([scale * np.sin(half), -scale * np.cos(half)], axis=1)
+    rhs = np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta)])
+    unit = np.where(on, 0.0, 1.0)[:, None]
+    n, N = r.size, theta.size
+    rows = max(1, DISK_BLOCK // max(N, 1))
+    buf = np.empty(min(rows, n) * N)
+    out = np.empty(n, np.result_type(weights, float))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        q = buf[:(e - s) * N].reshape(e - s, N)
+        np.matmul(lhs[s:e], rhs, out=q)
+        np.square(q, q)
+        # a scalar add runs at a third of the cost of a column's
+        np.add(q, unit[s:e] if on[s:e].any() else 1.0, q)
+        np.divide(1.0, q, q)
+        np.matmul(q, weights, out=out[s:e])
+    out /= np.where(on, 1.0, np.square(gap))
+    return out.reshape(shape)
 
 
 def _self_sum(k, parity, x, weights):
@@ -385,36 +403,3 @@ def _self_sum(k, parity, x, weights):
         out[e:] += parity * (T[:, e - r:].T @ w[r:e])
     return out[:, 0] if real else out[:, 0] + 1j * out[:, 1]
 
-
-def _by_source(k, flat, sources, weights):
-    """kernel_sum's loop over sources for PAIR_BLOCK or more targets.  Real
-    weights fold into the kernel's numerator, and complex differences then
-    go to the kernel as their real and imaginary parts; complex weights
-    multiply the kernel's values on the whole differences."""
-    fold = np.isrealobj(weights)
-    split = fold and (np.iscomplexobj(flat) or np.iscomplexobj(sources))
-    tx, sx = (flat.real, sources.real) if split else (flat, sources)
-    x = np.empty(PAIR_BLOCK, np.result_type(tx, sx))
-    tx, sx = np.ascontiguousarray(tx), sx.tolist()
-    if split:
-        ty, y, sy = np.ascontiguousarray(flat.imag), np.empty(PAIR_BLOCK), sources.imag.tolist()
-    dy = None
-    w = weights.tolist()
-    runs = []
-    for r in range(0, flat.size, PAIR_BLOCK):
-        size = min(PAIR_BLOCK, flat.size - r)
-        xr, dx = tx[r:r + size], x[:size]
-        if split:
-            yr, dy = ty[r:r + size], y[:size]
-        acc = np.zeros(size)
-        for m in range(len(w)):
-            np.subtract(xr, sx[m], dx)
-            if split:
-                np.subtract(yr, sy[m], dy)
-            term = k(dx, dy, w[m]) if fold else w[m] * k(dx)
-            if m:
-                np.add(acc, term, acc)
-            else:
-                acc = term.copy()
-        runs.append(acc)
-    return np.concatenate(runs)

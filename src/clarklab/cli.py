@@ -274,6 +274,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Hands a usage error to main as an input error: one line, exit 2."""
 
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
-        sp.add_argument("--truncation", type=int, default=100,
+        sp.add_argument("--truncation", type=_count, default=100,
                         help="family truncation level")
         sp.add_argument("--tol", type=float, default=1e-13,
                         help="atom location tolerance: the width of each atom's final "

@@ -135,13 +135,15 @@ def exp_total_mass() -> float:
 
 def exp_tail_mass_bound(N: int) -> float:
     """Two-sided integral bound for the mass outside |n| <= N:
-    sum_{|n| > N} 2/(4 pi^2 n^2 + 1) <= 2 * (1/pi) arctan(1/(2 pi N))."""
-    return float(2.0 / np.pi * np.arctan(1.0 / (2.0 * np.pi * N)))
+    sum_{|n| > N} 2/(4 pi^2 n^2 + 1) <= 2 * (1/pi) arctan(1/(2 pi N)), as
+    arctan2(1, 2 pi N) so that N = 0 gives 1."""
+    return float(2.0 / np.pi * np.arctan2(1.0, 2.0 * np.pi * N))
 
 
 def exp_tail_potential_bound(N: int) -> float:
-    """Two-sided integral bound for sum_{|n| > N} 1/(4 pi^2 n^2 + 1)."""
-    return float(1.0 / np.pi * np.arctan(1.0 / (2.0 * np.pi * N)))
+    """Two-sided integral bound for sum_{|n| > N} 1/(4 pi^2 n^2 + 1), half
+    exp_tail_mass_bound: 1/2 at N = 0."""
+    return float(1.0 / np.pi * np.arctan2(1.0, 2.0 * np.pi * N))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ once, and the Arg and derivative terms are summed pairwise from them.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -377,5 +378,5 @@ def clark_identity_residual(u: InnerFunction, alpha: float, m, z: complex) -> fl
         raise ValueError("z must lie in the open disk")
     uz = evaluate(u, z)
     lhs = (1.0 - abs(uz) ** 2) / abs(np.exp(2j * np.pi * alpha) - uz) ** 2
-    rhs = (1.0 - abs(z) ** 2) * float(kernel_sum(z, m.points_complex, m.masses, "1/|d|^2"))
+    rhs = (1.0 - abs(z) ** 2) * float(kernel_sum(cmath.polar(z), m.thetas, m.masses, "1/|d|^2"))
     return abs(lhs - rhs)

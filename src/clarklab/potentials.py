@@ -6,9 +6,19 @@ The disk scan works with G(z) = |1 - u(z)|^2 V_mu(z), which extends
 continuously to every atom with limit |u'(zeta_k)|^2 mu_k.  The mate
 normalization |a|^2 V_mu equals G/4 exactly (|1-u|^2 = 4|a|^2), and the
 report carries both scalings.
+
+Every V_mu(z) sums over atoms zeta = e^{i theta} on the unit circle, in
+circle.kernel_sum's half-angle form |z - zeta|^2 = (1 - r)^2 +
+(2 sqrt(r) sin((phi - theta)/2))^2 for z = r e^{i phi}: each term errs by
+at most (25 sqrt(r)/|z - zeta| + 9) u of itself, u the unit roundoff, and
+the sum over N atoms by gamma_N more.  Callers pass the polar coordinates
+they build (scan rings r = 1 - 2^-j, the quadrature grid, r = 1 at atoms
+and spectrum points), which keep 1 - r exact; only ``potential`` and
+``inner.clark_identity_residual`` convert a complex z.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -30,21 +40,25 @@ ATOM_HIT_TOL = 1e-14
 def potential(m: AtomicMeasure, z) -> float:
     """V_m(z) = sum_n mass_n / |z - zeta_n|^2; inf on the atoms themselves
     (a meaningful value: the potential is infinite mu-a.e.)."""
-    return float(potential_grid(m, complex(z))[0])
+    return float(potential_grid(m, *cmath.polar(complex(z)))[0])
 
 
-def potential_grid(m: AtomicMeasure, z: np.ndarray) -> np.ndarray:
-    """Vectorized potential over an array of points, flattened."""
-    z = np.asarray(z, dtype=complex).ravel()
-    pts = m.points_complex
+def potential_grid(m: AtomicMeasure, r, phi) -> np.ndarray:
+    """The potential at the points r e^{i phi}, r >= 0, with r and phi
+    flattened and broadcast together."""
+    r, phi = np.broadcast_arrays(np.ravel(r), np.ravel(phi))
     with np.errstate(divide="ignore"):
-        out = kernel_sum(z, pts, m.masses, "1/|d|^2")
+        out = kernel_sum((r, phi), m.thetas, m.masses, "1/|d|^2")
     if m.n_atoms:
-        # the sorted atoms next to arg z are the only ones that can lie
-        # within ATOM_HIT_TOL of z (atoms are DUPLICATE_TOL apart)
-        j = np.searchsorted(m.thetas, np.mod(np.angle(z), TWO_PI)) % m.n_atoms
-        near = np.minimum(np.abs(z - pts[j]), np.abs(z - pts[j - 1]))
-        out[near < ATOM_HIT_TOL] = np.inf
+        # only points within ATOM_HIT_TOL of the circle can lie as close to
+        # an atom, and then only to the sorted atoms next to phi (atoms are
+        # DUPLICATE_TOL apart)
+        i = np.flatnonzero(np.abs(1.0 - r) < ATOM_HIT_TOL)
+        j = np.searchsorted(m.thetas, np.mod(phi[i], TWO_PI)) % m.n_atoms
+        gap, s = 1.0 - r[i], 2.0 * np.sqrt(r[i])
+        near = np.minimum(np.hypot(gap, s * np.sin(0.5 * (phi[i] - m.thetas[j]))),
+                          np.hypot(gap, s * np.sin(0.5 * (phi[i] - m.thetas[j - 1]))))
+        out[i[near < ATOM_HIT_TOL]] = np.inf
     return out
 
 
@@ -129,7 +143,7 @@ def radial_limit_check(u: InnerFunction, m: AtomicMeasure, k: int,
         radii = 1.0 - 10.0 ** (-np.arange(4, 9, dtype=float))
     radii = np.asarray(radii, dtype=float)
     z = radii * m.points_complex[k]
-    vals = np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, z)
+    vals = np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, radii, m.thetas[k])
     # Neville extrapolation to h = 0 in h = 1 - r
     h = 1.0 - radii
     tab = list(vals)
@@ -227,7 +241,7 @@ def _quad_once(m: AtomicMeasure, fprime, cfg: QuadConfig,
     tb = np.concatenate([tb, [tb[0] + TWO_PI]])
     tn, tw = _panel_nodes(tb, cfg.gauss_order)
     Z = rn[:, None] * np.exp(1j * tn[None, :])
-    P = (1.0 - rn[:, None] ** 2) * kernel_sum(Z, m.points_complex, m.masses, "1/|d|^2")
+    P = (1.0 - rn[:, None] ** 2) * kernel_sum((rn[:, None], tn), m.thetas, m.masses, "1/|d|^2")
     F = np.abs(np.asarray(fprime(Z), dtype=complex)) ** 2
     return float((rw * rn) @ (F * P) @ tw) / np.pi
 
@@ -317,6 +331,9 @@ class PotentialReport:
     ``refined_sup_estimate`` is the sup over the scan set together with one
     refinement level of the same grid (``sup_inf_scan``), and ``converged``
     holds when that level moves the sup by at most 1%.
+
+    Each witness is the first point attaining its extremum in scan order:
+    the rings, then the clusters (``_grid_points``), then the atom limits.
     """
 
     sup_estimate: float
@@ -350,12 +367,12 @@ def _check_atom_reach(u: InnerFunction, cfg: ScanConfig) -> None:
 
 
 def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig,
-                 rings, scales) -> np.ndarray:
-    """Rings r = 1 - 2^-j for j in ``rings``, of min(angular_base 2^j,
-    angular_cap) equispaced angles, then five-point clusters in (center,
-    depth, scale, offset) order at the chordal scales 2^-k for k in
-    ``scales``, around the atoms with the largest ``limits`` and the
-    spectrum.
+                 rings, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Polar coordinates (r, phi) of the scan points: rings r = 1 - 2^-j
+    for j in ``rings``, of min(angular_base 2^j, angular_cap) equispaced
+    angles, then five-point clusters at the chordal scales d = 2^-k for k
+    in ``scales``, around the atoms with the largest ``limits`` and the
+    spectrum, in (center, scale, radius 1 - d/2 then 1 - d, offset) order.
 
     The weighted potential varies on the scale of the local Clark mass
     near each atom, so the clusters refine geometrically there.
@@ -365,18 +382,20 @@ def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig,
     M = np.minimum(cfg.angular_base * 2.0 ** j, cfg.angular_cap).astype(int)
     ring = np.repeat(np.arange(j.size), M)
     k = np.arange(M.sum()) - np.repeat(np.cumsum(M) - M, M)  # index within its ring
-    pts = (1.0 - 2.0 ** -j)[ring] * np.exp(1j * (k * (TWO_PI / M)[ring]))
     centers = np.concatenate([m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap],
                               [p.theta for p in spec]])
     d = 2.0 ** -np.asarray(scales, dtype=float)[:, None]
     r = 1.0 - d * np.array([0.5, 1.0])
     ang = centers[:, None, None] + d * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    clusters = r[:, :, None] * np.exp(1j * ang[:, :, None, :])
-    return np.concatenate([pts, clusters.ravel()])
+    r, ang = np.broadcast_arrays(r[:, :, None], ang[:, :, None, :])
+    return (np.concatenate([(1.0 - 2.0 ** -j)[ring], r.ravel()]),
+            np.concatenate([k * (TWO_PI / M)[ring], ang.ravel()]))
 
 
-def _scan_G(u, m, z: np.ndarray) -> np.ndarray:
-    return np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, z)
+def _scan_G(u, m, r: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G at the points r e^{i phi}, and those points."""
+    z = r * np.exp(1j * phi)
+    return np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, r, phi), z
 
 
 def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
@@ -408,11 +427,11 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
 
     atom_limits = derivs**2 * m.masses
     spec = spectrum(u)
-    spec_values = potential_grid(m, [p.complex for p in spec])
+    spec_values = potential_grid(m, 1.0, [p.theta for p in spec])
 
     g, c = cfg.grid_depth, cfg.cluster_depth
-    z = _grid_points(m, atom_limits, spec, cfg, range(1, g + 1), range(1, c + 1))
-    G = _scan_G(u, m, z)
+    G, z = _scan_G(u, m, *_grid_points(m, atom_limits, spec, cfg, range(1, g + 1),
+                                       range(1, c + 1)))
     values = np.concatenate([G, atom_limits])
     i_sup = int(np.argmax(values))
     i_inf = int(np.argmin(values))
@@ -421,8 +440,8 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     def witness(i):
         return complex(z[i]) if i < z.size else f"atom-limit:{i - z.size}"
 
-    z_ref = _grid_points(m, atom_limits, spec, cfg, [g + 1], [c + 1])
-    refined_sup = float(np.max(_scan_G(u, m, z_ref), initial=sup))
+    G_ref, _ = _scan_G(u, m, *_grid_points(m, atom_limits, spec, cfg, [g + 1], [c + 1]))
+    refined_sup = float(np.max(G_ref, initial=sup))
 
     return PotentialReport(
         sup_estimate=sup,

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -194,56 +195,71 @@ def test_neighbor_constants_exclusion():
 REFERENCE_KERNELS = {"1/d": lambda d: 1 / d, "1/|d|^2": lambda d: 1 / abs(d) ** 2,
                      "cot": lambda d: 1 / math.tan(d), "1+cot^2": lambda d: 1 / math.sin(d) ** 2,
                      "sqrt(1+cot^2)": lambda d: 1 / abs(math.sin(d))}
-#: the kernels that take a real difference only
-ANGLE_KERNELS = {"cot", "1+cot^2", "sqrt(1+cot^2)"}
 
 
 @pytest.mark.parametrize("kernel", sorted(circle.KERNELS))
 def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
     # reference: a plain double loop summed with math.fsum.  Each term
-    # carries a few ulp of rounding and either path's sum adds at most
+    # carries a few ulp of rounding and each row's sum adds at most
     # (sources) ulp of the absolute sum, so 1e-14 of sum |terms| bounds it.
-    # The angle kernels take real differences (half-angles in [0, pi)).
+    # Differences are real (half-angles in [0, pi)), but for 1/|d|^2: the
+    # disk sum, from points r e^{i phi} given in polar form (r < 0.9 but
+    # one point on the circle, which shares its block with points off it at
+    # the first two budgets) to sources e^{i theta}
     k = REFERENCE_KERNELS[kernel]
-    circle_kernel, parity = circle.KERNELS[kernel]
-    if kernel in ANGLE_KERNELS:
-        t, s = rng.uniform(0, np.pi, 8), rng.uniform(0, np.pi, 5)
+    disk = kernel == "1/|d|^2"
+    if disk:
+        r, phi = rng.uniform(0.2, 0.9, 8), rng.uniform(-np.pi, 3 * np.pi, 8)
+        r[5] = 1.0
+        s = rng.uniform(0, TWO_PI, 5)
+        points, sources = [cmath.rect(*p) for p in zip(r, phi)], np.exp(1j * s)
+
+        def targets(n, shape):
+            return r[:n].reshape(shape), phi[:n].reshape(shape)
     else:
-        t = rng.uniform(0.2, 0.9, 8) * np.exp(1j * rng.uniform(0, TWO_PI, 8))
-        s = np.exp(1j * rng.uniform(0, TWO_PI, 5))
+        t, s = rng.uniform(0, np.pi, 8), rng.uniform(0, np.pi, 5)
+        points, sources = t, s
+
+        def targets(n, shape):
+            return t[:n].reshape(shape)
     w = rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, TWO_PI, 5))
 
-    def ref(tn, sources, weights):
-        terms = [complex(weights[m] * k(tn - sources[m])) for m in range(5)]
+    def ref(x, weights):
+        terms = [complex(weights[m] * k(x - sources[m])) for m in range(5)]
         return (complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)),
                 math.fsum(abs(x) for x in terms))
 
-    # a budget of 10 pairs, above every target count, keeps the (rows x
-    # columns) blocks: two targets each, so four blocks for t and one for
-    # two targets.  A budget of 3 sends the 8 targets one source at a time
-    # over runs of at most 3 targets; two targets stay in column blocks of
-    # 3 and 2 sources, one target each.  Complex and real weights take each
-    # block once; the kernel sees every block of both paths.
+    # both paths take rows of all 5 sources, PAIR_BLOCK // 5 of them per
+    # block (DISK_BLOCK // 5 for the disk sum), or one: budgets of 10, 15
+    # and 5 put 2, 3 and 1 of the 8 targets in a block (4, 3 and 8 blocks)
+    # and both of 2 targets in one block but at the last budget.  The
+    # kernel sees each block, and the disk sum's blocks are counted at the
+    # product with the weights.  Complex and real weights take each block
+    # once
     blocks = []
-    monkeypatch.setitem(circle.KERNELS, kernel,
-                        (lambda d, *rest: blocks.append(d.size) or circle_kernel(d, *rest),
-                         parity))
-    for budget, n_blocks in ((10, 4 + 1), (3, 5 * 3 + 2 * 2)):
-        monkeypatch.setattr(circle, "PAIR_BLOCK", budget)
+    if disk:
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, **kw: (
+            b.ndim == 1 and blocks.append(a.size)) or matmul(a, b, **kw))
+    else:
+        circle_kernel, parity = circle.KERNELS[kernel]
+        monkeypatch.setitem(circle.KERNELS, kernel,
+                            (lambda d: blocks.append(d.size) or circle_kernel(d), parity))
+    for budget, n_blocks in ((10, 4 + 1), (15, 3 + 1), (5, 8 + 2)):
+        monkeypatch.setattr(circle, "DISK_BLOCK" if disk else "PAIR_BLOCK", budget)
         blocks.clear()
         for weights in (w, w.real):
-            cases = [(kernel_sum(t.reshape(2, 4), s, weights, kernel).ravel(),
-                      [ref(x, s, weights) for x in t]),
-                     (kernel_sum(t[:2], s, weights, kernel), [ref(x, s, weights) for x in t[:2]])]
-            for got, want in cases:
-                assert np.isrealobj(got) == (np.isrealobj(weights)
-                                             and (kernel != "1/d" or np.isrealobj(t)))
-                for g, (value, scale) in zip(got, want, strict=True):
+            cases = [(kernel_sum(targets(8, (2, 4)), s, weights, kernel).ravel(), points),
+                     (kernel_sum(targets(2, (2,)), s, weights, kernel), points[:2])]
+            for got, xs in cases:
+                assert np.isrealobj(got) == np.isrealobj(weights)
+                for g, x in zip(got, xs, strict=True):
+                    value, scale = ref(x, weights)
                     assert abs(g - value) <= 1e-14 * scale
         assert len(blocks) == 2 * n_blocks and max(blocks) <= budget
-    assert kernel_sum(t.reshape(2, 4), s, w, kernel).shape == (2, 4)
-    empty = kernel_sum(t, np.empty(0, s.dtype), np.empty(0), kernel)
-    assert empty.shape == t.shape and not empty.any()
+    assert kernel_sum(targets(8, (2, 4)), s, w, kernel).shape == (2, 4)
+    empty = kernel_sum(targets(8, (8,)), np.empty(0), np.empty(0), kernel)
+    assert empty.shape == (8,) and not empty.any()
 
 
 @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 65])

@@ -210,9 +210,11 @@ def test_clark_data_for_monomial():
 
 
 def test_tail_bounds_dominate_actual_tails():
-    # the closed-form lattice sums stay below their integral bounds
+    # the closed-form lattice sums stay below their integral bounds, which
+    # are 1 and 1/2 at N = 0
     full = cl.exp_total_mass()
-    for N in (10, 100, 1000):
+    assert (cl.exp_tail_mass_bound(0), cl.exp_tail_potential_bound(0)) == (1.0, 0.5)
+    for N in (0, 10, 100, 1000):
         tail = full - cl.exp_clark_data(N).measure.total_mass
         assert 0 < tail <= cl.exp_tail_mass_bound(N)
         pot_tail = 0.5 * full - cl.potential(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -292,10 +293,11 @@ def test_scan_grid_matches_loop_form(case, cfg, monkeypatch):
     u, m = case()
     assert m.n_atoms > 5  # the capped config centers clusters on some atoms only
     # the scan evaluates this grid bit for bit, then a refinement level that
-    # makes it the grid one depth finer, as a set and bit for bit
+    # makes it the grid one depth finer, as a set and bit for bit; it takes
+    # the grid in polar form, and u at r e^{i phi}
     seen, scan_G = [], potentials._scan_G
-    monkeypatch.setattr(potentials, "_scan_G",
-                        lambda u, m, z: seen.append(z) or scan_G(u, m, z))
+    monkeypatch.setattr(potentials, "_scan_G", lambda u, m, r, phi: (
+        seen.append(r * np.exp(1j * phi)) or scan_G(u, m, r, phi)))
     cl.sup_inf_scan(u, m, cfg)
     want = _grid_loop_form(u, m, cfg)
     assert seen[0].shape == want.shape
@@ -359,27 +361,73 @@ def test_scan_checks_the_grid_budget_before_allocating(monkeypatch):
 
 
 @pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
-def test_scan_agrees_across_the_kernel_switch(case, monkeypatch):
-    # the default grid has more than PAIR_BLOCK points, so its kernel sum
-    # goes one source at a time; a budget above the grid size keeps the
-    # (rows x columns) blocks.  The two orders differ in rounding by at most
-    # (sources) u of each sum, 4.4e-14 relative at 401 sources; 1e-13
-    # leaves a margin
+def test_scan_agrees_across_disk_block_sizes(case, monkeypatch):
+    # the disk sum takes each point's row of sources whole, so its block
+    # size (DISK_BLOCK // sources rows) moves only the order in which BLAS
+    # adds a row: blocks of 61 rows and the default's blocks of over a
+    # thousand differ by at most (sources) u of each sum, 4.4e-14 relative
+    # at 401 sources; 1e-13 leaves a margin
     u, m = case()
     cfg = ScanConfig()
     n_grid = potentials._grid_points(
         m, m.masses * _angular_derivatives(u, m.thetas) ** 2, cl.spectrum(u), cfg,
-        range(1, cfg.grid_depth + 1), range(1, cfg.cluster_depth + 1)).size
-    assert n_grid >= circle.PAIR_BLOCK
-    by_source = cl.sup_inf_scan(u, m, cfg)
-    monkeypatch.setattr(circle, "PAIR_BLOCK", 2 * n_grid)
-    blocks = cl.sup_inf_scan(u, m, cfg)
-    assert (by_source.sup_witness, by_source.inf_witness) == (blocks.sup_witness,
-                                                               blocks.inf_witness)
+        range(1, cfg.grid_depth + 1), range(1, cfg.cluster_depth + 1))[0].size
+    assert n_grid * m.n_atoms >= 4 * circle.DISK_BLOCK
+    default = cl.sup_inf_scan(u, m, cfg)
+    monkeypatch.setattr(circle, "DISK_BLOCK", 61 * m.n_atoms)
+    small = cl.sup_inf_scan(u, m, cfg)
+    assert (small.sup_witness, small.inf_witness) == (default.sup_witness, default.inf_witness)
     for name in ("sup_estimate", "inf_estimate", "refined_sup_estimate"):
-        a, b = getattr(by_source, name), getattr(blocks, name)
+        a, b = getattr(small, name), getattr(default, name)
         assert abs(a - b) <= 1e-13 * abs(b)
-    np.testing.assert_array_equal(by_source.spectrum_values, blocks.spectrum_values)
+    np.testing.assert_allclose(small.spectrum_values, default.spectrum_values, rtol=1e-13)
+
+
+def test_disk_sum_matches_mpmath_on_the_exp_scan(rng):
+    # V_mu on exp N = 200 (401 squared-measure atoms) at exact polar points:
+    # a point of each ring 1..21, the five-point clusters at scale 2^-21
+    # (2.4e-7 from their atoms) around the spectrum point and two atoms, the
+    # spectrum point itself, and points outside the disk.  The reference
+    # takes r, phi and the stored angles as exact (mpmath, 40 digits); the
+    # bound is the module docstring's: each term within (25 sqrt(r)/|z -
+    # zeta| + 9) u of itself, the sum within gamma_401 of the terms' sum.
+    # On these points the sum errs by at most 8.3e-13 relative, and the
+    # Cartesian form at the rounded z by 4.6e-10, which the 1e-10 cap refuses
+    mp = pytest.importorskip("mpmath")
+    u, m = cl.inner_function(cl.ExpSingular()), cl.squared_measure(cl.exp_clark_data(200).measure)
+    cfg = ScanConfig()
+    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
+    r, phi = potentials._grid_points(m, limits, cl.spectrum(u), cfg, range(1, 22), [])
+    pick = np.concatenate([rng.choice(np.flatnonzero(r == 1.0 - 2.0 ** -j), 1)
+                           for j in range(1, 22)])
+    order = np.argsort(-limits)
+    centers = np.concatenate([m.thetas[order[[0, 400]]], [0.0]])
+    d = 2.0 ** -21
+    cr, cphi = np.broadcast_arrays((1.0 - d * np.array([0.5, 1.0]))[:, None],
+                                   centers[:, None, None] + d * np.array([-1, -0.5, 0, 0.5, 1]))
+    r = np.concatenate([r[pick], cr.ravel(), [1.0, 1.5, 1.0 + d]])
+    phi = np.concatenate([phi[pick], cphi.ravel(), [0.0, 2.0, m.thetas[order[7]]]])
+    got = potentials.potential_grid(m, r, phi)
+    uround = np.finfo(float).eps / 2
+    gamma = 401 * uround / (1 - 401 * uround)
+    with mp.workdps(40):
+        cs = [(mp.cos(mp.mpf(t)), mp.sin(mp.mpf(t))) for t in m.thetas]
+        ws = [mp.mpf(w) for w in m.masses]
+        worst = 0.0
+        for g, rn, pn in zip(got, r, phi):
+            x, cp, sp = mp.mpf(rn), mp.cos(mp.mpf(pn)), mp.sin(mp.mpf(pn))
+            dist2 = [x * x + 1 - 2 * x * (cp * c + sp * s) for c, s in cs]
+            terms = [w / q for w, q in zip(ws, dist2)]
+            want = mp.fsum(terms)
+            t, q = np.array(terms, dtype=float), np.array(dist2, dtype=float)
+            bound = t @ ((25 * np.sqrt(rn / q) + 9) * uround + gamma)
+            assert abs(g - want) <= bound
+            worst = max(worst, float(abs(g - want) / want))
+    assert worst <= 1e-10
+    # on an atom the potential is inf, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(potentials.potential_grid(m, 1.0, m.thetas[[0, 200, 400]])).all()
 
 
 def test_self_sum_is_the_upper_triangle_block_expression():

@@ -266,10 +266,14 @@ def test_cli_usage_error():
     ["bessonov", "--family", "monomial:4", "--accumulation", "1.0"],
     ["atoms", "--family", "exp", "--seed", "3"],
     ["report", "--json", "ladder.json", "--csv", "ladder.csv"],
+    ["atoms", "--family", "exp", "--truncation", "-2"],
+    ["potential", "--family", "exp", "--truncation", "-2"],
+    ["example", "exp", "--truncation", "-2"],
 ], ids=["monomial-no-k", "counterexample-no-k", "exp-with-arg", "counterexample-bad-suffix",
         "monomial-bad-k", "bessonov-no-source", "bessonov-two-sources",
         "bessonov-family-accumulation", "seed-off-perturb",
-        "report-empty-ladder"])
+        "report-empty-ladder", "atoms-negative-truncation",
+        "potential-negative-truncation", "example-negative-truncation"])
 def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ladder.json").write_text('{"outputs": {"ladder": []}}')
@@ -278,6 +282,19 @@ def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypat
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "exp", "--truncation", "0"],
+    ["atoms", "--family", "exp", "--truncation", "0"],
+    ["potential", "--family", "exp", "--truncation", "0"],
+], ids=["example", "atoms", "potential"])
+def test_cli_exp_truncation_zero_reports_or_exits_2(argv, capsys):
+    # one atom: a report, or exit 2 with one error line, never a traceback
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1) or (rc == 2 and len(err.splitlines()) == 1
+                            and err.startswith("error: "))
 
 
 def test_cli_tolsa(tmp_path):
