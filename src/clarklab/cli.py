@@ -143,7 +143,8 @@ def cmd_potential(args) -> int:
     mu = squared_measure(data.measure)
     u = inner_function(fam)
     scan = sup_inf_scan(u, mu, cfg)
-    sup61 = atom_potential_sup(mu)
+    # the pair sup needs two atoms; null for one
+    sup61 = atom_potential_sup(mu) if mu.n_atoms >= 2 else None
     ratios = mass_ratio_check(data, mu)
     payload = {"sup_inf": scan, "atom_potential_sup": sup61, "mass_ratios": ratios}
     passed = np.isfinite(scan.sup_estimate) and scan.converged
@@ -334,10 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_norm)
 
-    sp = sub.add_parser("potential",
-                        help="sup/inf scan, atom-potential sup, mass ratios; passes "
-                             "when the scan's sup is finite and one grid refinement "
-                             "level moves it by at most 1%%")
+    sp = sub.add_parser(
+        "potential", help="sup/inf scan, atom-potential sup, mass ratios",
+        description="sup/inf scan of |1-u|^2 V_mu over rings and circle points in each "
+                    "gap between atoms (the sup lies on the circle), atom-potential sup "
+                    "(null below two atoms), mass ratios; passes when the scan's sup is "
+                    "finite and one refinement level (one more ring, twice the circle "
+                    "points) moves it by at most 1 percent")
     sp.add_argument("--family", required=True)
     sp.add_argument("--config",
                     help="scan config as a JSON or TOML object with any of the keys "

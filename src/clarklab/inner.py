@@ -149,12 +149,6 @@ def spectrum(u: InnerFunction) -> tuple[CirclePoint, ...]:
     return tuple(CirclePoint(t) for t in u._form.spectrum)
 
 
-def singular_angles(u: InnerFunction) -> np.ndarray:
-    """Angles of the singular atoms, the part of the spectrum where
-    evaluate refuses."""
-    return u._form.sing_theta
-
-
 def _refuse_atoms(dist, tol, theta, what):
     """SpectrumPoint when a distance (points x atoms) to an atom is below tol."""
     if dist.min(initial=np.inf) < tol:

@@ -12,9 +12,10 @@ circle.kernel_sum's half-angle form |z - zeta|^2 = (1 - r)^2 +
 (2 sqrt(r) sin((phi - theta)/2))^2 for z = r e^{i phi}: each term errs by
 at most (25 sqrt(r)/|z - zeta| + 9) u of itself, u the unit roundoff, and
 the sum over N atoms by gamma_N more.  Callers pass the polar coordinates
-they build (scan rings r = 1 - 2^-j, the quadrature grid, r = 1 at atoms
-and spectrum points), which keep 1 - r exact; only ``potential`` and
-``inner.clark_identity_residual`` convert a complex z.
+they build (scan rings r = 1 - 2^-j, r = 1 at the scan's circle points,
+atoms and spectrum points, the quadrature grid), which keep 1 - r exact;
+only ``potential`` and ``inner.clark_identity_residual`` convert a
+complex z.
 """
 from __future__ import annotations
 
@@ -26,12 +27,12 @@ from numbers import Integral, Real
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .circle import AtomicMeasure, CirclePoint, TWO_PI, kernel_sum
+from .circle import AtomicMeasure, CirclePoint, TWO_PI, arc_mask, kernel_sum
 from .clark import ClarkData
 from .errors import (InvalidConfig, MateZero, NotEnoughAtoms,
                      QuadratureNotConverged, SupportMismatch)
 from .inner import (EVAL_ATOM_TOL, InnerFunction, _angular_derivatives, angular_derivative,
-                    evaluate, pythagorean_pair, singular_angles, spectrum)
+                    evaluate, pythagorean_pair, spectrum)
 
 #: z closer than this to an atom makes the potential infinite.
 ATOM_HIT_TOL = 1e-14
@@ -272,25 +273,25 @@ def dirichlet_quadrature(m: AtomicMeasure, fprime,
 #: may hold; checked before the grid is allocated.
 GRID_BUDGET = 1 << 21
 
-#: Deepest radial level j whose radius 1 - 2^-j float64 still holds below 1.
-MAX_RADIAL_LEVEL = np.finfo(float).nmant + 1
+#: Equal parts into which the scan cuts each gap between consecutive
+#: atoms: the scan set takes the GAP_POINTS - 1 cut points on the circle,
+#: its refinement level the GAP_POINTS midpoints of the parts.
+GAP_POINTS = 16
 
 
 @dataclass
 class ScanConfig:
     """The disk-scan grid; every field must be positive (InvalidConfig).
 
-    The refinement level's rings (radius 1 - 2^-(grid_depth + 1)) and
-    clusters (down to 1 - 2^-(cluster_depth + 2)) must stay below radius
-    1 in float64, and the rings of the scan set plus that level within
-    GRID_BUDGET points; otherwise construction raises InvalidConfig.
+    The refinement level's ring, radius 1 - 2^-(grid_depth + 1), must lie
+    at least EVAL_ATOM_TOL from the circle (grid_depth <= 45), and the
+    rings of the scan set plus that level within GRID_BUDGET points;
+    otherwise construction raises InvalidConfig.
     """
 
     grid_depth: int = 20        # radial levels r = 1 - 2^-j
-    cluster_depth: int = 20     # dyadic chordal scales around atoms/spectrum
     angular_base: int = 16      # angles at depth 1; doubles with depth
     angular_cap: int = 4096
-    cluster_centers_cap: int = 256
     support_tol: float = 1e-6   # angular residual allowed in support matching
 
     def __post_init__(self):
@@ -300,20 +301,18 @@ class ScanConfig:
                     or not 0 < v < math.inf):
                 kind = "finite positive number" if real else "positive integer"
                 raise InvalidConfig(f"{f.name} must be a {kind}, got {v!r}")
-        for name, j in (("grid_depth", self.grid_depth + 1),
-                        ("cluster_depth", self.cluster_depth + 2)):
-            if j > MAX_RADIAL_LEVEL:
-                raise InvalidConfig(
-                    f"{name} = {getattr(self, name)} puts the refinement level at radius "
-                    f"1 - 2^-{j}, which is 1.0 in float64")
+        if self.grid_depth + 1 > -math.log2(EVAL_ATOM_TOL):
+            raise InvalidConfig(
+                f"grid_depth {self.grid_depth} puts the refinement ring 2^-{self.grid_depth + 1} "
+                f"from the circle, within {EVAL_ATOM_TOL:g} of any singular atom; "
+                f"the scan samples the circle itself, and 45 is the deepest grid_depth")
         _check_grid_size(self, range(1, self.grid_depth + 2))
 
 
-def _check_grid_size(cfg: ScanConfig, rings, scales=(), n_centers: int = 0) -> None:
-    """InvalidConfig when _grid_points(.., rings, scales) around n_centers
-    centers would exceed GRID_BUDGET points."""
-    n = (sum(min(cfg.angular_base << j, cfg.angular_cap) for j in rings)
-         + 10 * len(scales) * n_centers)
+def _check_grid_size(cfg: ScanConfig, rings, n_circle: int = 0) -> None:
+    """InvalidConfig when the rings plus n_circle circle points would
+    exceed GRID_BUDGET points."""
+    n = sum(min(cfg.angular_base << j, cfg.angular_cap) for j in rings) + n_circle
     if n > GRID_BUDGET:
         raise InvalidConfig(f"the scan grid would hold {n} points, more than "
                             f"the budget of {GRID_BUDGET}")
@@ -328,12 +327,22 @@ class PotentialReport:
     scaling |a|^2 V_mu is exactly G/4 and is reported alongside.  Spectrum
     values carry V_mu(eta) itself (G has no limit there).
 
+    G is a sum of squared moduli of analytic functions, so it is
+    subharmonic, and by the maximum principle its sup over the disk is
+    its limsup at the circle: in the gaps between atoms, at the atom
+    limits, and at a spectrum point eta, where G <= 4 V_mu and V_mu is
+    continuous, so the limsup is at most 4 V_mu(eta).  The scan set
+    therefore samples the circle in each gap.  The inf has no
+    such principle; ``inf_estimate`` is the least sampled value, an
+    estimate from above.
+
     ``refined_sup_estimate`` is the sup over the scan set together with one
     refinement level of the same grid (``sup_inf_scan``), and ``converged``
     holds when that level moves the sup by at most 1%.
 
     Each witness is the first point attaining its extremum in scan order:
-    the rings, then the clusters (``_grid_points``), then the atom limits.
+    the rings, then the circle points (``_grid_points``), then the atom
+    limits.
     """
 
     sup_estimate: float
@@ -349,47 +358,30 @@ class PotentialReport:
     refined_sup_estimate: float
 
 
-def _check_atom_reach(u: InnerFunction, cfg: ScanConfig) -> None:
-    """InvalidConfig when the scan could put a point within evaluate's
-    EVAL_ATOM_TOL of a singular atom of u.  Every point of ring j lies at
-    least 2^-j from the circle and every cluster point at scale 2^-k at
-    least 2^-(k+1), so the deepest ring (grid_depth + 1) and cluster
-    (cluster_depth + 1) of the refinement level bound the distance; a
-    cluster centered on the atom, or a ring through its angle, comes that
-    close."""
-    theta = singular_angles(u)
-    gap = min(2.0 ** -(cfg.grid_depth + 1), 2.0 ** -(cfg.cluster_depth + 2))
-    if theta.size and gap < EVAL_ATOM_TOL:
-        raise InvalidConfig(
-            f"grid_depth {cfg.grid_depth} and cluster_depth {cfg.cluster_depth} bring "
-            f"scan points {gap:.3g} from the circle, within {EVAL_ATOM_TOL:g} of the "
-            f"singular atom at theta={theta[0]}, where u has no value")
-
-
-def _grid_points(m: AtomicMeasure, limits, spec, cfg: ScanConfig,
-                 rings, scales) -> tuple[np.ndarray, np.ndarray]:
+def _grid_points(m: AtomicMeasure, spec, cfg: ScanConfig,
+                 rings, fractions) -> tuple[np.ndarray, np.ndarray]:
     """Polar coordinates (r, phi) of the scan points: rings r = 1 - 2^-j
     for j in ``rings``, of min(angular_base 2^j, angular_cap) equispaced
-    angles, then five-point clusters at the chordal scales d = 2^-k for k
-    in ``scales``, around the atoms with the largest ``limits`` and the
-    spectrum, in (center, scale, radius 1 - d/2 then 1 - d, offset) order.
+    angles, then circle points r = 1 at theta_i + f gap_i for f in
+    ``fractions``, in (gap, fraction) order, in each gap whose open arc
+    holds none of the angles ``spec`` (the rule of neighbor_constants).
 
-    The weighted potential varies on the scale of the local Clark mass
-    near each atom, so the clusters refine geometrically there.
+    At a spectrum point the limsup of G is at most 4 V_mu there, which
+    the report carries, so such gaps get no circle points (the rings
+    still sample them).  Every other
+    circle point of the scan lies at least gap/(2 GAP_POINTS) from each
+    atom and singular atom: DUPLICATE_TOL/32 = 3.1e-14 at GAP_POINTS =
+    16, beyond ATOM_HIT_TOL and EVAL_ATOM_TOL.
     """
-    _check_grid_size(cfg, rings, scales, min(m.n_atoms, cfg.cluster_centers_cap) + len(spec))
+    free = ~arc_mask(np.reshape(spec, (-1, 1)), m.thetas, m.gaps).any(axis=0)
+    circle = (m.thetas[free, None] + m.gaps[free, None] * np.asarray(fractions)).ravel()
+    _check_grid_size(cfg, rings, circle.size)
     j = np.asarray(rings)
     M = np.minimum(cfg.angular_base * 2.0 ** j, cfg.angular_cap).astype(int)
     ring = np.repeat(np.arange(j.size), M)
     k = np.arange(M.sum()) - np.repeat(np.cumsum(M) - M, M)  # index within its ring
-    centers = np.concatenate([m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap],
-                              [p.theta for p in spec]])
-    d = 2.0 ** -np.asarray(scales, dtype=float)[:, None]
-    r = 1.0 - d * np.array([0.5, 1.0])
-    ang = centers[:, None, None] + d * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    r, ang = np.broadcast_arrays(r[:, :, None], ang[:, :, None, :])
-    return (np.concatenate([(1.0 - 2.0 ** -j)[ring], r.ravel()]),
-            np.concatenate([k * (TWO_PI / M)[ring], ang.ravel()]))
+    return (np.concatenate([(1.0 - 2.0 ** -j)[ring], np.ones(circle.size)]),
+            np.concatenate([k * (TWO_PI / M)[ring], circle]))
 
 
 def _scan_G(u, m, r: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,23 +392,22 @@ def _scan_G(u, m, r: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
                  cfg: ScanConfig | None = None) -> PotentialReport:
-    """Scan G = |1-u|^2 V_m over radial-angular grids with geometric
-    clusters near atoms and spectrum, together with the exact atom-limit
-    values; record V_m at spectrum points separately.
+    """Scan G = |1-u|^2 V_m over radial-angular rings and circle points in
+    the gaps between atoms, together with the exact atom-limit values;
+    record V_m at spectrum points separately.
 
     The measure must be supported on Clark atoms of u at parameter 0
     (u = 1 there); the angular residual |u(zeta)-1| / |u'(zeta)| is the
     matching criterion.
 
     Convergence evidence comes from one refinement level of the same grid:
-    the ring j = grid_depth + 1 and the clusters at scale
-    2^-(cluster_depth + 1) around the same centers, so the scan set plus
-    that level is the grid one depth finer.  ``refined_sup_estimate`` is
-    the sup over both, and ``converged`` holds when it exceeds the sup by
-    at most 1% of the sup.
+    the ring j = grid_depth + 1 and the midpoints of the GAP_POINTS parts
+    of each gap, so the scan set plus that level is the grid one depth
+    finer with twice the parts.  ``refined_sup_estimate`` is the sup over
+    both, and ``converged`` holds when it exceeds the sup by at most 1% of
+    the sup.
     """
     cfg = cfg or ScanConfig()
-    _check_atom_reach(u, cfg)
     if m.n_atoms == 0:
         raise SupportMismatch("empty measure")
     derivs = _angular_derivatives(u, m.thetas)
@@ -426,12 +417,12 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
             f"atom angular residual {resid.max():.3e} exceeds {cfg.support_tol:g}")
 
     atom_limits = derivs**2 * m.masses
-    spec = spectrum(u)
-    spec_values = potential_grid(m, 1.0, [p.theta for p in spec])
+    spec = [p.theta for p in spectrum(u)]
+    spec_values = potential_grid(m, 1.0, spec)
 
-    g, c = cfg.grid_depth, cfg.cluster_depth
-    G, z = _scan_G(u, m, *_grid_points(m, atom_limits, spec, cfg, range(1, g + 1),
-                                       range(1, c + 1)))
+    g, parts = cfg.grid_depth, np.arange(1, 2 * GAP_POINTS) / (2 * GAP_POINTS)
+    r, phi = _grid_points(m, spec, cfg, range(1, g + 1), parts[1::2])
+    G, z = _scan_G(u, m, r, phi)
     values = np.concatenate([G, atom_limits])
     i_sup = int(np.argmax(values))
     i_inf = int(np.argmin(values))
@@ -440,7 +431,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     def witness(i):
         return complex(z[i]) if i < z.size else f"atom-limit:{i - z.size}"
 
-    G_ref, _ = _scan_G(u, m, *_grid_points(m, atom_limits, spec, cfg, [g + 1], [c + 1]))
+    G_ref, _ = _scan_G(u, m, *_grid_points(m, spec, cfg, [g + 1], parts[::2]))
     refined_sup = float(np.max(G_ref, initial=sup))
 
     return PotentialReport(
@@ -454,8 +445,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
         spectrum_values=spec_values,
         grid_description=(
             f"radial depth {cfg.grid_depth}, angular cap {cfg.angular_cap}, "
-            f"clusters depth {cfg.cluster_depth} on "
-            f"{min(m.n_atoms, cfg.cluster_centers_cap)} atoms + {len(spec)} "
-            f"spectrum points"),
+            f"{np.count_nonzero(r == 1.0)} circle points, {GAP_POINTS - 1} in each "
+            f"gap free of the spectrum"),
         converged=abs(refined_sup - sup) <= 0.01 * abs(sup),
         refined_sup_estimate=refined_sup)

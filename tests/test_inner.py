@@ -336,7 +336,7 @@ def test_single_point_derivative_is_the_batched_kernel(family):
     batched = inner._angular_derivatives(u, np.array([p.theta for p in points]))
     single = np.array([cl.angular_derivative(u, p) for p in points])
     assert single.tobytes() == batched.tobytes()
-    for theta in inner.singular_angles(u):
+    for theta in u._form.sing_theta:  # the singular atoms
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpectrumPoint, match="angular derivative at singular atom"):

@@ -173,8 +173,7 @@ def test_dirichlet_quadrature_not_converged():
 
 
 def test_sup_inf_scan_single_atom():
-    rep = cl.sup_inf_scan(cl.monomial(1), delta_at_zero(),
-                          ScanConfig(grid_depth=8, cluster_depth=8))
+    rep = cl.sup_inf_scan(cl.monomial(1), delta_at_zero(), ScanConfig(grid_depth=8))
     # |1-z|^2 * 1/|z-1|^2 = 1 everywhere
     assert rep.sup_estimate == pytest.approx(1.0, abs=1e-9)
     assert rep.inf_estimate == pytest.approx(1.0, abs=1e-9)
@@ -185,8 +184,7 @@ def test_sup_inf_scan_single_atom():
 
 def test_sup_inf_scan_z2_squared():
     m = cl.AtomicMeasure([0.0, np.pi], [0.25, 0.25])
-    rep = cl.sup_inf_scan(cl.monomial(2), m,
-                          ScanConfig(grid_depth=10, cluster_depth=10))
+    rep = cl.sup_inf_scan(cl.monomial(2), m, ScanConfig(grid_depth=10))
     assert rep.atom_limits == pytest.approx([1.0, 1.0])
     assert rep.sup_estimate >= max(rep.atom_limits) - 1e-9
     assert rep.spectrum_values.size == 0
@@ -195,9 +193,7 @@ def test_sup_inf_scan_z2_squared():
 def test_sup_inf_scan_exp(exp_u):
     data = cl.exp_clark_data(300)
     mu = cl.squared_measure(data.measure)
-    cfg = ScanConfig(grid_depth=12, cluster_depth=12, angular_cap=1024,
-                     cluster_centers_cap=64)
-    rep = cl.sup_inf_scan(exp_u, mu, cfg)
+    rep = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=12, angular_cap=1024))
     # spectrum value: V_mu(1) near coth(1/2)/2
     assert rep.spectrum_values[0] == pytest.approx(COTH_HALF / 2, abs=1e-3)
     assert rep.sup_estimate >= 1.0 - 1e-9  # atom limits are all 1
@@ -205,18 +201,39 @@ def test_sup_inf_scan_exp(exp_u):
     assert rep.inf_estimate > 0
     assert rep.converged
     # refinement changes the sup by little
-    rep2 = cl.sup_inf_scan(exp_u, mu, ScanConfig(
-        grid_depth=14, cluster_depth=14, angular_cap=2048, cluster_centers_cap=64))
+    rep2 = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=14, angular_cap=2048))
     assert abs(rep2.sup_estimate - rep.sup_estimate) < 0.05 * rep2.sup_estimate
 
 
 @pytest.mark.parametrize("N", [5, 20])
-def test_scan_flags_a_coarse_grid(exp_u, N):
-    # at depth 3 one refinement level raises the sup by about 17%
+def test_scan_flags_a_coarse_grid(exp_u, N, monkeypatch):
+    # cut each gap into 4 parts (N = 5) or 3 (N = 20): the midpoints of the
+    # parts raise the sup by 1.2% (5.1761 -> 5.2387) or 1.6% (5.2286 -> 5.3116)
+    monkeypatch.setattr(potentials, "GAP_POINTS", {5: 4, 20: 3}[N])
     mu = cl.squared_measure(cl.exp_clark_data(N).measure)
-    rep = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=3, cluster_depth=3))
-    assert rep.refined_sup_estimate > 1.1 * rep.sup_estimate
+    rep = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=3))
+    assert rep.refined_sup_estimate > 1.01 * rep.sup_estimate
     assert not rep.converged
+
+
+@pytest.mark.parametrize("family, N", [
+    ("counterexample:1.0:64", 64), ("counterexample:1.0:256", 256), ("exp", 200),
+    pytest.param("counterexample:1.0:1024", 1024, marks=pytest.mark.slow),
+], ids=["counterexample:1.0:64", "counterexample:1.0:256", "exp200", "counterexample:1.0:1024"])
+def test_scan_sup_reaches_the_max_on_the_circle(family, N):
+    # G is subharmonic, so its sup over the disk is its sup on the circle;
+    # 1024 circle points in each gap free of the spectrum give a reference
+    # that the scan must reach within 1% (4.3224 on counterexample:1.0:64,
+    # 5.2393 on 1.0:256, 6.19 on 1.0:1024)
+    fam = cl.parse_family(family)
+    u, m = cl.inner_function(fam), cl.squared_measure(cl.clark_data_for(fam, truncation=N).measure)
+    spec = np.reshape([p.theta for p in cl.spectrum(u)], (-1, 1))
+    free = ~circle.arc_mask(spec, m.thetas, m.gaps).any(axis=0)
+    phi = (m.thetas[free, None] + m.gaps[free, None] * (np.arange(1, 1025) / 1025)).ravel()
+    G = np.abs(1.0 - cl.evaluate(u, np.exp(1j * phi))) ** 2 * potentials.potential_grid(m, 1.0, phi)
+    rep = cl.sup_inf_scan(u, m)
+    assert rep.sup_estimate >= 0.99 * G.max()
+    assert rep.converged
 
 
 def test_scan_converges_at_the_default_grid(exp_u):
@@ -249,23 +266,21 @@ def test_weighted_potential_bridge(exp_u):
     assert max(vals) <= 4 * sup61 + 4 * float(atom_limits.max())
 
 
-def _grid_loop_form(u, m, cfg):
-    """The disk-scan grid built ring by ring and cluster by cluster."""
+def _grid_loop_form(u, m, cfg, parts):
+    """The disk-scan grid built ring by ring, then gap by gap: the cut
+    points of each gap into ``parts`` equal parts, on the circle, in each
+    gap whose open arc holds no spectrum point."""
     pts = []
     for j in range(1, cfg.grid_depth + 1):
         r = 1.0 - 2.0 ** (-j)
         M = int(min(cfg.angular_base * 2 ** j, cfg.angular_cap))
         pts.append(r * np.exp(1j * np.linspace(0.0, TWO_PI, M, endpoint=False)))
-    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
-    centers = list(m.thetas[np.argsort(-limits)][: cfg.cluster_centers_cap])
-    centers += [p.theta for p in cl.spectrum(u)]
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    depths = 2.0 ** (-np.arange(1, cfg.cluster_depth + 1, dtype=float))
-    for c in centers:
-        for d in depths:
-            for s in (0.5, 1.0):
-                r = 1.0 - d * s
-                pts.append(r * np.exp(1j * (c + d * offsets)))
+    spec = [p.theta for p in cl.spectrum(u)]
+    for theta, gap in zip(m.thetas, m.gaps):
+        if any(0.0 < np.mod(eta - theta, TWO_PI) < gap for eta in spec):
+            continue
+        for k in range(1, parts):
+            pts.append(1.0 * np.exp(1j * np.array([theta + gap * (k / parts)])))
     return np.concatenate(pts)
 
 
@@ -286,77 +301,79 @@ def _blaschke_singular():
 
 
 @pytest.mark.parametrize("cfg", [ScanConfig(), ScanConfig(
-    grid_depth=9, angular_base=12, angular_cap=1000, cluster_depth=7, cluster_centers_cap=5)],
-    ids=["default", "capped"])
+    grid_depth=9, angular_base=12, angular_cap=1000)], ids=["default", "capped"])
 @pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
 def test_scan_grid_matches_loop_form(case, cfg, monkeypatch):
     u, m = case()
-    assert m.n_atoms > 5  # the capped config centers clusters on some atoms only
+    # exp's spectrum point 0 and the singular atoms at 1.0 and 4.0 each lie
+    # in one gap, which gets no circle points
+    assert len(_grid_loop_form(u, m, cfg, 2)) == len(_grid_loop_form(u, m, cfg, 1)) + m.n_atoms - 1
     # the scan evaluates this grid bit for bit, then a refinement level that
-    # makes it the grid one depth finer, as a set and bit for bit; it takes
-    # the grid in polar form, and u at r e^{i phi}
+    # makes it the grid one depth finer with twice the parts, as a set and
+    # bit for bit; it takes the grid in polar form, and u at r e^{i phi}
     seen, scan_G = [], potentials._scan_G
     monkeypatch.setattr(potentials, "_scan_G", lambda u, m, r, phi: (
         seen.append(r * np.exp(1j * phi)) or scan_G(u, m, r, phi)))
     cl.sup_inf_scan(u, m, cfg)
-    want = _grid_loop_form(u, m, cfg)
+    want = _grid_loop_form(u, m, cfg, potentials.GAP_POINTS)
     assert seen[0].shape == want.shape
     assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
-    finer = _grid_loop_form(u, m, dataclasses.replace(cfg, grid_depth=cfg.grid_depth + 1,
-                                                      cluster_depth=cfg.cluster_depth + 1))
+    finer = _grid_loop_form(u, m, dataclasses.replace(cfg, grid_depth=cfg.grid_depth + 1),
+                            2 * potentials.GAP_POINTS)
     assert np.array_equal(_sorted_bits(np.concatenate(seen)), _sorted_bits(finer))
 
 
 def test_scan_config_rejects_radii_at_one_and_oversized_grids():
-    # the refinement level adds a ring at grid_depth + 1 and clusters down
-    # to 1 - 2^-(cluster_depth + 2); 1 - 2^-53 is the last radius below 1
-    assert 1.0 - 2.0 ** -53 < 1.0 and 1.0 - 2.0 ** -54 == 1.0
-    ScanConfig(grid_depth=52, cluster_depth=51)
-    for kw in ({"grid_depth": 53}, {"cluster_depth": 52}, {"grid_depth": 10**400}):
-        with pytest.raises(InvalidConfig, match="is 1.0 in float64"):
-            ScanConfig(**kw)
+    # the refinement level adds a ring at grid_depth + 1, which must lie at
+    # least evaluate's 1e-14 from the circle: 2^-46 > 1e-14 > 2^-47, so
+    # grid_depth 45 is the deepest, well short of radius 1.0 in float64
+    # (1 - 2^-54)
+    assert 2.0 ** -46 > 1e-14 > 2.0 ** -47 and 1.0 - 2.0 ** -54 == 1.0
+    ScanConfig(grid_depth=45)
+    for depth in (46, 53, 10**400):
+        with pytest.raises(InvalidConfig, match="45 is the deepest grid_depth"):
+            ScanConfig(grid_depth=depth)
     with pytest.raises(InvalidConfig, match="more than the budget"):
         ScanConfig(angular_cap=10**9)
     with pytest.raises(InvalidConfig, match="more than the budget"):
         ScanConfig(angular_base=10**30, angular_cap=10**30)
 
 
-@pytest.mark.parametrize("grid_depth, cluster_depth", [(46, 3), (47, 3), (52, 3), (3, 45)])
-def test_scan_refuses_depths_reaching_a_singular_atom(grid_depth, cluster_depth, tmp_path,
-                                                       capsys, monkeypatch):
-    # the refinement level's deepest ring (radius 1 - 2^-(grid_depth + 1))
-    # or cluster (1 - 2^-(cluster_depth + 2)) would pass within evaluate's
-    # 1e-14 of exp's atom at 0; the scan refuses before building any grid
+@pytest.mark.parametrize("grid_depth", [46, 47, 52])
+def test_scan_refuses_depths_reaching_a_singular_atom(grid_depth, tmp_path, capsys,
+                                                       monkeypatch):
+    # the refinement level's ring (radius 1 - 2^-(grid_depth + 1)) would
+    # pass within evaluate's 1e-14 of exp's atom at 0; the config is
+    # refused before the scan builds any grid
     built = []
     monkeypatch.setattr(potentials, "_grid_points", lambda *args: built.append(args))
     cfg = tmp_path / "scan.json"
-    cfg.write_text(json.dumps({"grid_depth": grid_depth, "cluster_depth": cluster_depth,
-                               "angular_cap": 64}))
+    cfg.write_text(json.dumps({"grid_depth": grid_depth, "angular_cap": 64}))
     rc = cli.main(["potential", "--family", "exp", "--truncation", "5", "--config", str(cfg)])
     assert rc == 2 and not built
-    assert "within 1e-14 of the singular atom at theta=0.0" in capsys.readouterr().err
+    assert "within 1e-14 of any singular atom" in capsys.readouterr().err
 
 
 def test_scan_depths_short_of_the_atom_tolerance_run():
-    # 2^-46 > 1e-14 > 2^-47: grid_depth 45 and cluster_depth 44 are the
-    # deepest the exp scan takes; a Blaschke product has no singular atom
+    # 2^-46 > 1e-14 > 2^-47: grid_depth 45 is the deepest scan, for exp and
+    # for a Blaschke product alike
     u, m = _exp20()
-    cl.sup_inf_scan(u, m, ScanConfig(grid_depth=45, cluster_depth=44, angular_cap=64))
+    cl.sup_inf_scan(u, m, ScanConfig(grid_depth=45, angular_cap=64))
     b = cl.FiniteBlaschke(zeros=(0.5, -0.3j))
     data = cl.clark_data(b, 0.0, cl.Arc.full_circle())
-    cl.sup_inf_scan(b, cl.squared_measure(data.measure),
-                    ScanConfig(grid_depth=52, cluster_depth=51, angular_cap=64))
+    cl.sup_inf_scan(b, cl.squared_measure(data.measure), ScanConfig(grid_depth=45, angular_cap=64))
 
 
 def test_scan_checks_the_grid_budget_before_allocating(monkeypatch):
-    # clusters count only once the measure is known: exp20's scan set is
-    # 57 312 ring points and 42 centers x 20 scales x 10 cluster points
-    u, m = _exp20()
+    # circle points count only once the measure is known: exp20's scan set
+    # is 57 312 ring points and 15 circle points in each of the 40 gaps
+    # that do not hold the spectrum point 0
+    u, m, cfg = *_exp20(), ScanConfig()
     evaluated = []
     monkeypatch.setattr(potentials, "_scan_G", lambda *args: evaluated.append(args))
-    monkeypatch.setattr(potentials, "GRID_BUDGET", 57_312 + 8_399)
-    with pytest.raises(InvalidConfig, match="65712 points"):
-        cl.sup_inf_scan(u, m, ScanConfig())
+    monkeypatch.setattr(potentials, "GRID_BUDGET", 57_312 + 599)
+    with pytest.raises(InvalidConfig, match="57912 points"):
+        cl.sup_inf_scan(u, m, cfg)
     assert not evaluated
 
 
@@ -369,9 +386,8 @@ def test_scan_agrees_across_disk_block_sizes(case, monkeypatch):
     # at 401 sources; 1e-13 leaves a margin
     u, m = case()
     cfg = ScanConfig()
-    n_grid = potentials._grid_points(
-        m, m.masses * _angular_derivatives(u, m.thetas) ** 2, cl.spectrum(u), cfg,
-        range(1, cfg.grid_depth + 1), range(1, cfg.cluster_depth + 1))[0].size
+    n_grid = potentials._grid_points(m, [p.theta for p in cl.spectrum(u)], cfg,
+                                     range(1, cfg.grid_depth + 1), [0.5])[0].size
     assert n_grid * m.n_atoms >= 4 * circle.DISK_BLOCK
     default = cl.sup_inf_scan(u, m, cfg)
     monkeypatch.setattr(circle, "DISK_BLOCK", 61 * m.n_atoms)
@@ -385,28 +401,29 @@ def test_scan_agrees_across_disk_block_sizes(case, monkeypatch):
 
 def test_disk_sum_matches_mpmath_on_the_exp_scan(rng):
     # V_mu on exp N = 200 (401 squared-measure atoms) at exact polar points:
-    # a point of each ring 1..21, the five-point clusters at scale 2^-21
-    # (2.4e-7 from their atoms) around the spectrum point and two atoms, the
-    # spectrum point itself, and points outside the disk.  The reference
-    # takes r, phi and the stored angles as exact (mpmath, 40 digits); the
-    # bound is the module docstring's: each term within (25 sqrt(r)/|z -
-    # zeta| + 9) u of itself, the sum within gamma_401 of the terms' sum.
-    # On these points the sum errs by at most 8.3e-13 relative, and the
-    # Cartesian form at the rounded z by 4.6e-10, which the 1e-10 cap refuses
+    # a point of each ring 1..21, five-point clusters at chordal scale 2^-21
+    # (2.4e-7 from their atoms, at radii 1 - 2^-22 and 1 - 2^-21) around the
+    # spectrum point and two atoms, circle points 1/32 of a gap from those
+    # two atoms (the nearest the scan comes), the spectrum point itself, and
+    # points outside the disk.  The reference takes r, phi and the stored
+    # angles as exact (mpmath, 40 digits); the bound is the module
+    # docstring's: each term within (25 sqrt(r)/|z - zeta| + 9) u of itself,
+    # the sum within gamma_401 of the terms' sum.  On these points the sum
+    # errs by at most 8.3e-13 relative, and the Cartesian form at the
+    # rounded z by 4.6e-10, which the 1e-10 cap refuses
     mp = pytest.importorskip("mpmath")
     u, m = cl.inner_function(cl.ExpSingular()), cl.squared_measure(cl.exp_clark_data(200).measure)
-    cfg = ScanConfig()
-    limits = m.masses * _angular_derivatives(u, m.thetas) ** 2
-    r, phi = potentials._grid_points(m, limits, cl.spectrum(u), cfg, range(1, 22), [])
+    r, phi = potentials._grid_points(m, [0.0], ScanConfig(), range(1, 22), [])
     pick = np.concatenate([rng.choice(np.flatnonzero(r == 1.0 - 2.0 ** -j), 1)
                            for j in range(1, 22)])
-    order = np.argsort(-limits)
+    order = np.argsort(-(m.masses * _angular_derivatives(u, m.thetas) ** 2))
     centers = np.concatenate([m.thetas[order[[0, 400]]], [0.0]])
     d = 2.0 ** -21
     cr, cphi = np.broadcast_arrays((1.0 - d * np.array([0.5, 1.0]))[:, None],
                                    centers[:, None, None] + d * np.array([-1, -0.5, 0, 0.5, 1]))
-    r = np.concatenate([r[pick], cr.ravel(), [1.0, 1.5, 1.0 + d]])
-    phi = np.concatenate([phi[pick], cphi.ravel(), [0.0, 2.0, m.thetas[order[7]]]])
+    gap_points = m.thetas[order[[0, 400]]] + m.gaps[order[[0, 400]]] / 32
+    r = np.concatenate([r[pick], cr.ravel(), [1.0, 1.0, 1.0, 1.5, 1.0 + d]])
+    phi = np.concatenate([phi[pick], cphi.ravel(), gap_points, [0.0, 2.0, m.thetas[order[7]]]])
     got = potentials.potential_grid(m, r, phi)
     uround = np.finfo(float).eps / 2
     gamma = 401 * uround / (1 - 401 * uround)

@@ -297,6 +297,19 @@ def test_cli_exp_truncation_zero_reports_or_exits_2(argv, capsys):
                             and err.startswith("error: "))
 
 
+def test_cli_potential_reports_one_atom(tmp_path):
+    # exp truncated at 0 has one atom: the pair sup is null, the scan and
+    # the mass ratios are reported
+    out = tmp_path / "p.json"
+    rc = main(["potential", "--family", "exp", "--truncation", "0", "--out", str(out)])
+    assert rc in (0, 1)
+    doc = json.loads(out.read_text())["outputs"]
+    assert doc["atom_potential_sup"] is None
+    assert doc["sup_inf"]["atom_limits"] == [pytest.approx(1.0)]
+    assert np.isfinite(doc["sup_inf"]["sup_estimate"])
+    assert doc["mass_ratios"]["comparability_constant"] == pytest.approx(1.0)
+
+
 def test_cli_tolsa(tmp_path):
     out = tmp_path / "t.json"
     rc = main(["tolsa", "--family", "monomial:2", "--out", str(out)])
@@ -313,8 +326,9 @@ def test_cli_norm_rejects_bad_sizes(sizes, capsys):
 
 
 @pytest.mark.parametrize("name, text, message", [
-    ("scan.json", '{"grid_detph": 3, "cluster_depth": 3}', "unknown scan config keys ['grid_detph']"),
+    ("scan.json", '{"grid_detph": 3}', "unknown scan config keys ['grid_detph']"),
     ("scan.json", '{"coarse_fraction": 0.1}', "unknown scan config keys ['coarse_fraction']"),
+    ("scan.json", '{"cluster_depth": 14}', "unknown scan config keys ['cluster_depth']"),
     ("scan.json", '{"grid_depth": "3"}', "grid_depth must be a positive integer, got '3'"),
     ("scan.json", '{"grid_depth": -1}', "grid_depth must be a positive integer, got -1"),
     ("scan.json", '{"angular_cap": 2.0}', "angular_cap must be a positive integer, got 2.0"),
@@ -323,8 +337,8 @@ def test_cli_norm_rejects_bad_sizes(sizes, capsys):
     ("scan.json", '{"support_tol": NaN}', "support_tol must be a finite positive number, got nan"),
     ("scan.json", "[3, 3]", "scan config must be an object, got list"),
     ("scan.toml", "grid_depth = 3", "TOML configs need Python 3.11"),
-], ids=["misspelled", "removed-key", "string", "negative", "float", "bool", "zero-tol",
-        "nan-tol", "list", "no-tomllib"])
+], ids=["misspelled", "removed-key", "removed-cluster-key", "string", "negative", "float",
+        "bool", "zero-tol", "nan-tol", "list", "no-tomllib"])
 def test_cli_potential_rejects_bad_config(name, text, message, tmp_path, capsys, monkeypatch):
     if name.endswith(".toml"):
         monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
@@ -339,10 +353,10 @@ def test_cli_calls_in_one_process_share_no_options(tmp_path, capsys):
     # the parser is built once per process; every call parses into a
     # fresh namespace, so an option of one call never reaches the next
     cfg = tmp_path / "scan.json"
-    cfg.write_text('{"grid_depth": 3, "cluster_depth": 3}')
+    cfg.write_text('{"grid_depth": 3}')
     outs = [tmp_path / "with.json", tmp_path / "without.json"]
     base = ["potential", "--family", "exp", "--truncation", "5"]
-    assert main(base + ["--config", str(cfg), "--out", str(outs[0])]) == 1
+    assert main(base + ["--config", str(cfg), "--out", str(outs[0])]) == 0
     assert main(base + ["--out", str(outs[1])]) == 0
     docs = [json.loads(p.read_text())["outputs"]["sup_inf"] for p in outs]
     assert docs[0]["grid_description"].startswith("radial depth 3,")
