@@ -29,21 +29,22 @@ complex division and no rounded e^{i theta}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import circle
-from .circle import (ROW_BLOCK, Arc, AtomicMeasure, TWO_PI, arc_between, arc_mask,
-                     chord_angles, kernel_sum)
+from .circle import (KERNELS, MEMORY_BUDGET, ROW_BLOCK, Arc, AtomicMeasure, TWO_PI,
+                     arc_between, arc_mask, chord_angles, disk_sum, kernel_sum)
 from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
 #: Largest section built densely.  A norm or a Tolsa scan holds two
-#: real N x N arrays at once (16 N^2 bytes), 1 GiB at the cap; ``apply``
-#: needs no dense storage.
-DENSE_CAP = 8192
+#: real N x N arrays at once (16 N^2 bytes), MEMORY_BUDGET (1 GiB, so
+#: 8192 atoms) at the cap; ``apply`` needs no dense storage.
+DENSE_CAP = math.isqrt(MEMORY_BUDGET // 16)
 
 
 class CauchySection:
@@ -96,7 +97,7 @@ class CauchySection:
         """(C 1)(zeta_n) = sum_{m != n} sigma_m / (1 - conj(zeta_m) zeta_n),
         in the angle form of the module docstring."""
         others = np.arange(self.N) != n
-        cot = kernel_sum(self.half[n], self.half[others], self.sigma[others], "cot")
+        cot = KERNELS["cot"][0](self.half[n] - self.half[others]) @ self.sigma[others]
         return complex(0.5 * (self.sigma.sum() - self.sigma[n]) + 0.5j * cot)
 
     def cauchy_one_all(self) -> np.ndarray:
@@ -109,7 +110,7 @@ class CauchySection:
         if f.shape != (self.N,):
             raise DimensionMismatch(f"expected {self.N} values, got {f.shape}")
         g = f * self.sigma
-        cot = kernel_sum(self.half, self.half, g, "cot", skip_self=True)
+        cot = kernel_sum(self.half, g, "cot")
         return 0.5 * (g.sum() - g) + 0.5j * cot
 
 
@@ -306,8 +307,7 @@ def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralR
     outside = ~section.measure.membership(Q)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)
-    lhs = float(kernel_sum((1.0, theta[0]), section.theta[outside], section.sigma[outside],
-                           "1/|d|^2"))
+    lhs = float(disk_sum(1.0, theta[0], section.theta[outside], section.sigma[outside]))
     dist = min(float(chord_angles(theta[0], Q.start.theta)),
                float(chord_angles(theta[0], Q.start.theta + Q.length)))
     rhs_scale = 1.0 / dist
@@ -335,5 +335,5 @@ def hilbert_route(section: CauchySection, f) -> np.ndarray:
         raise DimensionMismatch(f"expected {section.N} values, got {f.shape}")
     x = (2 * n * np.pi * 1j + 1) * f * sig
     labels = n.astype(float)
-    s = kernel_sum(labels, labels, x, "1/d", skip_self=True)
+    s = kernel_sum(labels, x, "1/d")
     return (2 * n * np.pi * 1j - 1) / (4j * np.pi) * s

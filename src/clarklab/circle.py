@@ -20,19 +20,25 @@ TWO_PI = 2.0 * np.pi
 #: rejected at construction; all supported measures have isolated atoms.
 DUPLICATE_TOL = 1e-12
 
+#: Bytes that one working set may hold, checked before it is allocated:
+#: a dense section's two real N x N arrays (cauchy.DENSE_CAP is derived
+#: from it), an inner function's zeros (inner.ZERO_BYTES each) and the
+#: levels of one atom search (clark.LEVEL_BYTES each).
+MEMORY_BUDGET = 1 << 30
+
 #: Largest (points x sources) block in one broadcast sum or product: the
 #: package's pair budget for temporaries built by broadcasting.  A full
 #: block's complex temporary is 128 KiB, glibc malloc's default mmap
 #: threshold; larger blocks got fresh pages from the OS on every
 #: allocation.  On an x86-64 host with numpy 2.4, locating the
 #: counterexample:1.0:1024 atoms took 3 minor page faults and 0.6 s at
-#: this budget, 261k faults and 1.2 s at 1.5 times it.  kernel_sum's
-#: blocks of real differences keep to it, but for a single row of more
-#: sources; its disk sums and self-sums work in one buffer allocated per
-#: call instead (DISK_BLOCK, ROW_BLOCK).
+#: this budget, 261k faults and 1.2 s at 1.5 times it.  Its readers are
+#: ``inner._phase``, ``inner._blockwise`` and ``cauchy.tolsa_scan``;
+#: kernel_sum and disk_sum work in one buffer allocated per call instead
+#: (ROW_BLOCK, DISK_BLOCK).
 PAIR_BLOCK = 1 << 13
 
-#: Entries of the buffer in which kernel_sum's disk sums take their blocks
+#: Entries of the buffer in which disk_sum takes its blocks
 #: of (targets x sources), five passes each, so many rows that Python's
 #: per-block cost stays small: the exp N = 200 scan grid (108 712 points x
 #: 401 atoms) took 102-150, 93-129, 85-116, 88-122 and 111-160 ms at 2^14
@@ -40,7 +46,7 @@ PAIR_BLOCK = 1 << 13
 #: BLAS thread).
 DISK_BLOCK = 1 << 16
 
-#: Rows per block in the upper-triangle passes: kernel_sum's self-sums,
+#: Rows per block in the upper-triangle passes: kernel_sum,
 #: ``cauchy.CauchySection._skew`` and the Tolsa scan's prefix pass.
 ROW_BLOCK = 32
 
@@ -245,25 +251,9 @@ def neighbor_constants(m: AtomicMeasure, excluded_points=()) -> tuple[float, flo
     return float(lo[wa]), float(hi[wb]), wa, wb
 
 
-def _blockwise(fn, x, width):
-    """fn(x) for a kernel reducing a trailing axis of length width, in
-    slices of at most PAIR_BLOCK (points x width) entries, or one point."""
-    step = max(1, PAIR_BLOCK // max(width, 1))
-    if x.size <= step:
-        return fn(x)
-    flat = x.reshape(-1)
-    return np.concatenate([fn(flat[s:s + step])
-                           for s in range(0, flat.size, step)]).reshape(x.shape)
-
-
 def _inverse(d):
     """1/d."""
     return np.divide(1.0, d, d)
-
-
-def _inverse_square(d):
-    """1/d^2 for a real d."""
-    return np.divide(1.0, np.square(d, d), d)
 
 
 def _cot(d):
@@ -289,18 +279,23 @@ def _csc_modulus(d):
 #: 2 |sin d| and 1/sin^2 d = 1 + cot^2 d.  np.tan is within 0.55 ulp on
 #: 29k arguments checked against mpmath (numpy 2.4, x86-64) and costs
 #: about a fifth of np.sin.
-KERNELS = {"1/d": (_inverse, -1), "1/|d|^2": (_inverse_square, 1), "cot": (_cot, -1),
-           "1+cot^2": (_csc_square, 1), "sqrt(1+cot^2)": (_csc_modulus, 1)}
+KERNELS = {"1/d": (_inverse, -1), "cot": (_cot, -1), "1+cot^2": (_csc_square, 1),
+           "sqrt(1+cot^2)": (_csc_modulus, 1)}
 
 
-def kernel_sum(targets, sources, weights, kernel, skip_self=False):
-    """sum_m weights_m k(targets_n - sources_m) at every target, with k one
-    of KERNELS; the result has the shape of targets.  Targets and sources
-    are real, but for the disk sum below.
+def kernel_sum(x, weights, kernel):
+    """sum_{m != n} weights_m k(x_n - x_m) at every n of a real 1-D array
+    x, with k one of KERNELS, each pair once.
 
-    With skip_self the targets are the sources, a 1-D array x, the term
-    m = n is dropped, and each pair is taken once (_self_sum).  Row n's
-    sum is then one BLAS product over at most N terms, added after the
+    The upper triangle goes by blocks of ROW_BLOCK rows from their
+    diagonal on, as cauchy.CauchySection._skew builds it, in one buffer
+    allocated per call: a block T[i, j] = k(x_{r+i} - x_{r+j}) gives its own
+    rows as T @ w, and by the kernel's parity the rows below it as
+    parity (T^T @ w_block).  Only the ROW_BLOCK x ROW_BLOCK squares on the
+    diagonal are evaluated whole, both triangles, which adds ROW_BLOCK/N to
+    the pairs.  Complex weights go in as two real columns.
+
+    Row n's sum is one BLAS product over at most N terms, added after the
     p = n // ROW_BLOCK products over at most ROW_BLOCK terms that the row
     blocks above it pass down, in block order.  It errs by at most
     gamma_{N + p} = (N + p) u/(1 - (N + p) u) times the sum of its terms'
@@ -311,41 +306,49 @@ def kernel_sum(targets, sources, weights, kernel, skip_self=False):
     difference x_n - x_m, which is exact when x_m/2 <= x_n <= 2 x_m
     (Sterbenz), and at most 3 ulp from its kernel: 0.55 ulp from np.tan
     (see KERNELS) and 0.5 ulp from each further operation.
-
-    Without skip_self, 1/|d|^2 is the disk sum sum_m w_m/|z_n - zeta_m|^2:
-    the targets are a pair (r, phi) of polar coordinates z = r e^{i phi},
-    r >= 0, broadcast to the result's shape, and the sources the angles
-    theta of zeta = e^{i theta}.  It takes the half-angle form |z - zeta|^2
-    = (1 - r)^2 (1 + t^2), t = 2 sqrt(r) sin((phi - theta)/2)/|1 - r| (on
-    the circle 4 sin^2((phi - theta)/2)), the sine as the rank-2 BLAS
-    product sin(phi/2) cos(theta/2) - cos(phi/2) sin(theta/2) (_disk_sum).
-    np.sin and np.cos are within 0.52 ulp on 22k arguments checked against
-    mpmath (numpy 2.4, x86-64), so each term errs by at most
-    (25 sqrt(r)/|z - zeta| + 9) u of itself, to first order, and each row's
-    BLAS sum by gamma_N of its terms' sum.  1 - r is exact for r in [1/2, 2]
-    (Sterbenz): exact polar inputs keep it, where a complex z rounds |z|.
-
-    Otherwise the differences go whole to the kernel, by blocks of rows
-    (_blockwise): each row's sum is one BLAS product over all N sources,
-    which errs by at most gamma_N times the sum of its terms' moduli
-    (Higham, section 3.1), and each term carries the few ulp of rounding of
-    its kernel.
     """
     k, parity = KERNELS[kernel]
-    if skip_self:
-        return _self_sum(k, parity, sources, weights)
-    if kernel == "1/|d|^2":
-        return _disk_sum(*targets, sources, weights)
-    return _blockwise(lambda x: k(x[:, None] - sources) @ weights, np.ravel(targets),
-                      len(sources)).reshape(np.shape(targets))
+    x = np.asarray(x)
+    N = x.size
+    real = np.isrealobj(weights)
+    w = weights[:, None] if real else np.stack([weights.real, weights.imag], axis=1)
+    out = np.zeros(w.shape)
+    buf = np.empty(min(ROW_BLOCK, N) * N)
+    for r in range(0, N, ROW_BLOCK):
+        e = min(r + ROW_BLOCK, N)
+        T = buf[:(e - r) * (N - r)].reshape(e - r, N - r)
+        np.subtract.outer(x[r:e], x[r:], out=T)
+        # any nonzero difference keeps every kernel finite on the diagonal,
+        # which is then zeroed
+        np.fill_diagonal(T, 1.0)
+        T = k(T)
+        np.fill_diagonal(T, 0.0)
+        out[r:e] += T @ w[r:]
+        out[e:] += parity * (T[:, e - r:].T @ w[r:e])
+    return out[:, 0] if real else out[:, 0] + 1j * out[:, 1]
 
 
-def _disk_sum(r, phi, theta, weights):
-    """kernel_sum's disk sum, whose form and error bound it states.  Each
-    block of rows takes the rank-2 product into one buffer of at most
+def disk_sum(r, phi, theta, weights):
+    """The disk sum sum_m w_m/|z_n - zeta_m|^2 from the points
+    z = r e^{i phi}, given by polar coordinates r >= 0 and phi broadcast
+    together to the result's shape, to the points zeta = e^{i theta}.
+
+    It takes the half-angle form |z - zeta|^2 = (1 - r)^2 (1 + t^2),
+    t = 2 sqrt(r) sin((phi - theta)/2)/|1 - r| (on the circle
+    4 sin^2((phi - theta)/2)), the sine as the rank-2 BLAS product
+    sin(phi/2) cos(theta/2) - cos(phi/2) sin(theta/2).  np.sin and np.cos
+    are within 0.52 ulp on 22k arguments checked against mpmath (numpy 2.4,
+    x86-64), so each term errs by at most (25 sqrt(r)/|z - zeta| + 9) u of
+    itself, u the unit roundoff, to first order, and each row's BLAS sum by
+    gamma_N of its terms' sum (Higham, section 3.1).  1 - r is exact for r
+    in [1/2, 2] (Sterbenz): exact polar inputs keep it, where a complex z
+    rounds |z|.
+
+    Each block of rows takes the rank-2 product into one buffer of at most
     DISK_BLOCK entries, allocated per call, then squares it, adds 1 (0 in
     rows on the circle), takes reciprocals and multiplies by the weights;
-    rows off the circle are then divided by (1 - r)^2."""
+    rows off the circle are then divided by (1 - r)^2.
+    """
     r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
     shape = r.shape
     r, half = r.ravel(), 0.5 * phi.ravel()
@@ -370,36 +373,3 @@ def _disk_sum(r, phi, theta, weights):
         np.matmul(q, weights, out=out[s:e])
     out /= np.where(on, 1.0, np.square(gap))
     return out.reshape(shape)
-
-
-def _self_sum(k, parity, x, weights):
-    """sum_{m != n} weights_m k(x_n - x_m) at every n, each pair once;
-    kernel_sum states its error bound.
-
-    The upper triangle goes by blocks of ROW_BLOCK rows from their
-    diagonal on, as cauchy.CauchySection._skew builds it, in one buffer
-    allocated per call: a block T[i, j] = k(x_{r+i} - x_{r+j}) gives its own
-    rows as T @ w, and by the kernel's parity the rows below it as
-    parity (T^T @ w_block).  Only the ROW_BLOCK x ROW_BLOCK squares on the
-    diagonal are evaluated whole, both triangles, which adds ROW_BLOCK/N to
-    the pairs.  Complex weights go in as two real columns.
-    """
-    x = np.asarray(x)
-    N = x.size
-    real = np.isrealobj(weights)
-    w = weights[:, None] if real else np.stack([weights.real, weights.imag], axis=1)
-    out = np.zeros(w.shape)
-    buf = np.empty(min(ROW_BLOCK, N) * N)
-    for r in range(0, N, ROW_BLOCK):
-        e = min(r + ROW_BLOCK, N)
-        T = buf[:(e - r) * (N - r)].reshape(e - r, N - r)
-        np.subtract.outer(x[r:e], x[r:], out=T)
-        # any nonzero difference keeps every kernel finite on the diagonal,
-        # which is then zeroed
-        np.fill_diagonal(T, 1.0)
-        T = k(T)
-        np.fill_diagonal(T, 0.0)
-        out[r:e] += T @ w[r:]
-        out[e:] += parity * (T[:, e - r:].T @ w[r:e])
-    return out[:, 0] if real else out[:, 0] + 1j * out[:, 1]
-

@@ -11,13 +11,14 @@ the bracket, not the Newton step, decides when a level is done.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
+from .circle import (MEMORY_BUDGET, Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
                      measure_of_arc, neighbor_constants)
-from .errors import EmptyArc, PhaseMonotonicityViolation, SpectrumPoint
+from .errors import ClarkLabError, EmptyArc, PhaseMonotonicityViolation, SpectrumPoint
 from .inner import (EPS_SPECTRUM, InnerFunction, _angular_derivatives, _phase,
                     angular_derivative, spectrum)
 
@@ -26,6 +27,13 @@ DEFAULT_TOL = 1e-12
 #: Atoms closer than this multiple of tol to a scan end are flagged
 #: edge-uncertain.
 EDGE_FLAG_FACTOR = 10.0
+
+#: Bytes held per level while its atom is located and reported:
+#: _solve_levels keeps about twenty arrays of the level count, clark_data
+#: a CirclePoint and a row per atom.  `atoms --family exp` peaked at
+#: 376-385 bytes per level, report included, for N = 10^4 and 4 x 10^4
+#: (tracemalloc, numpy 2.4), so MEMORY_BUDGET allows about 2 x 10^6 levels.
+LEVEL_BYTES = 512
 
 
 def _solve_levels(phase, a, b, levels, tol):
@@ -72,24 +80,25 @@ def _solve_levels(phase, a, b, levels, tol):
     return 0.5 * (a + b)
 
 
-def _level_roots(u, scan: Arc, eps_spec: float, tol: float, offset: float, step: float):
+def _level_roots(u, scan: Arc, tol: float, offset: float, step: float):
     """Where the phase lift crosses the levels offset + step Z on the scan
     arc lifted to [lo, hi], as (lo, hi, roots).
 
-    The scan must keep chordal distance >= eps_spec from the spectrum.  A
-    1025-point sample of the lift checks that it increases, and its cells
-    bracket the levels for the solver.
+    The scan must keep chordal distance >= EPS_SPECTRUM from the spectrum.
+    A 1025-point sample of the lift checks that it increases, and its cells
+    bracket the levels for the solver.  More levels than MEMORY_BUDGET
+    holds at LEVEL_BYTES each raise ClarkLabError before they are built.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, not {tol}")
     lo = scan.start.theta
     hi = lo + scan.length
-    margin = 2.0 * np.arcsin(min(eps_spec, 2.0) / 2.0)  # chordal -> angular
+    margin = 2.0 * np.arcsin(EPS_SPECTRUM / 2.0)  # chordal -> angular
     for p in spectrum(u):
         for k in (-1, 0, 1):
             if lo - margin <= p.theta + TWO_PI * k <= hi + margin:
                 raise SpectrumPoint(
-                    f"scan arc comes within {eps_spec:g} of spectrum point "
+                    f"scan arc comes within {EPS_SPECTRUM:g} of spectrum point "
                     f"theta={p.theta:.6g}")
     ts = np.linspace(lo, hi, 1025)
     ph = _phase(u, ts, derivative=False)[0]
@@ -97,6 +106,9 @@ def _level_roots(u, scan: Arc, eps_spec: float, tol: float, offset: float, step:
         raise PhaseMonotonicityViolation("sampled phase decreased along the scan")
     k0 = int(np.ceil((ph[0] - offset) / step - 1e-12))
     k1 = int(np.floor((ph[-1] - offset) / step + 1e-12))
+    if (k1 - k0 + 1) * LEVEL_BYTES > MEMORY_BUDGET:
+        raise ClarkLabError(f"{k1 - k0 + 1} levels on the scan exceed the memory budget of "
+                            f"{MEMORY_BUDGET} bytes at {LEVEL_BYTES} bytes per level")
     levels = offset + step * np.arange(k0, k1 + 1)
     cell = np.clip(np.searchsorted(ph, levels), 1, ts.size - 1)
     roots = _solve_levels(lambda t: _phase(u, t), ts[cell - 1], ts[cell], levels, tol)
@@ -104,15 +116,21 @@ def _level_roots(u, scan: Arc, eps_spec: float, tol: float, offset: float, step:
 
 
 def find_atoms(u: InnerFunction, alpha: float, scan: Arc,
-               tol: float = DEFAULT_TOL, eps_spec: float = EPS_SPECTRUM,
-               return_flags: bool = False):
+               tol: float = DEFAULT_TOL, return_flags: bool = False):
     """All boundary solutions of u = e^{2 pi i alpha} on the scan arc.
+
+    alpha must be finite (else ValueError).  The solutions depend on
+    e^{2 pi i alpha} only, so the levels are offset by 2 pi (alpha mod 1),
+    which for alpha in [0, 1) is 2 pi alpha itself: at alpha = 1e17,
+    2 pi alpha carries an ulp of 128 and would collapse the level grid.
 
     Returns CirclePoints sorted along the scan direction; with
     ``return_flags`` also a parallel boolean array marking atoms within
     10*tol of a scan end as edge-uncertain.
     """
-    lo, hi, roots = _level_roots(u, scan, eps_spec, tol, TWO_PI * alpha, TWO_PI)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    lo, hi, roots = _level_roots(u, scan, tol, TWO_PI * (alpha % 1.0), TWO_PI)
     # a full-circle scan sees the wrap atom at both ends; keep one copy
     if roots.size >= 2 and roots[-1] - roots[0] > TWO_PI - max(4.0 * tol, 1e-12):
         roots = roots[:-1]
@@ -148,9 +166,9 @@ class ClarkData:
 
 
 def clark_data(u: InnerFunction, alpha: float, scan: Arc,
-               tol: float = DEFAULT_TOL, eps_spec: float = EPS_SPECTRUM) -> ClarkData:
+               tol: float = DEFAULT_TOL) -> ClarkData:
     """Locate atoms on the scan and attach masses and neighbor constants."""
-    pts, flags = find_atoms(u, alpha, scan, tol, eps_spec, return_flags=True)
+    pts, flags = find_atoms(u, alpha, scan, tol, return_flags=True)
     thetas, derivs = np.array([(p.theta, angular_derivative(u, p))
                                for p in pts]).reshape(-1, 2).T
     if np.any(~np.isfinite(derivs)):
@@ -164,13 +182,13 @@ def clark_data(u: InnerFunction, alpha: float, scan: Arc,
 
 
 def phase_partition(u: InnerFunction, n_levels: int, scan: Arc,
-                    tol: float = DEFAULT_TOL, eps_spec: float = EPS_SPECTRUM) -> list[Arc]:
+                    tol: float = DEFAULT_TOL) -> list[Arc]:
     """Partition of the scan into arcs [t_k, t_{k+1}) whose endpoints carry
     phase values on the lattice (2 pi / N) Z; each cell's phase increment
     is exactly 2 pi / N."""
     if n_levels < 2:
         raise ValueError("need at least 2 phase levels")
-    _, _, roots = _level_roots(u, scan, eps_spec, tol, 0.0, TWO_PI / n_levels)
+    _, _, roots = _level_roots(u, scan, tol, 0.0, TWO_PI / n_levels)
     return [arc_between(roots[i], roots[i + 1], closed_left=True, closed_right=False)
             for i in range(len(roots) - 1)]
 
@@ -197,11 +215,10 @@ class PartitionRegularityReport:
 
 
 def partition_regularity(u: InnerFunction, n_levels: int, scan: Arc,
-                         samples_per_cell: int = 33,
-                         tol: float = DEFAULT_TOL) -> PartitionRegularityReport:
+                         samples_per_cell: int = 33) -> PartitionRegularityReport:
     """Empirical check that |u'| is nearly constant on each phase cell and
     that cell lengths scale like 1/(N |u'|)."""
-    cells = phase_partition(u, n_levels, scan, tol)
+    cells = phase_partition(u, n_levels, scan)
     ts = np.reshape([np.linspace(c.start.theta, c.start.theta + c.length, samples_per_cell)
                      for c in cells], (-1, samples_per_cell))
     d = _angular_derivatives(u, ts)

@@ -20,7 +20,7 @@ from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
                      neighbor_constants)
 from .clark import ClarkData, _solve_levels, clark_data
 from .errors import ClarkLabError, NotEnoughAtoms
-from .inner import FiniteBlaschke, InnerFunction, SingularAtomic, monomial
+from .inner import FiniteBlaschke, InnerFunction, SingularAtomic, _check_zero_count, monomial
 from .potentials import atom_potential_sup
 from .perturb import squared_measure
 
@@ -91,6 +91,9 @@ def inner_function(fam: FamilySpec) -> InnerFunction:
         return monomial(fam.k)
     if isinstance(fam, ExpSingular):
         return SingularAtomic(atoms=((0.0, 1.0),))
+    _check_zero_count(fam.K * (2 if fam.symmetrized else 1),
+                     f"; `example counterexample:{fam.alpha}:{fam.K}` locates the "
+                     "sparse atoms without building the zeros")
     n = np.arange(1, fam.K + 1, dtype=float)
     lam = n**fam.alpha + 1j * n ** (fam.alpha - 1.0)
     if fam.symmetrized:
@@ -112,12 +115,10 @@ def exp_lattice(indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, 1.0 / deriv, deriv
 
 
-def exp_clark_data(n_max: int, n_min: int | None = None) -> ClarkData:
+def exp_clark_data(n_max: int) -> ClarkData:
     """Closed-form Clark data of the exponential example over the integer
-    window n in [n_min, n_max] (default symmetric, |n| <= n_max)."""
-    if n_min is None:
-        n_min = -n_max
-    n = np.arange(n_min, n_max + 1)
+    window |n| <= n_max."""
+    n = np.arange(-n_max, n_max + 1)
     theta, masses, deriv = exp_lattice(n)
     order = np.argsort(theta, kind="stable")
     measure = AtomicMeasure(theta[order], masses[order])

@@ -25,12 +25,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import circle
-from .circle import (CirclePoint, TWO_PI, _blockwise, canonical_angle, canonical_angles,
-                     chord_angles, kernel_sum)
-from .errors import DegenerateSymbol, SpectrumPoint
+from .circle import (MEMORY_BUDGET, CirclePoint, TWO_PI, canonical_angle, canonical_angles,
+                     chord_angles, disk_sum)
+from .errors import ClarkLabError, DegenerateSymbol, SpectrumPoint
 
-#: Default chordal radius around the spectrum inside which boundary
-#: operations refuse to evaluate.
+#: Chordal radius around the spectrum inside which boundary operations
+#: refuse to evaluate.
 EPS_SPECTRUM = 1e-8
 
 #: Chordal distance to a singular atom below which evaluate refuses.
@@ -39,6 +39,12 @@ EVAL_ATOM_TOL = 1e-14
 #: Angular-derivative partial sums beyond this cap are reported as inf,
 #: standing in for the divergent series on the spectrum.
 DERIVATIVE_OVERFLOW_CAP = 1e15
+
+#: Bytes held per zero while a zero list and its normal form are built:
+#: the counterexample family peaked at 284-290 bytes per zero for
+#: K = 2048 to 32768 (tracemalloc, numpy 2.4), so MEMORY_BUDGET allows
+#: about 3 x 10^6 zeros.
+ZERO_BYTES = 320
 
 
 class _NormalForm(NamedTuple):
@@ -136,10 +142,19 @@ class Product:
 InnerFunction = FiniteBlaschke | SingularAtomic | Product
 
 
+def _check_zero_count(n: int, hint: str) -> None:
+    """ClarkLabError, before any zero is built, when n zeros at ZERO_BYTES
+    each exceed MEMORY_BUDGET; hint ends the message."""
+    if n * ZERO_BYTES > MEMORY_BUDGET:
+        raise ClarkLabError(f"{n} zeros exceed the memory budget of {MEMORY_BUDGET} bytes "
+                            f"at {ZERO_BYTES} bytes per zero{hint}")
+
+
 def monomial(k: int) -> FiniteBlaschke:
     """u(z) = z^k."""
     if k < 1:
         raise ValueError("monomial degree must be >= 1")
+    _check_zero_count(k, "")
     return FiniteBlaschke(zeros=(0.0 + 0.0j,) * k)
 
 
@@ -154,6 +169,17 @@ def _refuse_atoms(dist, tol, theta, what):
     if dist.min(initial=np.inf) < tol:
         theta = theta[(dist < tol).reshape(-1, theta.size).any(axis=0)][0]
         raise SpectrumPoint(f"{what} at singular atom theta={theta}")
+
+
+def _blockwise(fn, x, width):
+    """fn(x) for a kernel reducing a trailing axis of length width, in
+    slices of at most PAIR_BLOCK (points x width) entries, or one point."""
+    step = max(1, circle.PAIR_BLOCK // max(width, 1))
+    if x.size <= step:
+        return fn(x)
+    flat = x.reshape(-1)
+    return np.concatenate([fn(flat[s:s + step])
+                           for s in range(0, flat.size, step)]).reshape(x.shape)
 
 
 def evaluate(u: InnerFunction, z):
@@ -280,16 +306,15 @@ def _angular_derivatives(u, theta):
     return _phase(u, theta, lift=False)[1]
 
 
-def _check_off_spectrum(u, theta, eps_spec):
+def _check_off_spectrum(u, theta):
     spec = u._form.spectrum
-    near = chord_angles(np.reshape(theta, (-1, 1)), spec) < eps_spec
+    near = chord_angles(np.reshape(theta, (-1, 1)), spec) < EPS_SPECTRUM
     if near.any():
-        raise SpectrumPoint(f"boundary point within {eps_spec:g} of spectrum "
+        raise SpectrumPoint(f"boundary point within {EPS_SPECTRUM:g} of spectrum "
                             f"at theta={spec[near.any(axis=0)][0]}")
 
 
-def boundary_phase(u: InnerFunction, theta, anchor: float | None = None,
-                   eps_spec: float = EPS_SPECTRUM):
+def boundary_phase(u: InnerFunction, theta, anchor: float | None = None):
     """Continuous increasing branch of arg u(e^{i theta}).
 
     The returned lift satisfies exp(i phase) = u(e^{i theta}) and is
@@ -298,7 +323,7 @@ def boundary_phase(u: InnerFunction, theta, anchor: float | None = None,
     2*pi so that the value at the first evaluation point lands within pi
     of the anchor.
     """
-    _check_off_spectrum(u, theta, eps_spec)
+    _check_off_spectrum(u, theta)
     ph = _phase_lift(u, theta)
     if anchor is not None:
         ref = ph if np.ndim(ph) == 0 else np.atleast_1d(ph)[0]
@@ -372,5 +397,5 @@ def clark_identity_residual(u: InnerFunction, alpha: float, m, z: complex) -> fl
         raise ValueError("z must lie in the open disk")
     uz = evaluate(u, z)
     lhs = (1.0 - abs(uz) ** 2) / abs(np.exp(2j * np.pi * alpha) - uz) ** 2
-    rhs = (1.0 - abs(z) ** 2) * float(kernel_sum(cmath.polar(z), m.thetas, m.masses, "1/|d|^2"))
+    rhs = (1.0 - abs(z) ** 2) * float(disk_sum(*cmath.polar(z), m.thetas, m.masses))
     return abs(lhs - rhs)

@@ -38,7 +38,7 @@ def interaction_sup(base: ClarkData, alpha) -> tuple[float, int]:
         raise DimensionMismatch(
             f"alpha length {alpha.shape} != atom count {m.n_atoms}")
     half = 0.5 * m.thetas
-    vals = 0.5 * kernel_sum(half, half, m.masses * alpha, "sqrt(1+cot^2)", skip_self=True)
+    vals = 0.5 * kernel_sum(half, m.masses * alpha, "sqrt(1+cot^2)")
     if not vals.size:
         return -np.inf, -1
     i = int(np.argmax(vals))

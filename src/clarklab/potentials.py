@@ -8,7 +8,7 @@ normalization |a|^2 V_mu equals G/4 exactly (|1-u|^2 = 4|a|^2), and the
 report carries both scalings.
 
 Every V_mu(z) sums over atoms zeta = e^{i theta} on the unit circle, in
-circle.kernel_sum's half-angle form |z - zeta|^2 = (1 - r)^2 +
+circle.disk_sum's half-angle form |z - zeta|^2 = (1 - r)^2 +
 (2 sqrt(r) sin((phi - theta)/2))^2 for z = r e^{i phi}: each term errs by
 at most (25 sqrt(r)/|z - zeta| + 9) u of itself, u the unit roundoff, and
 the sum over N atoms by gamma_N more.  Callers pass the polar coordinates
@@ -27,7 +27,7 @@ from numbers import Integral, Real
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .circle import AtomicMeasure, CirclePoint, TWO_PI, arc_mask, kernel_sum
+from .circle import AtomicMeasure, CirclePoint, TWO_PI, arc_mask, disk_sum, kernel_sum
 from .clark import ClarkData
 from .errors import (InvalidConfig, MateZero, NotEnoughAtoms,
                      QuadratureNotConverged, SupportMismatch)
@@ -49,7 +49,7 @@ def potential_grid(m: AtomicMeasure, r, phi) -> np.ndarray:
     flattened and broadcast together."""
     r, phi = np.broadcast_arrays(np.ravel(r), np.ravel(phi))
     with np.errstate(divide="ignore"):
-        out = kernel_sum((r, phi), m.thetas, m.masses, "1/|d|^2")
+        out = disk_sum(r, phi, m.thetas, m.masses)
     if m.n_atoms:
         # only points within ATOM_HIT_TOL of the circle can lie as close to
         # an atom, and then only to the sorted atoms next to phi (atoms are
@@ -87,7 +87,7 @@ def atom_potential_sup(m: AtomicMeasure) -> AtomPotentialSup:
     if m.n_atoms < 2:
         raise NotEnoughAtoms("need at least 2 atoms")
     half = 0.5 * m.thetas
-    vals = 0.25 * kernel_sum(half, half, m.masses, "1+cot^2", skip_self=True)
+    vals = 0.25 * kernel_sum(half, m.masses, "1+cot^2")
     i = int(np.argmax(vals))
     return AtomPotentialSup(value=float(vals[i]), witness=i)
 
@@ -104,20 +104,15 @@ class MassRatioReport:
     witness_max: int
 
 
-def _match_supports(thetas_a, thetas_b, tol):
-    if thetas_a.size != thetas_b.size:
-        raise SupportMismatch(
-            f"atom counts differ: {thetas_a.size} vs {thetas_b.size}")
-    if thetas_a.size and np.max(np.abs(thetas_a - thetas_b)) > tol:
-        raise SupportMismatch("atom angles differ beyond tolerance")
-
-
-def mass_ratio_check(clark: ClarkData, m: AtomicMeasure,
-                     angle_tol: float = 1e-9) -> MassRatioReport:
+def mass_ratio_check(clark: ClarkData, m: AtomicMeasure) -> MassRatioReport:
     """Products mu_n |u'(zeta_n)|^2 over a measure sharing the Clark
-    support; bounded products are the mass-window condition for the
-    space equality."""
-    _match_supports(clark.measure.thetas, m.thetas, angle_tol)
+    support (angles within 1e-9); bounded products are the mass-window
+    condition for the space equality."""
+    thetas = clark.measure.thetas
+    if thetas.size != m.n_atoms:
+        raise SupportMismatch(f"atom counts differ: {thetas.size} vs {m.n_atoms}")
+    if thetas.size and np.max(np.abs(thetas - m.thetas)) > 1e-9:
+        raise SupportMismatch("atom angles differ by more than 1e-9")
     prods = m.masses * clark.derivatives**2
     imin = int(np.argmin(prods))
     imax = int(np.argmax(prods))
@@ -136,13 +131,11 @@ class RadialLimitReport:
     values: np.ndarray
 
 
-def radial_limit_check(u: InnerFunction, m: AtomicMeasure, k: int,
-                       radii=None) -> RadialLimitReport:
-    """Extrapolate |1 - u(r zeta_k)|^2 V_m(r zeta_k) to r -> 1 and compare
-    with the continuous-extension value |u'(zeta_k)|^2 m_k."""
-    if radii is None:
-        radii = 1.0 - 10.0 ** (-np.arange(4, 9, dtype=float))
-    radii = np.asarray(radii, dtype=float)
+def radial_limit_check(u: InnerFunction, m: AtomicMeasure, k: int) -> RadialLimitReport:
+    """Extrapolate |1 - u(r zeta_k)|^2 V_m(r zeta_k) from r = 1 - 10^-j,
+    j = 4..8, to r -> 1 and compare with the continuous-extension value
+    |u'(zeta_k)|^2 m_k."""
+    radii = 1.0 - 10.0 ** (-np.arange(4, 9, dtype=float))
     z = radii * m.points_complex[k]
     vals = np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, radii, m.thetas[k])
     # Neville extrapolation to h = 0 in h = 1 - r
@@ -242,7 +235,7 @@ def _quad_once(m: AtomicMeasure, fprime, cfg: QuadConfig,
     tb = np.concatenate([tb, [tb[0] + TWO_PI]])
     tn, tw = _panel_nodes(tb, cfg.gauss_order)
     Z = rn[:, None] * np.exp(1j * tn[None, :])
-    P = (1.0 - rn[:, None] ** 2) * kernel_sum((rn[:, None], tn), m.thetas, m.masses, "1/|d|^2")
+    P = (1.0 - rn[:, None] ** 2) * disk_sum(rn[:, None], tn, m.thetas, m.masses)
     F = np.abs(np.asarray(fprime(Z), dtype=complex)) ** 2
     return float((rw * rn) @ (F * P) @ tw) / np.pi
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import clarklab as cl
 from clarklab import circle
-from clarklab.circle import canonical_angle, canonical_angles, kernel_sum, neighbor_constants
+from clarklab.circle import (canonical_angle, canonical_angles, disk_sum, kernel_sum,
+                             neighbor_constants)
 from clarklab.errors import ClarkLabError, InvalidAngle, InvalidMeasure
 
 TWO_PI = 2 * np.pi
@@ -192,80 +193,57 @@ def test_neighbor_constants_exclusion():
     assert np.isnan(neighbor_constants(measures[-1], [0.0, 1.0])[:2]).all()
 
 
-REFERENCE_KERNELS = {"1/d": lambda d: 1 / d, "1/|d|^2": lambda d: 1 / abs(d) ** 2,
-                     "cot": lambda d: 1 / math.tan(d), "1+cot^2": lambda d: 1 / math.sin(d) ** 2,
-                     "sqrt(1+cot^2)": lambda d: 1 / abs(math.sin(d))}
-
-
-@pytest.mark.parametrize("kernel", sorted(circle.KERNELS))
-def test_kernel_sum_matches_double_loop(kernel, rng, monkeypatch):
+def test_disk_sum_matches_double_loop(rng, monkeypatch):
     # reference: a plain double loop summed with math.fsum.  Each term
     # carries a few ulp of rounding and each row's sum adds at most
     # (sources) ulp of the absolute sum, so 1e-14 of sum |terms| bounds it.
-    # Differences are real (half-angles in [0, pi)), but for 1/|d|^2: the
-    # disk sum, from points r e^{i phi} given in polar form (r < 0.9 but
-    # one point on the circle, which shares its block with points off it at
-    # the first two budgets) to sources e^{i theta}
-    k = REFERENCE_KERNELS[kernel]
-    disk = kernel == "1/|d|^2"
-    if disk:
-        r, phi = rng.uniform(0.2, 0.9, 8), rng.uniform(-np.pi, 3 * np.pi, 8)
-        r[5] = 1.0
-        s = rng.uniform(0, TWO_PI, 5)
-        points, sources = [cmath.rect(*p) for p in zip(r, phi)], np.exp(1j * s)
+    # The points r e^{i phi} are given in polar form (r < 0.9 but one point
+    # on the circle, which shares its block with points off it at the first
+    # two budgets), the sources e^{i theta} by their angles
+    r, phi = rng.uniform(0.2, 0.9, 8), rng.uniform(-np.pi, 3 * np.pi, 8)
+    r[5] = 1.0
+    s = rng.uniform(0, TWO_PI, 5)
+    points, sources = [cmath.rect(*p) for p in zip(r, phi)], np.exp(1j * s)
 
-        def targets(n, shape):
-            return r[:n].reshape(shape), phi[:n].reshape(shape)
-    else:
-        t, s = rng.uniform(0, np.pi, 8), rng.uniform(0, np.pi, 5)
-        points, sources = t, s
-
-        def targets(n, shape):
-            return t[:n].reshape(shape)
+    def targets(n, shape):
+        return r[:n].reshape(shape), phi[:n].reshape(shape)
     w = rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, TWO_PI, 5))
 
     def ref(x, weights):
-        terms = [complex(weights[m] * k(x - sources[m])) for m in range(5)]
+        terms = [complex(weights[m] / abs(x - sources[m]) ** 2) for m in range(5)]
         return (complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)),
                 math.fsum(abs(x) for x in terms))
 
-    # both paths take rows of all 5 sources, PAIR_BLOCK // 5 of them per
-    # block (DISK_BLOCK // 5 for the disk sum), or one: budgets of 10, 15
-    # and 5 put 2, 3 and 1 of the 8 targets in a block (4, 3 and 8 blocks)
-    # and both of 2 targets in one block but at the last budget.  The
-    # kernel sees each block, and the disk sum's blocks are counted at the
-    # product with the weights.  Complex and real weights take each block
-    # once
+    # rows of all 5 sources, DISK_BLOCK // 5 of them per block, or one:
+    # budgets of 10, 15 and 5 put 2, 3 and 1 of the 8 targets in a block
+    # (4, 3 and 8 blocks) and both of 2 targets in one block but at the last
+    # budget.  Blocks are counted at the product with the weights; complex
+    # and real weights take each block once
     blocks = []
-    if disk:
-        matmul = np.matmul
-        monkeypatch.setattr(np, "matmul", lambda a, b, **kw: (
-            b.ndim == 1 and blocks.append(a.size)) or matmul(a, b, **kw))
-    else:
-        circle_kernel, parity = circle.KERNELS[kernel]
-        monkeypatch.setitem(circle.KERNELS, kernel,
-                            (lambda d: blocks.append(d.size) or circle_kernel(d), parity))
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: (
+        b.ndim == 1 and blocks.append(a.size)) or matmul(a, b, **kw))
     for budget, n_blocks in ((10, 4 + 1), (15, 3 + 1), (5, 8 + 2)):
-        monkeypatch.setattr(circle, "DISK_BLOCK" if disk else "PAIR_BLOCK", budget)
+        monkeypatch.setattr(circle, "DISK_BLOCK", budget)
         blocks.clear()
         for weights in (w, w.real):
-            cases = [(kernel_sum(targets(8, (2, 4)), s, weights, kernel).ravel(), points),
-                     (kernel_sum(targets(2, (2,)), s, weights, kernel), points[:2])]
+            cases = [(disk_sum(*targets(8, (2, 4)), s, weights).ravel(), points),
+                     (disk_sum(*targets(2, (2,)), s, weights), points[:2])]
             for got, xs in cases:
                 assert np.isrealobj(got) == np.isrealobj(weights)
                 for g, x in zip(got, xs, strict=True):
                     value, scale = ref(x, weights)
                     assert abs(g - value) <= 1e-14 * scale
         assert len(blocks) == 2 * n_blocks and max(blocks) <= budget
-    assert kernel_sum(targets(8, (2, 4)), s, w, kernel).shape == (2, 4)
-    empty = kernel_sum(targets(8, (8,)), np.empty(0), np.empty(0), kernel)
+    assert disk_sum(*targets(8, (2, 4)), s, w).shape == (2, 4)
+    empty = disk_sum(*targets(8, (8,)), np.empty(0), np.empty(0))
     assert empty.shape == (8,) and not empty.any()
 
 
 @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 65])
 @pytest.mark.parametrize("kernel", sorted(circle.KERNELS))
 def test_self_sum_matches_mpmath_double_loop(kernel, N, rng):
-    # kernel_sum with skip_self takes each pair once, by blocks of
+    # kernel_sum takes each pair once, by blocks of
     # ROW_BLOCK = 32 rows; N runs around that.  The reference evaluates
     # each kernel exactly (mpmath, 40 digits) at the rounded differences
     # x_n - x_m, which both sides share, and sums exactly.  The bound
@@ -273,7 +251,7 @@ def test_self_sum_matches_mpmath_double_loop(kernel, N, rng):
     # within gamma_{N + p} of the sum of its terms' moduli, p = n // 32;
     # the reference's own rounding adds 1/2 ulp of that sum
     mp = pytest.importorskip("mpmath")
-    exact = {"1/d": lambda d: 1 / d, "1/|d|^2": lambda d: 1 / d ** 2, "cot": mp.cot,
+    exact = {"1/d": lambda d: 1 / d, "cot": mp.cot,
              "1+cot^2": lambda d: 1 / mp.sin(d) ** 2,
              "sqrt(1+cot^2)": lambda d: 1 / abs(mp.sin(d))}[kernel]
     assert circle.ROW_BLOCK == 32
@@ -288,7 +266,7 @@ def test_self_sum_matches_mpmath_double_loop(kernel, N, rng):
         values = [[exact(mp.mpf(float(x[n] - x[m]))) if m != n else mp.mpf(0)
                    for m in range(N)] for n in range(N)]
         for weights in (w, w.real):
-            got = kernel_sum(x, x, weights, kernel, skip_self=True)
+            got = kernel_sum(x, weights, kernel)
             assert got.shape == (N,) and np.isrealobj(got) == np.isrealobj(weights)
             for n in range(N):
                 terms = [mp.mpc(complex(weights[m])) * values[n][m] for m in range(N)]

@@ -448,7 +448,7 @@ def test_disk_sum_matches_mpmath_on_the_exp_scan(rng):
 
 
 def test_self_sum_is_the_upper_triangle_block_expression():
-    # kernel_sum with skip_self: blocks of ROW_BLOCK rows from their
+    # kernel_sum: blocks of ROW_BLOCK rows from their
     # diagonal on, T = k(x_block - x[r:]) with a zero diagonal; the block's
     # own rows get T @ w, the rows below parity (T^T @ w_block), bit for
     # bit.  Complex weights go in as two real columns.  The Cauchy apply and
@@ -462,8 +462,7 @@ def test_self_sum_is_the_upper_triangle_block_expression():
              "1+cot^2": (lambda d: 1.0 / np.tan(d) ** 2 + 1.0, 1, m.masses),
              "sqrt(1+cot^2)": (lambda d: np.sqrt(1.0 / np.tan(d) ** 2 + 1.0), 1,
                                m.masses * alpha),
-             "1/d": (lambda d: 1.0 / d, -1, f),
-             "1/|d|^2": (lambda d: 1.0 / d ** 2, 1, f)}
+             "1/d": (lambda d: 1.0 / d, -1, f)}
     want = {}
     for kernel, (k, parity, w) in cases.items():
         W = w[:, None] if np.isrealobj(w) else np.stack([w.real, w.imag], axis=1)
@@ -478,7 +477,7 @@ def test_self_sum_is_the_upper_triangle_block_expression():
             out[r:e] += T @ W[r:]
             out[e:] += parity * (T[:, e - r:].T @ W[r:e])
         want[kernel] = out[:, 0] if np.isrealobj(w) else out[:, 0] + 1j * out[:, 1]
-        got = circle.kernel_sum(half, half, w, kernel, skip_self=True)
+        got = circle.kernel_sum(half, w, kernel)
         assert got.dtype == want[kernel].dtype and got.tobytes() == want[kernel].tobytes()
     assert cl.atom_potential_sup(m).value == 0.25 * want["1+cot^2"].max()
     g = f * m.masses

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,6 +283,61 @@ def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypat
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("input error: ")
+
+
+def test_cli_alpha_counts_mod_1_and_must_be_finite(tmp_path, capsys):
+    # sigma_alpha depends on e^{2 pi i alpha} only; at alpha = 1e17 the
+    # level offset 2 pi alpha has an ulp of 128, so it is reduced mod 1
+    reports = []
+    for alpha in ("0", "1e17"):
+        out = tmp_path / f"{alpha}.json"
+        assert main(["atoms", "--family", "monomial:4", "--alpha", alpha,
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["outputs"]["atoms"])
+    assert len(reports[0]) == 4 and reports[1] == reports[0]
+    capsys.readouterr()
+    for alpha in ("inf", "nan"):
+        assert main(["atoms", "--family", "monomial:4", "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("input error: alpha must be finite")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["atoms", "--family", "counterexample:1.0:1000000000000"],
+     "1000000000000 zeros exceed the memory budget"),
+    (["atoms", "--family", "counterexample:1.0:600000000:sym"],
+     "1200000000 zeros exceed the memory budget"),
+    (["atoms", "--family", "monomial:1000000000000"],
+     "1000000000000 zeros exceed the memory budget"),
+    (["atoms", "--family", "exp", "--truncation", "1000000000000"],
+     "scan arc comes within 1e-08 of spectrum point"),
+    (["atoms", "--family", "exp", "--truncation", "10000000"],
+     "20000001 levels on the scan exceed the memory budget"),
+], ids=["counterexample", "counterexample-sym", "monomial", "exp-at-spectrum", "exp-levels"])
+def test_cli_dense_route_refuses_sizes_beyond_the_memory_budget(argv, message, capsys):
+    # refused before the zeros or the levels are built, in well under a
+    # second; the counterexample points to its sparse route
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: " + message)
+    if "counterexample" in argv[2]:
+        assert "`example counterexample:1.0:" in captured.err
+
+
+def test_memory_budget_bounds_zeros_and_levels():
+    # the largest inputs of the tests and the benchmark (exp N = 10000:
+    # 20 001 levels; counterexample K = 2048; monomial:1024) fit with room
+    # to spare, and one zero over the budget is refused before any is built
+    budget = cl.circle.MEMORY_BUDGET
+    assert cl.cauchy.DENSE_CAP == 8192 and 16 * cl.cauchy.DENSE_CAP ** 2 == budget
+    assert budget // cl.clark.LEVEL_BYTES > 100 * 20_001
+    assert budget // cl.inner.ZERO_BYTES > 100 * 2 * 2048
+    with pytest.raises(cl.errors.ClarkLabError, match="zeros exceed the memory budget"):
+        cl.monomial(budget // cl.inner.ZERO_BYTES + 1)
 
 
 @pytest.mark.parametrize("argv", [
