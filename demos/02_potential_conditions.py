@@ -10,7 +10,6 @@ whose squared-mass measure satisfies the conditions.
 import numpy as np
 
 import clarklab as cl
-from clarklab.potentials import QuadConfig, ScanConfig
 
 u = cl.SingularAtomic(atoms=((0.0, 1.0),))
 data = cl.exp_clark_data(500)
@@ -31,11 +30,11 @@ print(f"V_mu(1) = {v1:.8f}  (target {0.5 / np.tanh(0.5):.8f})")
 
 # disk scan of |1-u|^2 V_mu with atom limits |u'|^2 mu_n = 1: the function
 # is subharmonic, so its sup lies on the circle, which the scan samples in
-# each gap between atoms; rings to depth 14 sample the inside of the disk
-rep = cl.sup_inf_scan(u, mu, ScanConfig(grid_depth=14, angular_cap=2048))
+# each gap between atoms; rings to depth 20 sample the inside of the disk
+rep = cl.sup_inf_scan(u, mu)
 print(f"sup |1-u|^2 V_mu ~ {rep.sup_estimate:.4f} "
       f"(mate scaling {rep.sup_mate_scaled:.4f}), inf ~ {rep.inf_estimate:.4f}")
-# one refinement level (ring 15, twice the circle points) moves the sup by
+# one refinement level (ring 21, twice the circle points) moves the sup by
 # under 1%
 print(f"refined sup {rep.refined_sup_estimate:.4f}, converged={rep.converged}")
 
@@ -51,7 +50,7 @@ for w in (0.3, 0.5j):
     kn = cl.kernel_norms(cl.monomial(1), m1, w)
     def fprime(z, w=w):
         return np.conj(w) / (1 - np.conj(w) * z) ** 2
-    quad = cl.dirichlet_quadrature(m1, fprime, QuadConfig())
+    quad = cl.dirichlet_quadrature(m1, fprime)
     closed = kn.dmu_norm_sq - 1 / (1 - abs(w) ** 2)
     print(f"w = {w}: quadrature {quad.value:.8f} vs closed form {closed:.8f} "
           f"(err est {quad.error_estimate:.1e})")

@@ -19,9 +19,9 @@ from .inner import (FiniteBlaschke, InnerFunction, Product, PythagoreanPair,
 from .clark import (ClarkData, clark_data, comparability_check, find_atoms,
                     partition_regularity, phase_partition)
 from .potentials import (AtomPotentialSup, KernelNorms, PotentialReport,
-                         QuadConfig, ScanConfig, atom_potential_sup,
-                         dirichlet_quadrature, kernel_norms, mass_ratio_check,
-                         poisson, potential, radial_limit_check, sup_inf_scan)
+                         atom_potential_sup, dirichlet_quadrature, kernel_norms,
+                         mass_ratio_check, poisson, potential, radial_limit_check,
+                         sup_inf_scan)
 from .cauchy import (CauchySection, OperatorNormEstimate, TolsaReport,
                      hilbert_route, nested_sections, operator_norm,
                      tail_integral_check, tolsa_scan)

@@ -36,6 +36,14 @@ EDGE_FLAG_FACTOR = 10.0
 LEVEL_BYTES = 512
 
 
+def _check_level_count(n: int) -> None:
+    """ClarkLabError, before any level is built, when n levels at
+    LEVEL_BYTES each exceed MEMORY_BUDGET."""
+    if n * LEVEL_BYTES > MEMORY_BUDGET:
+        raise ClarkLabError(f"{n} levels on the scan exceed the memory budget of "
+                            f"{MEMORY_BUDGET} bytes at {LEVEL_BYTES} bytes per level")
+
+
 def _solve_levels(phase, a, b, levels, tol):
     """The t in [a, b] with phase(t) = level, for each level, where
     ``phase(t)`` returns an increasing function and its derivative and
@@ -106,9 +114,7 @@ def _level_roots(u, scan: Arc, tol: float, offset: float, step: float):
         raise PhaseMonotonicityViolation("sampled phase decreased along the scan")
     k0 = int(np.ceil((ph[0] - offset) / step - 1e-12))
     k1 = int(np.floor((ph[-1] - offset) / step + 1e-12))
-    if (k1 - k0 + 1) * LEVEL_BYTES > MEMORY_BUDGET:
-        raise ClarkLabError(f"{k1 - k0 + 1} levels on the scan exceed the memory budget of "
-                            f"{MEMORY_BUDGET} bytes at {LEVEL_BYTES} bytes per level")
+    _check_level_count(k1 - k0 + 1)
     levels = offset + step * np.arange(k0, k1 + 1)
     cell = np.clip(np.searchsorted(ph, levels), 1, ts.size - 1)
     roots = _solve_levels(lambda t: _phase(u, t), ts[cell - 1], ts[cell], levels, tol)

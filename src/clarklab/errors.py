@@ -13,10 +13,6 @@ class InvalidMeasure(ClarkLabError, ValueError):
     """Atoms and masses do not describe a finite positive atomic measure."""
 
 
-class InvalidConfig(ClarkLabError, ValueError):
-    """A configuration document or field is malformed."""
-
-
 class InvalidAngle(ClarkLabError, ValueError):
     """An angle on the circle is NaN or infinite."""
 

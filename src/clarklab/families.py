@@ -18,7 +18,7 @@ import numpy as np
 
 from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
                      neighbor_constants)
-from .clark import ClarkData, _solve_levels, clark_data
+from .clark import ClarkData, _check_level_count, _solve_levels, clark_data
 from .errors import ClarkLabError, NotEnoughAtoms
 from .inner import FiniteBlaschke, InnerFunction, SingularAtomic, _check_zero_count, monomial
 from .potentials import atom_potential_sup
@@ -398,10 +398,14 @@ def clark_data_for(fam: FamilySpec, alpha: float = 0.0, truncation: int = 100,
 
     For the exponential example ``truncation`` selects |n| <= truncation
     via a scan arc just beyond those atoms (numeric atoms; closed forms
-    are available separately for cross-checks).
+    are available separately for cross-checks).  Its 2 truncation + 1
+    levels are checked against the memory budget before the arc is
+    built: the arc's ends, 1/(pi truncation) from theta = 0, reach the
+    spectrum point's EPS_SPECTRUM margin only at sizes beyond it.
     """
     u = inner_function(fam)
     if isinstance(fam, ExpSingular):
+        _check_level_count(2 * truncation + 1)
         theta_out, _, _ = exp_lattice([-(truncation + 1), truncation + 1])
         lo = 0.5 * (theta_out[0] + exp_lattice([-truncation])[0][0])
         hi = 0.5 * (theta_out[1] + exp_lattice([truncation])[0][0])

@@ -20,19 +20,17 @@ complex z.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .circle import AtomicMeasure, CirclePoint, TWO_PI, arc_mask, disk_sum, kernel_sum
 from .clark import ClarkData
-from .errors import (InvalidConfig, MateZero, NotEnoughAtoms,
-                     QuadratureNotConverged, SupportMismatch)
-from .inner import (EVAL_ATOM_TOL, InnerFunction, _angular_derivatives, angular_derivative,
-                    evaluate, pythagorean_pair, spectrum)
+from .errors import (ClarkLabError, MateZero, NotEnoughAtoms, QuadratureNotConverged,
+                     SupportMismatch)
+from .inner import (InnerFunction, _angular_derivatives, angular_derivative, evaluate,
+                    pythagorean_pair, spectrum)
 
 #: z closer than this to an atom makes the potential infinite.
 ATOM_HIT_TOL = 1e-14
@@ -180,13 +178,15 @@ def kernel_norms(u: InnerFunction, m: AtomicMeasure, w: complex) -> KernelNorms:
 # ---------------------------------------------------------------------------
 # Dirichlet-integral quadrature (test oracle)
 
-@dataclass
-class QuadConfig:
-    radial_depth: int = 16      # geometric radial panels toward r = 1
-    angular_depth: int = 13     # dyadic angular grading toward each atom
-    gauss_order: int = 8
-    rtol: float = 5e-5
-    atol: float = 1e-9
+#: The quadrature grid: geometric radial panels toward r = 1, dyadic
+#: angular grading toward each atom, Gauss-Legendre points per panel; the
+#: grid-doubling step must move the value by at most
+#: max(QUAD_ATOL, QUAD_RTOL max(|value|, 1)).
+QUAD_RADIAL_DEPTH = 16
+QUAD_ANGULAR_DEPTH = 13
+QUAD_ORDER = 8
+QUAD_RTOL = 5e-5
+QUAD_ATOL = 1e-9
 
 
 @dataclass
@@ -228,32 +228,30 @@ def _angular_breaks(atom_thetas: np.ndarray, depth: int) -> np.ndarray:
     return np.unique(np.mod(np.asarray(cuts), TWO_PI))
 
 
-def _quad_once(m: AtomicMeasure, fprime, cfg: QuadConfig,
-               radial_depth: int, angular_depth: int) -> float:
-    rn, rw = _panel_nodes(_radial_breaks(radial_depth), cfg.gauss_order)
+def _quad_once(m: AtomicMeasure, fprime, radial_depth: int, angular_depth: int) -> float:
+    rn, rw = _panel_nodes(_radial_breaks(radial_depth), QUAD_ORDER)
     tb = _angular_breaks(m.thetas, angular_depth)
     tb = np.concatenate([tb, [tb[0] + TWO_PI]])
-    tn, tw = _panel_nodes(tb, cfg.gauss_order)
+    tn, tw = _panel_nodes(tb, QUAD_ORDER)
     Z = rn[:, None] * np.exp(1j * tn[None, :])
     P = (1.0 - rn[:, None] ** 2) * disk_sum(rn[:, None], tn, m.thetas, m.masses)
     F = np.abs(np.asarray(fprime(Z), dtype=complex)) ** 2
     return float((rw * rn) @ (F * P) @ tw) / np.pi
 
 
-def dirichlet_quadrature(m: AtomicMeasure, fprime,
-                         cfg: QuadConfig | None = None) -> QuadResult:
+def dirichlet_quadrature(m: AtomicMeasure, fprime) -> QuadResult:
     """(1/pi) * integral over the disk of |f'(z)|^2 P_m(z) dA(z), by
     composite Gauss-Legendre on a polar grid graded toward the boundary
     and toward each atom.  ``fprime`` must accept a complex ndarray.
 
     The error estimate comes from one grid-doubling step; if the change
-    exceeds the configured tolerance the quadrature has not converged.
+    exceeds the QUAD_RTOL/QUAD_ATOL tolerance the quadrature has not
+    converged.
     """
-    cfg = cfg or QuadConfig()
-    coarse = _quad_once(m, fprime, cfg, cfg.radial_depth, cfg.angular_depth)
-    fine = _quad_once(m, fprime, cfg, cfg.radial_depth + 1, cfg.angular_depth + 1)
+    coarse = _quad_once(m, fprime, QUAD_RADIAL_DEPTH, QUAD_ANGULAR_DEPTH)
+    fine = _quad_once(m, fprime, QUAD_RADIAL_DEPTH + 1, QUAD_ANGULAR_DEPTH + 1)
     err = abs(fine - coarse)
-    if err > max(cfg.atol, cfg.rtol * max(abs(fine), 1.0)):
+    if err > max(QUAD_ATOL, QUAD_RTOL * max(abs(fine), 1.0)):
         raise QuadratureNotConverged(
             f"grid doubling changed the value by {err:.3e}")
     return QuadResult(value=fine, error_estimate=err)
@@ -263,7 +261,7 @@ def dirichlet_quadrature(m: AtomicMeasure, fprime,
 # Disk scan of the weighted potential
 
 #: Most points one disk-scan grid (the scan set, or its refinement level)
-#: may hold; checked before the grid is allocated.
+#: may hold; both are checked before either is evaluated.
 GRID_BUDGET = 1 << 21
 
 #: Equal parts into which the scan cuts each gap between consecutive
@@ -271,44 +269,16 @@ GRID_BUDGET = 1 << 21
 #: its refinement level the GAP_POINTS midpoints of the parts.
 GAP_POINTS = 16
 
+#: The scan set's rings r = 1 - 2^-j, j = 1..GRID_DEPTH, each of
+#: min(ANGULAR_BASE 2^j, ANGULAR_CAP) equispaced angles (57 312 points);
+#: the refinement level adds the ring GRID_DEPTH + 1, 2^-21 from the
+#: circle, far beyond EVAL_ATOM_TOL of any singular atom.
+GRID_DEPTH = 20
+ANGULAR_BASE = 16
+ANGULAR_CAP = 4096
 
-@dataclass
-class ScanConfig:
-    """The disk-scan grid; every field must be positive (InvalidConfig).
-
-    The refinement level's ring, radius 1 - 2^-(grid_depth + 1), must lie
-    at least EVAL_ATOM_TOL from the circle (grid_depth <= 45), and the
-    rings of the scan set plus that level within GRID_BUDGET points;
-    otherwise construction raises InvalidConfig.
-    """
-
-    grid_depth: int = 20        # radial levels r = 1 - 2^-j
-    angular_base: int = 16      # angles at depth 1; doubles with depth
-    angular_cap: int = 4096
-    support_tol: float = 1e-6   # angular residual allowed in support matching
-
-    def __post_init__(self):
-        for f in fields(self):
-            v, real = getattr(self, f.name), f.type == "float"
-            if (isinstance(v, bool) or not isinstance(v, Real if real else Integral)
-                    or not 0 < v < math.inf):
-                kind = "finite positive number" if real else "positive integer"
-                raise InvalidConfig(f"{f.name} must be a {kind}, got {v!r}")
-        if self.grid_depth + 1 > -math.log2(EVAL_ATOM_TOL):
-            raise InvalidConfig(
-                f"grid_depth {self.grid_depth} puts the refinement ring 2^-{self.grid_depth + 1} "
-                f"from the circle, within {EVAL_ATOM_TOL:g} of any singular atom; "
-                f"the scan samples the circle itself, and 45 is the deepest grid_depth")
-        _check_grid_size(self, range(1, self.grid_depth + 2))
-
-
-def _check_grid_size(cfg: ScanConfig, rings, n_circle: int = 0) -> None:
-    """InvalidConfig when the rings plus n_circle circle points would
-    exceed GRID_BUDGET points."""
-    n = sum(min(cfg.angular_base << j, cfg.angular_cap) for j in rings) + n_circle
-    if n > GRID_BUDGET:
-        raise InvalidConfig(f"the scan grid would hold {n} points, more than "
-                            f"the budget of {GRID_BUDGET}")
+#: Angular residual |u(zeta) - 1| / |u'(zeta)| allowed in support matching.
+SUPPORT_TOL = 1e-6
 
 
 @dataclass
@@ -329,8 +299,11 @@ class PotentialReport:
     such principle; ``inf_estimate`` is the least sampled value, an
     estimate from above.
 
+    The grid is fixed: rings r = 1 - 2^-j for j <= GRID_DEPTH and
+    GAP_POINTS - 1 circle points in each gap free of the spectrum.
     ``refined_sup_estimate`` is the sup over the scan set together with one
-    refinement level of the same grid (``sup_inf_scan``), and ``converged``
+    refinement level of the same grid (the ring GRID_DEPTH + 1 and
+    GAP_POINTS circle points per gap; ``sup_inf_scan``), and ``converged``
     holds when that level moves the sup by at most 1%.
 
     Each witness is the first point attaining its extremum in scan order:
@@ -351,13 +324,15 @@ class PotentialReport:
     refined_sup_estimate: float
 
 
-def _grid_points(m: AtomicMeasure, spec, cfg: ScanConfig,
-                 rings, fractions) -> tuple[np.ndarray, np.ndarray]:
+def _grid_points(m: AtomicMeasure, spec, rings, fractions) -> tuple[np.ndarray, np.ndarray]:
     """Polar coordinates (r, phi) of the scan points: rings r = 1 - 2^-j
-    for j in ``rings``, of min(angular_base 2^j, angular_cap) equispaced
+    for j in ``rings``, of min(ANGULAR_BASE 2^j, ANGULAR_CAP) equispaced
     angles, then circle points r = 1 at theta_i + f gap_i for f in
     ``fractions``, in (gap, fraction) order, in each gap whose open arc
     holds none of the angles ``spec`` (the rule of neighbor_constants).
+    The circle points grow with the measure: rings and circle points
+    together beyond GRID_BUDGET raise ClarkLabError before the grid is
+    built.
 
     At a spectrum point the limsup of G is at most 4 V_mu there, which
     the report carries, so such gaps get no circle points (the rings
@@ -368,9 +343,12 @@ def _grid_points(m: AtomicMeasure, spec, cfg: ScanConfig,
     """
     free = ~arc_mask(np.reshape(spec, (-1, 1)), m.thetas, m.gaps).any(axis=0)
     circle = (m.thetas[free, None] + m.gaps[free, None] * np.asarray(fractions)).ravel()
-    _check_grid_size(cfg, rings, circle.size)
     j = np.asarray(rings)
-    M = np.minimum(cfg.angular_base * 2.0 ** j, cfg.angular_cap).astype(int)
+    M = np.minimum(ANGULAR_BASE * 2.0 ** j, ANGULAR_CAP).astype(int)
+    n = int(M.sum()) + circle.size
+    if n > GRID_BUDGET:
+        raise ClarkLabError(f"the scan grid would hold {n} points, more than "
+                            f"the budget of {GRID_BUDGET}")
     ring = np.repeat(np.arange(j.size), M)
     k = np.arange(M.sum()) - np.repeat(np.cumsum(M) - M, M)  # index within its ring
     return (np.concatenate([(1.0 - 2.0 ** -j)[ring], np.ones(circle.size)]),
@@ -383,8 +361,7 @@ def _scan_G(u, m, r: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, r, phi), z
 
 
-def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
-                 cfg: ScanConfig | None = None) -> PotentialReport:
+def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
     """Scan G = |1-u|^2 V_m over radial-angular rings and circle points in
     the gaps between atoms, together with the exact atom-limit values;
     record V_m at spectrum points separately.
@@ -394,27 +371,28 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     matching criterion.
 
     Convergence evidence comes from one refinement level of the same grid:
-    the ring j = grid_depth + 1 and the midpoints of the GAP_POINTS parts
+    the ring j = GRID_DEPTH + 1 and the midpoints of the GAP_POINTS parts
     of each gap, so the scan set plus that level is the grid one depth
-    finer with twice the parts.  ``refined_sup_estimate`` is the sup over
-    both, and ``converged`` holds when it exceeds the sup by at most 1% of
-    the sup.
+    finer with twice the parts.  Both grids are built, and checked against
+    GRID_BUDGET, before either is evaluated.  ``refined_sup_estimate`` is
+    the sup over both, and ``converged`` holds when it exceeds the sup by
+    at most 1% of the sup.
     """
-    cfg = cfg or ScanConfig()
     if m.n_atoms == 0:
         raise SupportMismatch("empty measure")
     derivs = _angular_derivatives(u, m.thetas)
     resid = np.abs(evaluate(u, m.points_complex) - 1.0) / np.maximum(derivs, 1.0)
-    if np.any(resid > cfg.support_tol):
+    if np.any(resid > SUPPORT_TOL):
         raise SupportMismatch(
-            f"atom angular residual {resid.max():.3e} exceeds {cfg.support_tol:g}")
+            f"atom angular residual {resid.max():.3e} exceeds {SUPPORT_TOL:g}")
 
     atom_limits = derivs**2 * m.masses
     spec = [p.theta for p in spectrum(u)]
     spec_values = potential_grid(m, 1.0, spec)
 
-    g, parts = cfg.grid_depth, np.arange(1, 2 * GAP_POINTS) / (2 * GAP_POINTS)
-    r, phi = _grid_points(m, spec, cfg, range(1, g + 1), parts[1::2])
+    parts = np.arange(1, 2 * GAP_POINTS) / (2 * GAP_POINTS)
+    r, phi = _grid_points(m, spec, range(1, GRID_DEPTH + 1), parts[1::2])
+    refinement = _grid_points(m, spec, [GRID_DEPTH + 1], parts[::2])
     G, z = _scan_G(u, m, r, phi)
     values = np.concatenate([G, atom_limits])
     i_sup = int(np.argmax(values))
@@ -424,7 +402,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
     def witness(i):
         return complex(z[i]) if i < z.size else f"atom-limit:{i - z.size}"
 
-    G_ref, _ = _scan_G(u, m, *_grid_points(m, spec, cfg, [g + 1], parts[::2]))
+    G_ref, _ = _scan_G(u, m, *refinement)
     refined_sup = float(np.max(G_ref, initial=sup))
 
     return PotentialReport(
@@ -437,7 +415,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure,
         atom_limits=atom_limits,
         spectrum_values=spec_values,
         grid_description=(
-            f"radial depth {cfg.grid_depth}, angular cap {cfg.angular_cap}, "
+            f"radial depth {GRID_DEPTH}, angular cap {ANGULAR_CAP}, "
             f"{np.count_nonzero(r == 1.0)} circle points, {GAP_POINTS - 1} in each "
             f"gap free of the spectrum"),
         converged=abs(refined_sup - sup) <= 0.01 * abs(sup),

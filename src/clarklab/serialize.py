@@ -1,10 +1,9 @@
 """JSON interchange formats and CSV emission.
 
 Measures travel as {"atoms": [{"theta": t, "mass": m}, ...]} with angles
-in radians; they are re-sorted and re-validated on load.  Inner function
-specs are tagged unions; Clark data extends the measure document.  CSV
-output uses a header row, '.' decimal point, and scientific notation for
-|x| < 1e-4.
+in radians; they are re-sorted and re-validated on load.  Clark data
+extends the measure document.  CSV output uses a header row, '.' decimal
+point, and scientific notation for |x| < 1e-4.
 """
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ import numpy as np
 
 from .circle import AtomicMeasure
 from .clark import ClarkData
-from .inner import FiniteBlaschke, InnerFunction, Product, SingularAtomic
 
 
 def measure_to_dict(m: AtomicMeasure) -> dict:
@@ -29,36 +27,6 @@ def measure_to_dict(m: AtomicMeasure) -> dict:
 def measure_from_dict(d: dict) -> AtomicMeasure:
     atoms = d["atoms"]
     return AtomicMeasure([a["theta"] for a in atoms], [a["mass"] for a in atoms])
-
-
-def inner_to_dict(u: InnerFunction) -> dict:
-    if isinstance(u, FiniteBlaschke):
-        out = {"type": "blaschke",
-               "zeros": [{"re": w.real, "im": w.imag} for w in u.zeros],
-               "constant": {"re": u.constant.real, "im": u.constant.imag}}
-        if u.accumulation:
-            out["accumulation"] = list(u.accumulation)
-        return out
-    if isinstance(u, SingularAtomic):
-        return {"type": "singular",
-                "atoms": [{"theta": t, "weight": w} for t, w in u.atoms]}
-    return {"type": "product", "factors": [inner_to_dict(f) for f in u.factors]}
-
-
-def inner_from_dict(d: dict) -> InnerFunction:
-    kind = d["type"]
-    if kind == "blaschke":
-        c = d.get("constant", {"re": 1.0, "im": 0.0})
-        return FiniteBlaschke(
-            zeros=tuple(complex(z["re"], z["im"]) for z in d["zeros"]),
-            constant=complex(c["re"], c["im"]),
-            accumulation=tuple(d.get("accumulation", ())))
-    if kind == "singular":
-        return SingularAtomic(atoms=tuple((a["theta"], a["weight"])
-                                          for a in d["atoms"]))
-    if kind == "product":
-        return Product(factors=tuple(inner_from_dict(f) for f in d["factors"]))
-    raise ValueError(f"unknown inner function type {kind!r}")
 
 
 def clark_to_dict(data: ClarkData) -> dict:
@@ -74,18 +42,6 @@ def clark_to_dict(data: ClarkData) -> dict:
     if data.lattice_indices is not None:
         out["lattice_indices"] = data.lattice_indices.tolist()
     return out
-
-
-def clark_from_dict(d: dict) -> ClarkData:
-    measure = measure_from_dict(d)
-    labels = d.get("lattice_indices")
-    return ClarkData(alpha=d["alpha"], measure=measure,
-                     derivatives=np.asarray(d["derivatives"], dtype=float),
-                     A=d["A"], B=d["B"],
-                     witness_A=d.get("witness_A", -1), witness_B=d.get("witness_B", -1),
-                     edge_uncertain=np.asarray(d.get("edge_uncertain",
-                                                     [False] * measure.n_atoms)),
-                     lattice_indices=None if labels is None else np.asarray(labels))
 
 
 #: Types that json.dump writes as they are.

@@ -14,7 +14,6 @@ import pytest
 import clarklab as cl
 from clarklab.errors import ConstraintViolation
 from clarklab.families import CounterexampleBlaschke, ExpSingular, divergence_ladder
-from clarklab.potentials import QuadConfig
 
 COTH_HALF = 1.0 / np.tanh(0.5)
 
@@ -206,7 +205,7 @@ def test_criterion_10_kernel_norm_oracle():
     for w in (0.0, 0.3, 0.5j):
         def fprime(z, w=w):
             return np.conj(w) / (1 - np.conj(w) * z) ** 2
-        quad = cl.dirichlet_quadrature(m, fprime, QuadConfig()).value
+        quad = cl.dirichlet_quadrature(m, fprime).value
         kn = cl.kernel_norms(u, m, w)
         closed = kn.dmu_norm_sq - 1.0 / (1 - abs(w) ** 2)
         worst = max(worst, abs(quad - closed))

@@ -1,16 +1,14 @@
-import dataclasses
-import json
 import warnings
 
 import numpy as np
 import pytest
 
 import clarklab as cl
-from clarklab.errors import (InvalidConfig, MateZero, NotEnoughAtoms, QuadratureNotConverged,
+from clarklab.errors import (ClarkLabError, MateZero, NotEnoughAtoms, QuadratureNotConverged,
                              SupportMismatch)
-from clarklab import circle, cli, potentials
+from clarklab import circle, potentials
 from clarklab.inner import _angular_derivatives
-from clarklab.potentials import QuadConfig, ScanConfig, dirichlet_quadrature
+from clarklab.potentials import dirichlet_quadrature
 
 TWO_PI = 2 * np.pi
 COTH_HALF = 1.0 / np.tanh(0.5)
@@ -164,16 +162,23 @@ def test_dirichlet_quadrature_constant_and_identity():
     assert res.value == pytest.approx(4.0 / 3.0, abs=1e-4)
 
 
-def test_dirichlet_quadrature_not_converged():
+def _set(monkeypatch, **constants):
+    """Set module constants of clarklab.potentials for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(potentials, name, value)
+
+
+def test_dirichlet_quadrature_not_converged(monkeypatch):
     m = delta_at_zero()
+    _set(monkeypatch, QUAD_RADIAL_DEPTH=2, QUAD_ANGULAR_DEPTH=1, QUAD_ORDER=2,
+         QUAD_RTOL=1e-12, QUAD_ATOL=1e-14)
     with pytest.raises(QuadratureNotConverged):
-        dirichlet_quadrature(m, lambda z: np.ones_like(z),
-                             QuadConfig(radial_depth=2, angular_depth=1,
-                                        gauss_order=2, rtol=1e-12, atol=1e-14))
+        dirichlet_quadrature(m, lambda z: np.ones_like(z))
 
 
-def test_sup_inf_scan_single_atom():
-    rep = cl.sup_inf_scan(cl.monomial(1), delta_at_zero(), ScanConfig(grid_depth=8))
+def test_sup_inf_scan_single_atom(monkeypatch):
+    _set(monkeypatch, GRID_DEPTH=8)
+    rep = cl.sup_inf_scan(cl.monomial(1), delta_at_zero())
     # |1-z|^2 * 1/|z-1|^2 = 1 everywhere
     assert rep.sup_estimate == pytest.approx(1.0, abs=1e-9)
     assert rep.inf_estimate == pytest.approx(1.0, abs=1e-9)
@@ -182,18 +187,20 @@ def test_sup_inf_scan_single_atom():
     assert rep.sup_mate_scaled == pytest.approx(rep.sup_estimate / 4)
 
 
-def test_sup_inf_scan_z2_squared():
+def test_sup_inf_scan_z2_squared(monkeypatch):
     m = cl.AtomicMeasure([0.0, np.pi], [0.25, 0.25])
-    rep = cl.sup_inf_scan(cl.monomial(2), m, ScanConfig(grid_depth=10))
+    _set(monkeypatch, GRID_DEPTH=10)
+    rep = cl.sup_inf_scan(cl.monomial(2), m)
     assert rep.atom_limits == pytest.approx([1.0, 1.0])
     assert rep.sup_estimate >= max(rep.atom_limits) - 1e-9
     assert rep.spectrum_values.size == 0
 
 
-def test_sup_inf_scan_exp(exp_u):
+def test_sup_inf_scan_exp(exp_u, monkeypatch):
     data = cl.exp_clark_data(300)
     mu = cl.squared_measure(data.measure)
-    rep = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=12, angular_cap=1024))
+    _set(monkeypatch, GRID_DEPTH=12, ANGULAR_CAP=1024)
+    rep = cl.sup_inf_scan(exp_u, mu)
     # spectrum value: V_mu(1) near coth(1/2)/2
     assert rep.spectrum_values[0] == pytest.approx(COTH_HALF / 2, abs=1e-3)
     assert rep.sup_estimate >= 1.0 - 1e-9  # atom limits are all 1
@@ -201,7 +208,8 @@ def test_sup_inf_scan_exp(exp_u):
     assert rep.inf_estimate > 0
     assert rep.converged
     # refinement changes the sup by little
-    rep2 = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=14, angular_cap=2048))
+    _set(monkeypatch, GRID_DEPTH=14, ANGULAR_CAP=2048)
+    rep2 = cl.sup_inf_scan(exp_u, mu)
     assert abs(rep2.sup_estimate - rep.sup_estimate) < 0.05 * rep2.sup_estimate
 
 
@@ -209,9 +217,9 @@ def test_sup_inf_scan_exp(exp_u):
 def test_scan_flags_a_coarse_grid(exp_u, N, monkeypatch):
     # cut each gap into 4 parts (N = 5) or 3 (N = 20): the midpoints of the
     # parts raise the sup by 1.2% (5.1761 -> 5.2387) or 1.6% (5.2286 -> 5.3116)
-    monkeypatch.setattr(potentials, "GAP_POINTS", {5: 4, 20: 3}[N])
+    _set(monkeypatch, GAP_POINTS={5: 4, 20: 3}[N], GRID_DEPTH=3)
     mu = cl.squared_measure(cl.exp_clark_data(N).measure)
-    rep = cl.sup_inf_scan(exp_u, mu, ScanConfig(grid_depth=3))
+    rep = cl.sup_inf_scan(exp_u, mu)
     assert rep.refined_sup_estimate > 1.01 * rep.sup_estimate
     assert not rep.converged
 
@@ -266,14 +274,14 @@ def test_weighted_potential_bridge(exp_u):
     assert max(vals) <= 4 * sup61 + 4 * float(atom_limits.max())
 
 
-def _grid_loop_form(u, m, cfg, parts):
-    """The disk-scan grid built ring by ring, then gap by gap: the cut
-    points of each gap into ``parts`` equal parts, on the circle, in each
-    gap whose open arc holds no spectrum point."""
+def _grid_loop_form(u, m, depth, parts):
+    """The disk-scan grid built ring by ring to ``depth``, then gap by gap:
+    the cut points of each gap into ``parts`` equal parts, on the circle,
+    in each gap whose open arc holds no spectrum point."""
     pts = []
-    for j in range(1, cfg.grid_depth + 1):
+    for j in range(1, depth + 1):
         r = 1.0 - 2.0 ** (-j)
-        M = int(min(cfg.angular_base * 2 ** j, cfg.angular_cap))
+        M = int(min(potentials.ANGULAR_BASE * 2 ** j, potentials.ANGULAR_CAP))
         pts.append(r * np.exp(1j * np.linspace(0.0, TWO_PI, M, endpoint=False)))
     spec = [p.theta for p in cl.spectrum(u)]
     for theta, gap in zip(m.thetas, m.gaps):
@@ -300,80 +308,54 @@ def _blaschke_singular():
     return u, cl.clark_data(u, 0.0, cl.arc_between(1.01, 3.99, True, True)).measure
 
 
-@pytest.mark.parametrize("cfg", [ScanConfig(), ScanConfig(
-    grid_depth=9, angular_base=12, angular_cap=1000)], ids=["default", "capped"])
+@pytest.mark.parametrize("grid", [{}, dict(GRID_DEPTH=9, ANGULAR_BASE=12, ANGULAR_CAP=1000)],
+                         ids=["default", "capped"])
 @pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
-def test_scan_grid_matches_loop_form(case, cfg, monkeypatch):
+def test_scan_grid_matches_loop_form(case, grid, monkeypatch):
     u, m = case()
+    _set(monkeypatch, **grid)
+    depth = potentials.GRID_DEPTH
     # exp's spectrum point 0 and the singular atoms at 1.0 and 4.0 each lie
     # in one gap, which gets no circle points
-    assert len(_grid_loop_form(u, m, cfg, 2)) == len(_grid_loop_form(u, m, cfg, 1)) + m.n_atoms - 1
+    assert len(_grid_loop_form(u, m, depth, 2)) == len(_grid_loop_form(u, m, depth, 1)) + m.n_atoms - 1
     # the scan evaluates this grid bit for bit, then a refinement level that
     # makes it the grid one depth finer with twice the parts, as a set and
     # bit for bit; it takes the grid in polar form, and u at r e^{i phi}
     seen, scan_G = [], potentials._scan_G
     monkeypatch.setattr(potentials, "_scan_G", lambda u, m, r, phi: (
         seen.append(r * np.exp(1j * phi)) or scan_G(u, m, r, phi)))
-    cl.sup_inf_scan(u, m, cfg)
-    want = _grid_loop_form(u, m, cfg, potentials.GAP_POINTS)
+    cl.sup_inf_scan(u, m)
+    want = _grid_loop_form(u, m, depth, potentials.GAP_POINTS)
     assert seen[0].shape == want.shape
     assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
-    finer = _grid_loop_form(u, m, dataclasses.replace(cfg, grid_depth=cfg.grid_depth + 1),
-                            2 * potentials.GAP_POINTS)
+    finer = _grid_loop_form(u, m, depth + 1, 2 * potentials.GAP_POINTS)
     assert np.array_equal(_sorted_bits(np.concatenate(seen)), _sorted_bits(finer))
-
-
-def test_scan_config_rejects_radii_at_one_and_oversized_grids():
-    # the refinement level adds a ring at grid_depth + 1, which must lie at
-    # least evaluate's 1e-14 from the circle: 2^-46 > 1e-14 > 2^-47, so
-    # grid_depth 45 is the deepest, well short of radius 1.0 in float64
-    # (1 - 2^-54)
-    assert 2.0 ** -46 > 1e-14 > 2.0 ** -47 and 1.0 - 2.0 ** -54 == 1.0
-    ScanConfig(grid_depth=45)
-    for depth in (46, 53, 10**400):
-        with pytest.raises(InvalidConfig, match="45 is the deepest grid_depth"):
-            ScanConfig(grid_depth=depth)
-    with pytest.raises(InvalidConfig, match="more than the budget"):
-        ScanConfig(angular_cap=10**9)
-    with pytest.raises(InvalidConfig, match="more than the budget"):
-        ScanConfig(angular_base=10**30, angular_cap=10**30)
-
-
-@pytest.mark.parametrize("grid_depth", [46, 47, 52])
-def test_scan_refuses_depths_reaching_a_singular_atom(grid_depth, tmp_path, capsys,
-                                                       monkeypatch):
-    # the refinement level's ring (radius 1 - 2^-(grid_depth + 1)) would
-    # pass within evaluate's 1e-14 of exp's atom at 0; the config is
-    # refused before the scan builds any grid
-    built = []
-    monkeypatch.setattr(potentials, "_grid_points", lambda *args: built.append(args))
-    cfg = tmp_path / "scan.json"
-    cfg.write_text(json.dumps({"grid_depth": grid_depth, "angular_cap": 64}))
-    rc = cli.main(["potential", "--family", "exp", "--truncation", "5", "--config", str(cfg)])
-    assert rc == 2 and not built
-    assert "within 1e-14 of any singular atom" in capsys.readouterr().err
-
-
-def test_scan_depths_short_of_the_atom_tolerance_run():
-    # 2^-46 > 1e-14 > 2^-47: grid_depth 45 is the deepest scan, for exp and
-    # for a Blaschke product alike
-    u, m = _exp20()
-    cl.sup_inf_scan(u, m, ScanConfig(grid_depth=45, angular_cap=64))
-    b = cl.FiniteBlaschke(zeros=(0.5, -0.3j))
-    data = cl.clark_data(b, 0.0, cl.Arc.full_circle())
-    cl.sup_inf_scan(b, cl.squared_measure(data.measure), ScanConfig(grid_depth=45, angular_cap=64))
 
 
 def test_scan_checks_the_grid_budget_before_allocating(monkeypatch):
     # circle points count only once the measure is known: exp20's scan set
     # is 57 312 ring points and 15 circle points in each of the 40 gaps
     # that do not hold the spectrum point 0
-    u, m, cfg = *_exp20(), ScanConfig()
+    u, m = _exp20()
     evaluated = []
     monkeypatch.setattr(potentials, "_scan_G", lambda *args: evaluated.append(args))
     monkeypatch.setattr(potentials, "GRID_BUDGET", 57_312 + 599)
-    with pytest.raises(InvalidConfig, match="57912 points"):
-        cl.sup_inf_scan(u, m, cfg)
+    with pytest.raises(ClarkLabError, match="57912 points"):
+        cl.sup_inf_scan(u, m)
+    assert not evaluated
+
+
+def test_scan_checks_the_refinement_level_before_the_scan_set_is_evaluated(monkeypatch):
+    # at depth 1 exp20's scan set is 32 ring points and 15 circle points
+    # in each of 40 gaps (632), its refinement level 64 ring points and 16
+    # per gap (704): a budget between the two refuses the scan before any
+    # point of either grid is evaluated
+    u, m = _exp20()
+    evaluated = []
+    monkeypatch.setattr(potentials, "_scan_G", lambda *args: evaluated.append(args))
+    _set(monkeypatch, GRID_DEPTH=1, GRID_BUDGET=650)
+    with pytest.raises(ClarkLabError, match="704 points"):
+        cl.sup_inf_scan(u, m)
     assert not evaluated
 
 
@@ -385,13 +367,12 @@ def test_scan_agrees_across_disk_block_sizes(case, monkeypatch):
     # thousand differ by at most (sources) u of each sum, 4.4e-14 relative
     # at 401 sources; 1e-13 leaves a margin
     u, m = case()
-    cfg = ScanConfig()
-    n_grid = potentials._grid_points(m, [p.theta for p in cl.spectrum(u)], cfg,
-                                     range(1, cfg.grid_depth + 1), [0.5])[0].size
+    n_grid = potentials._grid_points(m, [p.theta for p in cl.spectrum(u)],
+                                     range(1, potentials.GRID_DEPTH + 1), [0.5])[0].size
     assert n_grid * m.n_atoms >= 4 * circle.DISK_BLOCK
-    default = cl.sup_inf_scan(u, m, cfg)
+    default = cl.sup_inf_scan(u, m)
     monkeypatch.setattr(circle, "DISK_BLOCK", 61 * m.n_atoms)
-    small = cl.sup_inf_scan(u, m, cfg)
+    small = cl.sup_inf_scan(u, m)
     assert (small.sup_witness, small.inf_witness) == (default.sup_witness, default.inf_witness)
     for name in ("sup_estimate", "inf_estimate", "refined_sup_estimate"):
         a, b = getattr(small, name), getattr(default, name)
@@ -413,7 +394,7 @@ def test_disk_sum_matches_mpmath_on_the_exp_scan(rng):
     # rounded z by 4.6e-10, which the 1e-10 cap refuses
     mp = pytest.importorskip("mpmath")
     u, m = cl.inner_function(cl.ExpSingular()), cl.squared_measure(cl.exp_clark_data(200).measure)
-    r, phi = potentials._grid_points(m, [0.0], ScanConfig(), range(1, 22), [])
+    r, phi = potentials._grid_points(m, [0.0], range(1, 22), [])
     pick = np.concatenate([rng.choice(np.flatnonzero(r == 1.0 - 2.0 ** -j), 1)
                            for j in range(1, 22)])
     order = np.argsort(-(m.masses * _angular_derivatives(u, m.thetas) ** 2))

@@ -1,17 +1,17 @@
 import io
 import json
-import sys
+import shlex
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clarklab as cl
-from clarklab.cli import main
-from clarklab.serialize import (JSON_SLICE, clark_from_dict, clark_to_dict, csv_number,
-                                inner_from_dict, inner_to_dict,
-                                measure_from_dict, measure_to_dict, to_jsonable, write_json)
+from clarklab.cli import build_parser, main
+from clarklab.serialize import (JSON_SLICE, clark_to_dict, csv_number, measure_from_dict,
+                                measure_to_dict, to_jsonable, write_json)
 
 
 def test_measure_roundtrip_bit_identical():
@@ -21,36 +21,19 @@ def test_measure_roundtrip_bit_identical():
     assert np.array_equal(m.masses, m2.masses)
 
 
-def test_inner_roundtrip():
-    specs = [
-        cl.FiniteBlaschke(zeros=(0.3 + 0.1j, -0.5j), constant=np.exp(0.2j),
-                          accumulation=(0.0,)),
-        cl.SingularAtomic(atoms=((0.0, 1.0), (2.0, 0.3))),
-    ]
-    specs.append(cl.Product(factors=tuple(specs)))
-    for u in specs:
-        u2 = inner_from_dict(json.loads(json.dumps(inner_to_dict(u))))
-        z = 0.3 + 0.2j
-        assert cl.evaluate(u2, z) == pytest.approx(cl.evaluate(u, z), abs=1e-15)
-
-
-def test_clark_roundtrip(z2_data):
-    d2 = clark_from_dict(json.loads(json.dumps(clark_to_dict(z2_data))))
-    assert np.array_equal(d2.measure.thetas, z2_data.measure.thetas)
-    assert np.array_equal(d2.derivatives, z2_data.derivatives)
-    assert d2.A == z2_data.A and d2.B == z2_data.B
-
-
-def test_clark_roundtrip_keeps_labels_and_witnesses():
-    data = cl.exp_clark_data(5)
-    d2 = clark_from_dict(json.loads(json.dumps(clark_to_dict(data))))
-    assert np.array_equal(d2.lattice_indices, data.lattice_indices)
-    assert (d2.witness_A, d2.witness_B) == (data.witness_A, data.witness_B)
-    # the labels let the round-tripped data take the lattice route
-    f = np.arange(d2.n_atoms, dtype=float)
-    sec = cl.CauchySection(d2.measure, d2.lattice_indices)
-    assert np.array_equal(cl.hilbert_route(sec, f),
-                          cl.hilbert_route(cl.CauchySection(data.measure, data.lattice_indices), f))
+def test_clark_document_carries_atoms_derivatives_constants_and_labels(z2_data):
+    # through JSON and back, every number of the Clark data reads bit for
+    # bit; the exp lattice's labels go with it, and a measure without
+    # labels writes none
+    for data in (z2_data, cl.exp_clark_data(5)):
+        d = json.loads(json.dumps(clark_to_dict(data)))
+        assert np.array_equal([a["theta"] for a in d["atoms"]], data.measure.thetas)
+        assert np.array_equal([a["mass"] for a in d["atoms"]], data.measure.masses)
+        assert np.array_equal(d["derivatives"], data.derivatives)
+        assert (d["alpha"], d["A"], d["B"]) == (data.alpha, data.A, data.B)
+        assert (d["witness_A"], d["witness_B"]) == (data.witness_A, data.witness_B)
+    assert d["lattice_indices"] == data.lattice_indices.tolist() == list(range(-5, 6))
+    assert "lattice_indices" not in clark_to_dict(z2_data)
 
 
 @dataclass
@@ -311,7 +294,7 @@ def test_cli_alpha_counts_mod_1_and_must_be_finite(tmp_path, capsys):
     (["atoms", "--family", "monomial:1000000000000"],
      "1000000000000 zeros exceed the memory budget"),
     (["atoms", "--family", "exp", "--truncation", "1000000000000"],
-     "scan arc comes within 1e-08 of spectrum point"),
+     "2000000000001 levels on the scan exceed the memory budget"),
     (["atoms", "--family", "exp", "--truncation", "10000000"],
      "20000001 levels on the scan exceed the memory budget"),
 ], ids=["counterexample", "counterexample-sym", "monomial", "exp-at-spectrum", "exp-levels"])
@@ -366,6 +349,16 @@ def test_cli_potential_reports_one_atom(tmp_path):
     assert doc["mass_ratios"]["comparability_constant"] == pytest.approx(1.0)
 
 
+def test_cli_example_exp_reports_one_atom(tmp_path):
+    # exp truncated at 0 has one atom: the pair sup and its stability are
+    # null, and the other checks decide the exit code
+    out = tmp_path / "e.json"
+    assert main(["example", "exp", "--truncation", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["outputs"]
+    assert doc["atom_potential_sup"] is None and doc["atom_potential_stable"] is None
+    assert doc["atom_count"] and doc["total_mass_ok"] and doc["potential_ok"]
+
+
 def test_cli_tolsa(tmp_path):
     out = tmp_path / "t.json"
     rc = main(["tolsa", "--family", "monomial:2", "--out", str(out)])
@@ -381,48 +374,25 @@ def test_cli_norm_rejects_bad_sizes(sizes, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("name, text, message", [
-    ("scan.json", '{"grid_detph": 3}', "unknown scan config keys ['grid_detph']"),
-    ("scan.json", '{"coarse_fraction": 0.1}', "unknown scan config keys ['coarse_fraction']"),
-    ("scan.json", '{"cluster_depth": 14}', "unknown scan config keys ['cluster_depth']"),
-    ("scan.json", '{"grid_depth": "3"}', "grid_depth must be a positive integer, got '3'"),
-    ("scan.json", '{"grid_depth": -1}', "grid_depth must be a positive integer, got -1"),
-    ("scan.json", '{"angular_cap": 2.0}', "angular_cap must be a positive integer, got 2.0"),
-    ("scan.json", '{"angular_base": true}', "angular_base must be a positive integer, got True"),
-    ("scan.json", '{"support_tol": 0}', "support_tol must be a finite positive number, got 0"),
-    ("scan.json", '{"support_tol": NaN}', "support_tol must be a finite positive number, got nan"),
-    ("scan.json", "[3, 3]", "scan config must be an object, got list"),
-    ("scan.toml", "grid_depth = 3", "TOML configs need Python 3.11"),
-], ids=["misspelled", "removed-key", "removed-cluster-key", "string", "negative", "float",
-        "bool", "zero-tol", "nan-tol", "list", "no-tomllib"])
-def test_cli_potential_rejects_bad_config(name, text, message, tmp_path, capsys, monkeypatch):
-    if name.endswith(".toml"):
-        monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
-    cfg = tmp_path / name
-    cfg.write_text(text)
-    rc = main(["potential", "--family", "exp", "--truncation", "20", "--config", str(cfg)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: " + message)
-
-
-def test_cli_calls_in_one_process_share_no_options(tmp_path, capsys):
+def test_cli_calls_in_one_process_share_no_options(capsys):
     # the parser is built once per process; every call parses into a
     # fresh namespace, so an option of one call never reaches the next
-    cfg = tmp_path / "scan.json"
-    cfg.write_text('{"grid_depth": 3}')
-    outs = [tmp_path / "with.json", tmp_path / "without.json"]
-    base = ["potential", "--family", "exp", "--truncation", "5"]
-    assert main(base + ["--config", str(cfg), "--out", str(outs[0])]) == 0
-    assert main(base + ["--out", str(outs[1])]) == 0
-    docs = [json.loads(p.read_text())["outputs"]["sup_inf"] for p in outs]
-    assert docs[0]["grid_description"].startswith("radial depth 3,")
-    assert docs[1]["grid_description"].startswith("radial depth 20,")
-    capsys.readouterr()
     assert main(["atoms", "--family", "monomial:3", "--alpha", "0.25"]) == 0
     assert main(["atoms", "--family", "monomial:3"]) == 0
     first, second = (json.loads(doc) for doc in capsys.readouterr().out.strip().split("\n"))
     assert (first["outputs"]["alpha"], second["outputs"]["alpha"]) == (0.25, 0.0)
     assert first["inputs_digest"] != second["inputs_digest"]
+
+
+def test_readme_commands_parse():
+    # every command of the README's Command line block is one the parser
+    # accepts; they are parsed, not run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("clarklab ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_cli_reports_are_deterministic(tmp_path):
