@@ -36,15 +36,15 @@ for N in (10, 100, 1000):
           f"<= bound {cl.exp_tail_mass_bound(N):.3e}")
 
 # --- interlacing of Clark measures at different parameters ------------------
-scan = cl.arc_between(0.2, 2 * np.pi - 0.2, True, True)
-base = np.array([p.theta for p in cl.find_atoms(u, 0.0, scan)])
-half = np.array([p.theta for p in cl.find_atoms(u, 0.5, scan)])
+scan = cl.Arc(0.2, 2 * np.pi - 0.2, True, True)
+base, _ = cl.find_atoms(u, 0.0, scan)
+half, _ = cl.find_atoms(u, 0.5, scan)
 inside = [(np.sum((half > a) & (half < b))) for a, b in zip(base[:-1], base[1:])]
 print(f"\nbetween consecutive level-0 atoms there is always exactly one "
       f"level-1/2 atom: {set(inside)}")
 
 # --- phase partition cells --------------------------------------------------
-cells = cl.phase_partition(u, 64, cl.arc_between(0.05, 2 * np.pi - 0.05, True, True))
-rep = cl.partition_regularity(u, 64, cl.arc_between(0.05, 2 * np.pi - 0.05, True, True))
+cells = cl.phase_partition(u, 64, cl.Arc(0.05, 2 * np.pi - 0.05, True, True))
+rep = cl.partition_regularity(u, 64, cl.Arc(0.05, 2 * np.pi - 0.05, True, True))
 print(f"\n64-level phase partition: {len(cells)} cells, within-cell |u'| "
       f"ratio <= {rep.max_derivative_ratio:.4f} (bound 100/81 = {100/81:.4f})")

@@ -36,8 +36,7 @@ i_pi = int(np.argmin(np.abs(sec.theta - np.pi)))
 print("\ntail-sum ratios over dyadic arcs around theta = pi:")
 for k in range(1, 9):
     w = np.pi / 2**k
-    rep = cl.tail_integral_check(sec, cl.arc_between(np.pi - w, np.pi + w,
-                                                     False, False), i_pi)
+    rep = cl.tail_integral_check(sec, cl.Arc(np.pi - w, np.pi + w, False, False), i_pi)
     print(f"  half-width pi/2^{k}: lhs {rep.lhs:10.4f}  ratio {rep.ratio:.4f}")
 
 # the discrete-Hilbert-transform shortcut agrees with the direct apply

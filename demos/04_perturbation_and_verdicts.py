@@ -21,7 +21,7 @@ print(f"interaction sup with alpha_n = cap/(1+n^2): {sup:.6f} (atom {wit})")
 
 plan = cl.random_plan(base, seed=42)
 lam = cl.generate(plan)
-rep = cl.bessonov_check(lam, accumulation_points=[cl.CirclePoint(0.0)])
+rep = cl.bessonov_check(lam, accumulation_points=[0.0])
 print(f"\nperturbed measure verdict: {rep.verdict}")
 for r in rep.records:
     print(f"  {r.name:<26} passed={r.passed} flagged={r.flagged}")
@@ -37,7 +37,7 @@ print(f"squared-mass criterion: base {ref:.6f}, perturbed {val:.6f} "
 
 # a deliberately broken candidate: squared masses presented as Clark masses
 broken = cl.bessonov_check(cl.squared_measure(base.measure),
-                           accumulation_points=[cl.CirclePoint(0.0)])
+                           accumulation_points=[0.0])
 rec = broken.record("iv-mass-gap-constants")
 print(f"\nsquared masses as a Clark candidate: verdict {broken.verdict} "
       f"(B/A = {rec.details['ratio']:.2e}, witness atom {rec.details['witness_A']})")

@@ -10,8 +10,7 @@ perturbation.
 
 __version__ = "0.1.0"
 
-from .circle import (Arc, AtomicMeasure, CirclePoint, arc_between,
-                     chord_distance, measure_of_arc)
+from .circle import Arc, AtomicMeasure, measure_of_arc
 from .inner import (FiniteBlaschke, InnerFunction, Product, PythagoreanPair,
                     SingularAtomic, angular_derivative, boundary_phase,
                     clark_identity_residual, evaluate, monomial,

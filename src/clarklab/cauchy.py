@@ -36,8 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import circle
-from .circle import (KERNELS, MEMORY_BUDGET, ROW_BLOCK, Arc, AtomicMeasure, TWO_PI,
-                     arc_between, arc_mask, chord_angles, disk_sum, kernel_sum)
+from .circle import (KERNELS, MEMORY_BUDGET, ROW_BLOCK, Arc, AtomicMeasure, TWO_PI, arc_mask,
+                     chord_angles, disk_sum, kernel_sum)
 from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
@@ -282,7 +282,7 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
         left = th[(a - 1) % N] + 0.5 * ((th[a] - th[(a - 1) % N]) % TWO_PI)
         j = (a + cnt - 1) % N
         right = th[j] + 0.5 * ((th[(j + 1) % N] - th[j]) % TWO_PI)
-        arc = arc_between(left, right, closed_left=True, closed_right=True)
+        arc = Arc(left, right, closed_left=True, closed_right=True)
     return TolsaReport(max_ratio=float(np.sqrt(max(best, 0.0))),
                        witness_arc=arc, witness_start=a, witness_count=cnt,
                        n_arcs=N + (N - 1) ** 2)
@@ -300,16 +300,16 @@ class TailIntegralReport:
 
 def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralReport:
     theta = section.theta[i:i + 1]
-    if not (Q.is_full_circle or arc_mask(theta, Q.start.theta, Q.length)[0]):
-        if arc_mask(theta, Q.start.theta, Q.length, True, True)[0]:
+    if not (Q.is_full_circle or arc_mask(theta, Q.start, Q.length)[0]):
+        if arc_mask(theta, Q.start, Q.length, True, True)[0]:
             raise BoundaryAtom("atom sits on the boundary of the arc")
         raise AtomOutsideArc("atom must lie strictly inside the arc")
     outside = ~section.measure.membership(Q)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)
     lhs = float(disk_sum(1.0, theta[0], section.theta[outside], section.sigma[outside]))
-    dist = min(float(chord_angles(theta[0], Q.start.theta)),
-               float(chord_angles(theta[0], Q.start.theta + Q.length)))
+    dist = min(float(chord_angles(theta[0], Q.start)),
+               float(chord_angles(theta[0], Q.start + Q.length)))
     rhs_scale = 1.0 / dist
     return TailIntegralReport(lhs=lhs, rhs_scale=rhs_scale, ratio=lhs / rhs_scale)
 

@@ -1,7 +1,12 @@
-"""Circle geometry: points, arcs, and atomic measures on the unit circle.
+"""Circle geometry: angles, arcs, and atomic measures on the unit circle.
 
-Angles live in [0, 2*pi).  The canonical metric is the chordal distance
-|e^{i a} - e^{i b}| = 2 |sin((a - b)/2)|, which is what every downstream
+A point e^{i theta} is its angle theta, a plain float (or an array of
+them) kept canonical in [0, 2*pi) by canonical_angle(s); angles given
+from outside the package pass finite_angle, which refuses non-finite
+ones.  An Arc is two such angles and two endpoint flags.
+
+The canonical metric is the chordal distance |e^{i a} - e^{i b}| =
+2 |sin((a - b)/2)| (chord_angles), which is what every downstream
 formula uses; arc length is available separately where a Lebesgue
 comparison is wanted.
 """
@@ -73,30 +78,20 @@ def chord_angles(a, b):
     return np.abs(2.0 * np.sin(0.5 * (np.asarray(a) - np.asarray(b))))
 
 
-@dataclass(frozen=True)
-class CirclePoint:
-    """A point e^{i theta} on the unit circle."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise InvalidAngle(f"angle must be finite, got {self.theta}")
-        object.__setattr__(self, "theta", canonical_angle(self.theta))
-
-    @property
-    def complex(self) -> complex:
-        return complex(np.cos(self.theta), np.sin(self.theta))
-
-
-def chord_distance(p: CirclePoint, q: CirclePoint) -> float:
-    """|e^{i p} - e^{i q}| = 2 |sin((p - q)/2)|, in [0, 2]."""
-    return float(chord_angles(p.theta, q.theta))
+def finite_angle(theta) -> float:
+    """canonical_angle of an angle given from outside the package, which
+    raises InvalidAngle unless it is finite: the one check on such angles
+    (arc endpoints, declared accumulation points of a Blaschke product or
+    of bessonov_check, the point of an angular derivative)."""
+    if not math.isfinite(theta):
+        raise InvalidAngle(f"angle must be finite, got {theta}")
+    return canonical_angle(theta)
 
 
 @dataclass(frozen=True)
 class Arc:
-    """Counterclockwise arc from ``start`` to ``end``.
+    """Counterclockwise arc from the angle ``start`` to the angle ``end``,
+    both finite (else InvalidAngle) and kept canonical.
 
     ``start == end`` denotes the full circle (length 2*pi); zero-length
     arcs are not representable.  Endpoint membership follows the
@@ -104,15 +99,19 @@ class Arc:
     also the end, so either flag closes it.
     """
 
-    start: CirclePoint
-    end: CirclePoint
+    start: float
+    end: float
     closed_left: bool = True
     closed_right: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", finite_angle(self.start))
+        object.__setattr__(self, "end", finite_angle(self.end))
 
     @property
     def length(self) -> float:
         """Angular length in (0, 2*pi]."""
-        d = canonical_angle(self.end.theta - self.start.theta)
+        d = canonical_angle(self.end - self.start)
         return TWO_PI if d == 0.0 else d
 
     @property
@@ -121,14 +120,11 @@ class Arc:
 
     def mask(self, thetas) -> np.ndarray:
         """Boolean mask of the angles inside the arc (see arc_mask)."""
-        return arc_mask(thetas, self.start.theta, self.length, self.closed_left, self.closed_right)
-
-    def contains(self, p: CirclePoint) -> bool:
-        return bool(self.mask([p.theta])[0])
+        return arc_mask(thetas, self.start, self.length, self.closed_left, self.closed_right)
 
     @staticmethod
     def full_circle() -> "Arc":
-        return Arc(CirclePoint(0.0), CirclePoint(0.0), True, False)
+        return Arc(0.0, 0.0, True, False)
 
 
 def arc_mask(thetas, starts, lengths, closed_left=False, closed_right=False) -> np.ndarray:
@@ -142,13 +138,6 @@ def arc_mask(thetas, starts, lengths, closed_left=False, closed_right=False) -> 
     at_start = d == 0.0
     at_end = np.where(np.equal(lengths, TWO_PI), at_start, d == lengths)
     return ((d > 0.0) & (d < lengths)) | (closed_left & at_start) | (closed_right & at_end)
-
-
-def arc_between(theta_start: float, theta_end: float,
-                closed_left: bool = True, closed_right: bool = False) -> Arc:
-    """Convenience constructor from raw angles."""
-    return Arc(CirclePoint(theta_start), CirclePoint(theta_end),
-               closed_left, closed_right)
 
 
 class AtomicMeasure:
@@ -221,23 +210,27 @@ def measure_of_arc(m: AtomicMeasure, arc: Arc) -> float:
     return float(m.masses[m.membership(arc)].sum())
 
 
+def gaps_holding(m: AtomicMeasure, angles) -> np.ndarray:
+    """Whether the open arc of each gap, from atom i to the next atom,
+    holds one of the angles (an array-like)."""
+    eta = canonical_angles(np.array(angles, dtype=float).reshape(-1, 1))
+    return arc_mask(eta, m.thetas, m.gaps).any(axis=0)
+
+
 def neighbor_constants(m: AtomicMeasure, excluded_points=()) -> tuple[float, float, int, int]:
     """Extremal mass-to-gap ratios (A, B) with witnesses.
 
     A = min_n  mass_n / max(gap+, gap-),  B = max_n  mass_n / min(gap+, gap-).
 
-    A gap whose open arc contains one of ``excluded_points`` (declared
-    accumulation / spectrum points) is dropped: the true neighbor on that
-    side is missing from the truncation, so the wrap-around gap is an
-    artifact.  Returns (nan, nan, -1, -1) when no atom retains a gap.
+    A gap whose open arc holds one of the angles ``excluded_points``
+    (declared accumulation / spectrum points; see gaps_holding) is
+    dropped: the true neighbor on that side is missing from the
+    truncation, so the wrap-around gap is an artifact.  Returns (nan, nan, -1, -1) when no atom retains a gap.
     """
     n = m.n_atoms
     if n < 2:
         return float("nan"), float("nan"), -1, -1
-    crossing = np.zeros(n, dtype=bool)
-    for p in excluded_points:
-        eta = p.theta if isinstance(p, CirclePoint) else canonical_angle(p)
-        crossing |= arc_mask(eta, m.thetas, m.gaps)
+    crossing = gaps_holding(m, excluded_points)
     # fwd[i - 1] is atom i's backward gap; a dropped gap is nan, which
     # fmax/fmin skip
     fwd = np.where(crossing, np.nan, m.chord_gaps)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (MEMORY_BUDGET, Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
+from .circle import (MEMORY_BUDGET, Arc, AtomicMeasure, TWO_PI, canonical_angles,
                      measure_of_arc, neighbor_constants)
 from .errors import ClarkLabError, EmptyArc, PhaseMonotonicityViolation, SpectrumPoint
 from .inner import (EPS_SPECTRUM, InnerFunction, _angular_derivatives, _phase,
@@ -30,9 +30,10 @@ EDGE_FLAG_FACTOR = 10.0
 
 #: Bytes held per level while its atom is located and reported:
 #: _solve_levels keeps about twenty arrays of the level count, clark_data
-#: a CirclePoint and a row per atom.  `atoms --family exp` peaked at
-#: 376-385 bytes per level, report included, for N = 10^4 and 4 x 10^4
-#: (tracemalloc, numpy 2.4), so MEMORY_BUDGET allows about 2 x 10^6 levels.
+#: a list of one derivative per atom.  `atoms --family exp` peaked at
+#: 390 and 375 bytes per level, report included, for N = 10^4 and
+#: 4 x 10^4 (tracemalloc, numpy 2.4), so MEMORY_BUDGET allows about
+#: 2 x 10^6 levels.
 LEVEL_BYTES = 512
 
 
@@ -99,15 +100,15 @@ def _level_roots(u, scan: Arc, tol: float, offset: float, step: float):
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, not {tol}")
-    lo = scan.start.theta
+    lo = scan.start
     hi = lo + scan.length
     margin = 2.0 * np.arcsin(EPS_SPECTRUM / 2.0)  # chordal -> angular
-    for p in spectrum(u):
+    for t in spectrum(u):
         for k in (-1, 0, 1):
-            if lo - margin <= p.theta + TWO_PI * k <= hi + margin:
+            if lo - margin <= t + TWO_PI * k <= hi + margin:
                 raise SpectrumPoint(
                     f"scan arc comes within {EPS_SPECTRUM:g} of spectrum point "
-                    f"theta={p.theta:.6g}")
+                    f"theta={t:.6g}")
     ts = np.linspace(lo, hi, 1025)
     ph = _phase(u, ts, derivative=False)[0]
     if np.any(np.diff(ph) < -1e-9) or ph[-1] < ph[0]:
@@ -122,7 +123,7 @@ def _level_roots(u, scan: Arc, tol: float, offset: float, step: float):
 
 
 def find_atoms(u: InnerFunction, alpha: float, scan: Arc,
-               tol: float = DEFAULT_TOL, return_flags: bool = False):
+               tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """All boundary solutions of u = e^{2 pi i alpha} on the scan arc.
 
     alpha must be finite (else ValueError).  The solutions depend on
@@ -130,9 +131,9 @@ def find_atoms(u: InnerFunction, alpha: float, scan: Arc,
     which for alpha in [0, 1) is 2 pi alpha itself: at alpha = 1e17,
     2 pi alpha carries an ulp of 128 and would collapse the level grid.
 
-    Returns CirclePoints sorted along the scan direction; with
-    ``return_flags`` also a parallel boolean array marking atoms within
-    10*tol of a scan end as edge-uncertain.
+    Returns (thetas, edge_flags): the canonical angles of the atoms in
+    the order of the scan, and a parallel boolean array marking atoms
+    within EDGE_FLAG_FACTOR * tol of a scan end as edge-uncertain.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -140,9 +141,7 @@ def find_atoms(u: InnerFunction, alpha: float, scan: Arc,
     # a full-circle scan sees the wrap atom at both ends; keep one copy
     if roots.size >= 2 and roots[-1] - roots[0] > TWO_PI - max(4.0 * tol, 1e-12):
         roots = roots[:-1]
-    pts = [CirclePoint(t) for t in roots]
-    flags = np.minimum(roots - lo, hi - roots) < EDGE_FLAG_FACTOR * tol
-    return (pts, flags) if return_flags else pts
+    return canonical_angles(roots), np.minimum(roots - lo, hi - roots) < EDGE_FLAG_FACTOR * tol
 
 
 @dataclass
@@ -174,9 +173,8 @@ class ClarkData:
 def clark_data(u: InnerFunction, alpha: float, scan: Arc,
                tol: float = DEFAULT_TOL) -> ClarkData:
     """Locate atoms on the scan and attach masses and neighbor constants."""
-    pts, flags = find_atoms(u, alpha, scan, tol, return_flags=True)
-    thetas, derivs = np.array([(p.theta, angular_derivative(u, p))
-                               for p in pts]).reshape(-1, 2).T
+    thetas, flags = find_atoms(u, alpha, scan, tol)
+    derivs = np.array([angular_derivative(u, t) for t in thetas.tolist()], dtype=float)
     if np.any(~np.isfinite(derivs)):
         raise SpectrumPoint("infinite angular derivative at a located atom")
     order = np.argsort(thetas, kind="stable")
@@ -195,7 +193,7 @@ def phase_partition(u: InnerFunction, n_levels: int, scan: Arc,
     if n_levels < 2:
         raise ValueError("need at least 2 phase levels")
     _, _, roots = _level_roots(u, scan, tol, 0.0, TWO_PI / n_levels)
-    return [arc_between(roots[i], roots[i + 1], closed_left=True, closed_right=False)
+    return [Arc(roots[i], roots[i + 1], closed_left=True, closed_right=False)
             for i in range(len(roots) - 1)]
 
 
@@ -225,7 +223,7 @@ def partition_regularity(u: InnerFunction, n_levels: int, scan: Arc,
     """Empirical check that |u'| is nearly constant on each phase cell and
     that cell lengths scale like 1/(N |u'|)."""
     cells = phase_partition(u, n_levels, scan)
-    ts = np.reshape([np.linspace(c.start.theta, c.start.theta + c.length, samples_per_cell)
+    ts = np.reshape([np.linspace(c.start, c.start + c.length, samples_per_cell)
                      for c in cells], (-1, samples_per_cell))
     d = _angular_derivatives(u, ts)
     prod = np.array([c.length for c in cells]) * n_levels * d[:, 0]

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (Arc, AtomicMeasure, CirclePoint, TWO_PI, arc_between,
-                     neighbor_constants)
+from .circle import Arc, AtomicMeasure, TWO_PI, neighbor_constants
 from .clark import ClarkData, _check_level_count, _solve_levels, clark_data
 from .errors import ClarkLabError, NotEnoughAtoms
 from .inner import FiniteBlaschke, InnerFunction, SingularAtomic, _check_zero_count, monomial
@@ -122,7 +121,7 @@ def exp_clark_data(n_max: int) -> ClarkData:
     theta, masses, deriv = exp_lattice(n)
     order = np.argsort(theta, kind="stable")
     measure = AtomicMeasure(theta[order], masses[order])
-    A, B, wa, wb = neighbor_constants(measure, excluded_points=(CirclePoint(0.0),))
+    A, B, wa, wb = neighbor_constants(measure, excluded_points=(0.0,))
     return ClarkData(alpha=0.0, measure=measure, derivatives=deriv[order],
                      A=A, B=B, witness_A=wa, witness_B=wb,
                      edge_uncertain=np.zeros(n.size, dtype=bool),
@@ -389,7 +388,7 @@ def clark_scan_arc(fam: FamilySpec) -> Arc:
     SCAN_MARGIN) for families accumulating at theta = 0."""
     if isinstance(fam, Monomial):
         return Arc.full_circle()
-    return arc_between(SCAN_MARGIN, TWO_PI - SCAN_MARGIN, True, True)
+    return Arc(SCAN_MARGIN, TWO_PI - SCAN_MARGIN, True, True)
 
 
 def clark_data_for(fam: FamilySpec, alpha: float = 0.0, truncation: int = 100,
@@ -409,7 +408,7 @@ def clark_data_for(fam: FamilySpec, alpha: float = 0.0, truncation: int = 100,
         theta_out, _, _ = exp_lattice([-(truncation + 1), truncation + 1])
         lo = 0.5 * (theta_out[0] + exp_lattice([-truncation])[0][0])
         hi = 0.5 * (theta_out[1] + exp_lattice([truncation])[0][0])
-        data = clark_data(u, alpha, arc_between(lo, hi, True, True), tol)
+        data = clark_data(u, alpha, Arc(lo, hi, True, True), tol)
         if alpha == 0.0 and data.n_atoms == 2 * truncation + 1:
             order = np.argsort(exp_lattice(np.arange(-truncation, truncation + 1))[0])
             data.lattice_indices = np.arange(-truncation, truncation + 1)[order]

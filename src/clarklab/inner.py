@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import circle
-from .circle import (MEMORY_BUDGET, CirclePoint, TWO_PI, canonical_angle, canonical_angles,
-                     chord_angles, disk_sum)
+from .circle import (MEMORY_BUDGET, TWO_PI, canonical_angles, chord_angles, disk_sum,
+                     finite_angle)
 from .errors import ClarkLabError, DegenerateSymbol, SpectrumPoint
 
 #: Chordal radius around the spectrum inside which boundary operations
@@ -93,12 +93,9 @@ class FiniteBlaschke:
         c = complex(self.constant)
         if not abs(abs(c) - 1.0) <= 1e-12:
             raise ValueError("front constant must be unimodular")
-        if not np.isfinite(np.array(self.accumulation, dtype=float)).all():
-            raise ValueError("accumulation points must be finite angles")
         object.__setattr__(self, "zeros", tuple(a.tolist()))
         object.__setattr__(self, "constant", c)
-        object.__setattr__(self, "accumulation",
-                           tuple(canonical_angle(t) for t in self.accumulation))
+        object.__setattr__(self, "accumulation", tuple(map(finite_angle, self.accumulation)))
         lin, mass = _zero_parts(a[a != 0])
         object.__setattr__(self, "_form", _NormalForm(
             c, int(np.sum(a == 0)), a[a != 0], spectrum=np.array(self.accumulation),
@@ -158,10 +155,11 @@ def monomial(k: int) -> FiniteBlaschke:
     return FiniteBlaschke(zeros=(0.0 + 0.0j,) * k)
 
 
-def spectrum(u: InnerFunction) -> tuple[CirclePoint, ...]:
-    """Boundary spectrum: singular atoms plus declared Blaschke
-    accumulation points (finite Blaschke parts alone contribute none)."""
-    return tuple(CirclePoint(t) for t in u._form.spectrum)
+def spectrum(u: InnerFunction) -> np.ndarray:
+    """Boundary spectrum, as the angles of the normal form in factor
+    order: singular atoms plus declared Blaschke accumulation points
+    (finite Blaschke parts alone contribute none)."""
+    return u._form.spectrum.copy()
 
 
 def _refuse_atoms(dist, tol, theta, what):
@@ -331,31 +329,32 @@ def boundary_phase(u: InnerFunction, theta, anchor: float | None = None):
     return float(ph) if np.ndim(theta) == 0 else ph
 
 
-def angular_derivative(u: InnerFunction, zeta: CirclePoint) -> float:
-    """|u'(zeta)| via the boundary-derivative sums:
+def angular_derivative(u: InnerFunction, theta: float) -> float:
+    """|u'(zeta)| at zeta = e^{i theta} via the boundary-derivative sums:
     sum_k (1-|a_k|^2)/|zeta-a_k|^2 for Blaschke zeros and
     sum_j 2 w_j / |xi_j - zeta|^2 for singular atoms.
 
+    theta must be finite (else InvalidAngle) and is taken canonical.
     Values above DERIVATIVE_OVERFLOW_CAP are reported as inf; at a
     singular atom itself the derivative does not exist and SpectrumPoint
     is raised.
 
     The terms are read from the normal form at the one point, with no
     block buffer or matrix product, and summed as _phase sums them, so
-    the value equals _angular_derivatives' bit for bit: the product's
-    extra terms are exact zeros and the row sums are the same pairwise
-    sums.
+    the value equals _angular_derivatives' at the canonical angle bit for
+    bit: the product's extra terms are exact zeros and the row sums are
+    the same pairwise sums.
     """
     f = u._form
-    x = zeta.theta
+    theta = finite_angle(theta)
     # 0.0 + t == t for the nonnegative parts, so the additions round as _phase's
     d = 0.0
     if f.zeros.size:
-        dx = np.cos(x) - f.zeros.real
-        dy = np.sin(x) - f.zeros.imag
+        dx = np.cos(theta) - f.zeros.real
+        dy = np.sin(theta) - f.zeros.imag
         d += (f.mass / (dx * dx + dy * dy)).sum()
     if f.sing_theta.size:
-        sin2 = np.sin(0.5 * (f.sing_theta - x)) ** 2
+        sin2 = np.sin(0.5 * (f.sing_theta - theta)) ** 2
         _refuse_atoms(sin2, 0.25e-24, f.sing_theta, "angular derivative")
         d += (0.5 * f.sing_w / sin2).sum()
     d += f.origin_zeros

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .circle import AtomicMeasure, CirclePoint, TWO_PI, arc_mask, disk_sum, kernel_sum
+from .circle import AtomicMeasure, TWO_PI, disk_sum, gaps_holding, kernel_sum
 from .clark import ClarkData
 from .errors import (ClarkLabError, MateZero, NotEnoughAtoms, QuadratureNotConverged,
                      SupportMismatch)
@@ -142,7 +142,7 @@ def radial_limit_check(u: InnerFunction, m: AtomicMeasure, k: int) -> RadialLimi
     for j in range(1, len(tab)):
         for i in range(len(tab) - j):
             tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * h[i + j] / (h[i] - h[i + j])
-    target = angular_derivative(u, CirclePoint(m.thetas[k])) ** 2 * m.masses[k]
+    target = angular_derivative(u, m.thetas[k]) ** 2 * m.masses[k]
     extrap = float(tab[0])
     return RadialLimitReport(
         extrapolated=extrap, target=float(target),
@@ -341,7 +341,7 @@ def _grid_points(m: AtomicMeasure, spec, rings, fractions) -> tuple[np.ndarray, 
     atom and singular atom: DUPLICATE_TOL/32 = 3.1e-14 at GAP_POINTS =
     16, beyond ATOM_HIT_TOL and EVAL_ATOM_TOL.
     """
-    free = ~arc_mask(np.reshape(spec, (-1, 1)), m.thetas, m.gaps).any(axis=0)
+    free = ~gaps_holding(m, spec)
     circle = (m.thetas[free, None] + m.gaps[free, None] * np.asarray(fractions)).ravel()
     j = np.asarray(rings)
     M = np.minimum(ANGULAR_BASE * 2.0 ** j, ANGULAR_CAP).astype(int)
@@ -387,7 +387,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
             f"atom angular residual {resid.max():.3e} exceeds {SUPPORT_TOL:g}")
 
     atom_limits = derivs**2 * m.masses
-    spec = [p.theta for p in spectrum(u)]
+    spec = spectrum(u)
     spec_values = potential_grid(m, 1.0, spec)
 
     parts = np.arange(1, 2 * GAP_POINTS) / (2 * GAP_POINTS)

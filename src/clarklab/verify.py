@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CauchySection
-from .circle import Arc, AtomicMeasure, CirclePoint, TWO_PI, chord_angles, neighbor_constants
+from .circle import Arc, AtomicMeasure, TWO_PI, chord_angles, finite_angle, neighbor_constants
 from .clark import ClarkData
 from .errors import SupportMismatch
 from .perturb import admissible_alpha_bound
@@ -59,10 +59,11 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=()) -> BessonovReport:
     """Run the five condition records on a finite truncation.
 
     ``accumulation_points`` declares the candidate accumulation set
-    tau(mu) supplied by the family (empty for finite measures).
+    tau(mu) supplied by the family (empty for finite measures), as
+    angles, each finite (else InvalidAngle).
     """
-    accum = [p if isinstance(p, CirclePoint) else CirclePoint(p)
-             for p in accumulation_points]
+    etas = np.unique([finite_angle(t) for t in accumulation_points])
+    accum = etas.size > 0
     n = m.n_atoms
     records = []
 
@@ -70,7 +71,7 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=()) -> BessonovReport:
     # evidence (angular gaps always total 2 pi for a finite set).
     gaps = m.gaps if n >= 2 else np.array([TWO_PI])
     records.append(ConditionRecord(
-        name="i-support-size", passed=True, flagged=bool(accum),
+        name="i-support-size", passed=True, flagged=accum,
         details={"gap_sum": float(gaps.sum()), "min_gap": float(gaps.min()),
                  "max_gap": float(gaps.max()), "median_gap": float(np.median(gaps)),
                  "note": ("finite support certifies |supp| = 0" if not accum else
@@ -87,7 +88,6 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=()) -> BessonovReport:
     # within twice the nearest atom's distance of a declared accumulation
     # point, and check every component of the complement of the
     # accumulation set holds an atom.
-    etas = np.unique([p.theta for p in accum])
     near_accum = 0
     keep = np.ones(n, dtype=bool)
     components_ok = True
@@ -97,18 +97,18 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=()) -> BessonovReport:
         near_accum = int(np.sum(dist < edge + 1e-300))
         keep = (dist >= edge).all(axis=1)
         components_ok = all(
-            Arc(CirclePoint(a), CirclePoint(b), False, False).mask(m.thetas).any()
+            Arc(a, b, False, False).mask(m.thetas).any()
             for a, b in zip(etas, np.roll(etas, -1)))
     records.append(ConditionRecord(
         name="iii-neighbors", passed=(n >= 2 or not accum) and components_ok,
-        flagged=bool(accum),
+        flagged=accum,
         details={"atoms_near_accumulation": near_accum,
                  "components_with_atoms": components_ok,
                  "note": "neighbor existence holds trivially on a truncation"
                          if n >= 2 else "fewer than 2 atoms: vacuous"}))
 
     # (iv) mass-to-gap comparability.
-    A, B, wa, wb = neighbor_constants(m, excluded_points=accum)
+    A, B, wa, wb = neighbor_constants(m, excluded_points=etas)
     if np.isnan(A):
         iv_pass = n < 2  # vacuous for a single atom
         ratio = float("nan")
@@ -131,7 +131,7 @@ def bessonov_check(m: AtomicMeasure, accumulation_points=()) -> BessonovReport:
     else:
         sup, wit, excluded = 0.0, -1, 0
     records.append(ConditionRecord(
-        name="v-cauchy-of-one", passed=np.isfinite(sup), flagged=bool(accum),
+        name="v-cauchy-of-one", passed=np.isfinite(sup), flagged=accum,
         details={"sup": sup, "witness": wit, "edge_excluded_atoms": excluded,
                  "note": "uniform boundedness is asserted on the truncation only"}))
 

@@ -108,11 +108,11 @@ def test_criterion_6_bessonov_conditions():
         verdicts[f"z^{k}"] = cl.bessonov_check(
             cl.clark_data_for(cl.Monomial(k)).measure).verdict
     verdicts["exp"] = cl.bessonov_check(
-        cl.exp_clark_data(1000).measure, [cl.CirclePoint(0.0)]).verdict
+        cl.exp_clark_data(1000).measure, [0.0]).verdict
     good = all(v in ("pass", "pass-with-flags") for v in verdicts.values())
     broken = cl.bessonov_check(
         cl.squared_measure(cl.exp_clark_data(1000).measure),
-        [cl.CirclePoint(0.0)])
+        [0.0])
     rec = broken.record("iv-mass-gap-constants")
     broken_ok = (broken.verdict == "fail" and not rec.passed
                  and rec.details["witness_A"] >= 0)
@@ -168,7 +168,7 @@ def test_criterion_9_perturbation_pipeline():
     envelope = True
     for seed in range(20):
         lam = cl.generate(cl.random_plan(base, seed=seed))
-        rep = cl.bessonov_check(lam, [cl.CirclePoint(0.0)])
+        rep = cl.bessonov_check(lam, [0.0])
         all_pass &= rep.verdict in ("pass", "pass-with-flags")
         val = cl.atom_potential_sup(cl.squared_measure(lam)).value
         envelope &= (val <= 9 * ref) and (ref <= 9 * val)

@@ -427,7 +427,7 @@ def test_tolsa_below_operator_norm():
 
 def test_tail_integral_z4():
     sec = z4_section()
-    Q = cl.arc_between(-np.pi / 4, np.pi / 4, False, False)
+    Q = cl.Arc(-np.pi / 4, np.pi / 4, False, False)
     i0 = int(np.argmin(np.abs(sec.theta)))
     rep = cl.tail_integral_check(sec, Q, i0)
     assert rep.lhs == pytest.approx(0.3125)
@@ -445,14 +445,14 @@ def test_tail_integral_all_inside():
 
 def test_tail_integral_boundary_atom():
     sec = z4_section()
-    Q = cl.arc_between(0.0, np.pi, True, False)
+    Q = cl.Arc(0.0, np.pi, True, False)
     with pytest.raises(BoundaryAtom):
         cl.tail_integral_check(sec, Q, int(np.argmin(np.abs(sec.theta))))
 
 
 def test_tail_integral_atom_outside_arc():
     sec = z4_section()
-    Q = cl.arc_between(-np.pi / 4, np.pi / 4, False, False)
+    Q = cl.Arc(-np.pi / 4, np.pi / 4, False, False)
     with pytest.raises(AtomOutsideArc) as err:
         cl.tail_integral_check(sec, Q, 2)  # the atom at pi
     assert isinstance(err.value, ClarkLabError) and isinstance(err.value, ValueError)
@@ -469,10 +469,10 @@ def test_tail_integral_errors_follow_the_offset_rule(measure):
     m = measure()
     sec, th, N = cl.CauchySection(m), m.thetas, m.n_atoms
     for a in range(0, N, max(1, N // 8)):
-        for Q in (cl.arc_between(th[a], th[(a + 3) % N], True, True),
-                  cl.arc_between(np.nextafter(th[a], -1), th[(a + N // 2) % N], False, False)):
+        for Q in (cl.Arc(th[a], th[(a + 3) % N], True, True),
+                  cl.Arc(np.nextafter(th[a], -1), th[(a + N // 2) % N], False, False)):
             for i in range(N):
-                d = circle.canonical_angle(th[i] - Q.start.theta)
+                d = circle.canonical_angle(th[i] - Q.start)
                 want = (BoundaryAtom if d in (0.0, Q.length)
                         else AtomOutsideArc if d > Q.length else None)
                 if want is None:
@@ -487,7 +487,7 @@ def test_tail_integral_exp_dyadic_scales(exp_u):
     i_pi = int(np.argmin(np.abs(sec.theta - np.pi)))
     ratios = []
     for w in [np.pi / 2 ** k for k in range(1, 11)]:
-        Q = cl.arc_between(np.pi - w, np.pi + w, False, False)
+        Q = cl.Arc(np.pi - w, np.pi + w, False, False)
         ratios.append(cl.tail_integral_check(sec, Q, i_pi).ratio)
     assert max(ratios) < 10.0  # bounded across 10 scales
 

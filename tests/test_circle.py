@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 import clarklab as cl
 from clarklab import circle
-from clarklab.circle import (canonical_angle, canonical_angles, disk_sum, kernel_sum,
-                             neighbor_constants)
+from clarklab.circle import (arc_mask, canonical_angle, canonical_angles, chord_angles, disk_sum,
+                             gaps_holding, kernel_sum, neighbor_constants)
 from clarklab.errors import ClarkLabError, InvalidAngle, InvalidMeasure
 
 TWO_PI = 2 * np.pi
 
 
 def test_chord_distance_examples():
-    assert cl.chord_distance(cl.CirclePoint(0.0), cl.CirclePoint(0.0)) == 0.0
-    assert cl.chord_distance(cl.CirclePoint(0.0), cl.CirclePoint(np.pi)) == pytest.approx(2.0, abs=1e-15)
-    assert cl.chord_distance(cl.CirclePoint(0.0), cl.CirclePoint(np.pi / 2)) == pytest.approx(np.sqrt(2), abs=1e-12)
+    assert chord_angles(0.0, 0.0) == 0.0
+    assert chord_angles(0.0, np.pi) == pytest.approx(2.0, abs=1e-15)
+    assert chord_angles(0.0, np.pi / 2) == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
 @given(st.floats(-1e6, 1e6, allow_nan=False))
@@ -46,9 +46,11 @@ def test_canonical_angle_is_np_mod_bitwise():
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_chord_symmetric(a, b):
-    p, q = cl.CirclePoint(a), cl.CirclePoint(b)
-    assert cl.chord_distance(p, q) == pytest.approx(cl.chord_distance(q, p), abs=1e-15)
-    assert 0.0 <= cl.chord_distance(p, q) <= 2.0 + 1e-15
+    p, q = canonical_angle(a), canonical_angle(b)
+    assert chord_angles(p, q) == pytest.approx(chord_angles(q, p), abs=1e-15)
+    assert 0.0 <= chord_angles(p, q) <= 2.0 + 1e-15
+    # the chord has period 2 pi in each angle
+    assert chord_angles(a, b) == pytest.approx(chord_angles(p, q), abs=1e-14)
 
 
 def test_chord_triangle_inequality(rng):
@@ -61,25 +63,30 @@ def test_chord_triangle_inequality(rng):
 
 
 def test_arc_membership_flags():
-    q = cl.arc_between(-np.pi / 4, np.pi / 4, closed_left=True, closed_right=True)
-    assert q.contains(cl.CirclePoint(0.0))
-    assert q.contains(cl.CirclePoint(-np.pi / 4))
-    assert q.contains(cl.CirclePoint(np.pi / 4))
-    q_open = cl.arc_between(-np.pi / 4, np.pi / 4, closed_left=False, closed_right=False)
-    assert not q_open.contains(cl.CirclePoint(-np.pi / 4))
-    assert not q_open.contains(cl.CirclePoint(np.pi / 4))
-    assert q_open.contains(cl.CirclePoint(0.1))
-    assert not q_open.contains(cl.CirclePoint(np.pi))
+    # an arc keeps its ends canonical, and so must the angles it is asked about
+    q = cl.Arc(-np.pi / 4, np.pi / 4, closed_left=True, closed_right=True)
+    assert (q.start, q.end) == (canonical_angle(-np.pi / 4), np.pi / 4)
+    assert q.mask([0.0, canonical_angle(-np.pi / 4), np.pi / 4]).all()
+    q_open = cl.Arc(-np.pi / 4, np.pi / 4, closed_left=False, closed_right=False)
+    assert q_open.mask([canonical_angle(-np.pi / 4), np.pi / 4, 0.1, np.pi]).tolist() == [
+        False, False, True, False]
 
 
 def test_full_circle_arc():
     full = cl.Arc.full_circle()
     assert full.length == pytest.approx(TWO_PI)
-    for t in (0.0, 1.0, np.pi, 6.2):
-        assert full.contains(cl.CirclePoint(t))
+    assert full.mask([0.0, 1.0, np.pi, 6.2]).all()
     # the start is also the end, so either flag closes it
-    assert cl.arc_between(1.0, 1.0, False, True).contains(cl.CirclePoint(1.0))
-    assert not cl.arc_between(1.0, 1.0, False, False).contains(cl.CirclePoint(1.0))
+    assert cl.Arc(1.0, 1.0, False, True).mask([1.0])[0]
+    assert not cl.Arc(1.0, 1.0, False, False).mask([1.0])[0]
+
+
+def contains(arc, t):
+    """Reference: the arc-membership rule for one angle, in Python floats."""
+    d = canonical_angle(canonical_angle(t) - arc.start)
+    at_end = d == 0.0 if arc.is_full_circle else d == arc.length
+    return (0.0 < d < arc.length or (arc.closed_left and d == 0.0)
+            or (arc.closed_right and at_end))
 
 
 @pytest.mark.parametrize("closed_left, closed_right",
@@ -92,17 +99,19 @@ def test_membership_agrees_with_contains(full, closed_left, closed_right):
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = rng.uniform(0, TWO_PI)
-        arc = cl.arc_between(a, a if full else rng.uniform(0, TWO_PI), closed_left, closed_right)
-        ends = (arc.start.theta, arc.end.theta)
+        arc = cl.Arc(a, a if full else rng.uniform(0, TWO_PI), closed_left, closed_right)
+        ends = (arc.start, arc.end)
         probes = [*rng.uniform(0, TWO_PI, 20), *ends,
                   *(np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf))]
         for t in probes:
-            assert cl.AtomicMeasure([t], [1.0]).membership(arc)[0] == arc.contains(cl.CirclePoint(t))
+            assert cl.AtomicMeasure([t], [1.0]).membership(arc)[0] == contains(arc, t)
+        assert arc.mask(canonical_angles(np.array(probes))).tolist() == [
+            contains(arc, t) for t in probes]
 
 
 def test_measure_of_arc_z2():
     m = cl.AtomicMeasure([0.0, np.pi], [0.5, 0.5])
-    q = cl.arc_between(-np.pi / 4, np.pi / 4, closed_left=True, closed_right=True)
+    q = cl.Arc(-np.pi / 4, np.pi / 4, closed_left=True, closed_right=True)
     assert cl.measure_of_arc(m, q) == pytest.approx(0.5)
     assert cl.measure_of_arc(m, cl.Arc.full_circle()) == pytest.approx(1.0)
     assert cl.measure_of_arc(cl.AtomicMeasure.empty(), q) == 0.0
@@ -113,8 +122,7 @@ def test_measure_additivity_over_partition(rng):
     masses = rng.uniform(0.1, 2.0, 57)
     m = cl.AtomicMeasure(thetas, masses)
     cuts = np.sort(rng.uniform(0, TWO_PI, 9))
-    arcs = [cl.arc_between(cuts[i], cuts[(i + 1) % len(cuts)],
-                           closed_left=True, closed_right=False)
+    arcs = [cl.Arc(cuts[i], cuts[(i + 1) % len(cuts)], closed_left=True, closed_right=False)
             for i in range(len(cuts))]
     total = sum(cl.measure_of_arc(m, a) for a in arcs)
     assert total == pytest.approx(m.total_mass, rel=1e-12)
@@ -149,8 +157,16 @@ def test_invalid_measures_rejected(thetas, masses):
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_circle_point_rejects_non_finite_angle(theta):
-    with pytest.raises(InvalidAngle, match="angle must be finite"):
-        cl.CirclePoint(theta)
+    # the angles that come from outside: arc endpoints, declared
+    # accumulation points and the point of an angular derivative
+    m = cl.AtomicMeasure([0.5, 2.0], [0.1, 0.3])
+    for refused in (lambda: cl.Arc(theta, 1.0), lambda: cl.Arc(1.0, theta),
+                    lambda: cl.bessonov_check(m, [0.0, theta]),
+                    lambda: cl.bessonov_check(m, np.array([theta])),
+                    lambda: cl.FiniteBlaschke(zeros=(0.5,), accumulation=(0.0, theta)),
+                    lambda: cl.angular_derivative(cl.monomial(2), theta)):
+        with pytest.raises(InvalidAngle, match="angle must be finite"):
+            refused()
     assert issubclass(InvalidAngle, ClarkLabError)
     assert issubclass(InvalidAngle, ValueError)
 
@@ -175,7 +191,7 @@ def test_neighbor_constants_exclusion():
     # wrap gap crosses a declared accumulation point at 0 and is dropped
     m = cl.AtomicMeasure([0.1, 0.2, 6.1], [0.05, 0.05, 0.05])
     A_plain, B_plain, _, _ = neighbor_constants(m)
-    A_excl, B_excl, _, _ = neighbor_constants(m, excluded_points=[cl.CirclePoint(0.0)])
+    A_excl, B_excl, _, _ = neighbor_constants(m, excluded_points=[0.0])
     assert A_excl >= A_plain  # dropping the artificial wrap gap raises A
     assert np.isfinite(A_excl) and np.isfinite(B_excl)
     # the same figures and witnesses as the plain loop, with 0-2 excluded
@@ -189,6 +205,11 @@ def test_neighbor_constants_exclusion():
         for excluded in ([], [0.0], [0.0, 1.0]):
             got = neighbor_constants(measure, excluded_points=excluded)
             np.testing.assert_equal(got, neighbor_constants_loop(measure, excluded))
+            # one arc_mask per angle, or-ed
+            loop = np.zeros(measure.n_atoms, dtype=bool)
+            for eta in excluded:
+                loop |= arc_mask(canonical_angle(eta), measure.thetas, measure.gaps)
+            assert np.array_equal(gaps_holding(measure, excluded), loop)
     # both gaps of a two-atom measure cross an excluded point
     assert np.isnan(neighbor_constants(measures[-1], [0.0, 1.0])[:2]).all()
 

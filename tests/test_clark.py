@@ -11,31 +11,29 @@ TWO_PI = 2 * np.pi
 
 
 def test_find_atoms_monomial_quarter():
-    pts = cl.find_atoms(cl.monomial(1), 0.25, cl.Arc.full_circle(), tol=1e-13)
-    assert len(pts) == 1
-    assert pts[0].theta == pytest.approx(np.pi / 2, abs=1e-12)
+    thetas, flags = cl.find_atoms(cl.monomial(1), 0.25, cl.Arc.full_circle(), tol=1e-13)
+    assert thetas.shape == flags.shape == (1,)
+    assert thetas[0] == pytest.approx(np.pi / 2, abs=1e-12)
 
 
 def test_find_atoms_z2():
-    pts = cl.find_atoms(cl.monomial(2), 0.0, cl.Arc.full_circle(), tol=1e-13)
-    thetas = sorted(p.theta for p in pts)
-    assert len(pts) == 2
+    thetas = np.sort(cl.find_atoms(cl.monomial(2), 0.0, cl.Arc.full_circle(), tol=1e-13)[0])
+    assert len(thetas) == 2
     assert thetas[0] == pytest.approx(0.0, abs=1e-12)
     assert thetas[1] == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_find_atoms_exp_center(exp_u):
-    scan = cl.arc_between(0.05, TWO_PI - 0.05, True, True)
-    pts = cl.find_atoms(exp_u, 0.0, scan, tol=1e-13)
-    thetas = np.array([p.theta for p in pts])
+    scan = cl.Arc(0.05, TWO_PI - 0.05, True, True)
+    thetas, _ = cl.find_atoms(exp_u, 0.0, scan, tol=1e-13)
     # the label-0 atom sits at pi exactly
     assert np.min(np.abs(thetas - np.pi)) < 1e-12
 
 
 def test_find_atoms_refinement_idempotent(exp_u):
-    scan = cl.arc_between(0.05, TWO_PI - 0.05, True, True)
-    coarse = np.array([p.theta for p in cl.find_atoms(exp_u, 0.0, scan, tol=1e-6)])
-    fine = np.array([p.theta for p in cl.find_atoms(exp_u, 0.0, scan, tol=5e-7)])
+    scan = cl.Arc(0.05, TWO_PI - 0.05, True, True)
+    coarse, _ = cl.find_atoms(exp_u, 0.0, scan, tol=1e-6)
+    fine, _ = cl.find_atoms(exp_u, 0.0, scan, tol=5e-7)
     assert coarse.size == fine.size
     assert np.max(np.abs(coarse - fine)) < 1e-6
 
@@ -79,9 +77,9 @@ def test_total_mass_identity_exp():
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_interlacing(exp_u, alpha):
-    scan = cl.arc_between(0.1, TWO_PI - 0.1, True, True)
-    base = np.array([p.theta for p in cl.find_atoms(exp_u, 0.0, scan)])
-    other = np.array([p.theta for p in cl.find_atoms(exp_u, alpha, scan)])
+    scan = cl.Arc(0.1, TWO_PI - 0.1, True, True)
+    base, _ = cl.find_atoms(exp_u, 0.0, scan)
+    other, _ = cl.find_atoms(exp_u, alpha, scan)
     # between consecutive base atoms lies exactly one alpha-atom
     for a, b in zip(base[:-1], base[1:]):
         assert np.sum((other > a) & (other < b)) == 1
@@ -98,10 +96,10 @@ def test_phase_partition_monomials():
 
 def test_phase_partition_increment(exp_u):
     N = 8
-    cells = cl.phase_partition(exp_u, N, cl.arc_between(0.1, TWO_PI - 0.1, True, True))
+    cells = cl.phase_partition(exp_u, N, cl.Arc(0.1, TWO_PI - 0.1, True, True))
     for c in cells[:20]:
-        dp = (cl.boundary_phase(exp_u, c.start.theta + c.length)
-              - cl.boundary_phase(exp_u, c.start.theta))
+        dp = (cl.boundary_phase(exp_u, c.start + c.length)
+              - cl.boundary_phase(exp_u, c.start))
         assert dp == pytest.approx(TWO_PI / N, abs=1e-9)
     # cells shrink toward the spectrum like 1/(N |u'|)
     first, middle = cells[0], cells[len(cells) // 2]
@@ -119,7 +117,7 @@ def test_partition_regularity_monomials():
 
 def test_partition_regularity_exp(exp_u):
     rep = cl.partition_regularity(
-        exp_u, 64, cl.arc_between(0.05, TWO_PI - 0.05, True, True),
+        exp_u, 64, cl.Arc(0.05, TWO_PI - 0.05, True, True),
         samples_per_cell=9)
     assert rep.max_derivative_ratio <= C1_DERIVATIVE_RATIO
     assert rep.passed
@@ -129,21 +127,21 @@ def test_partition_regularity_exp(exp_u):
 def test_comparability_z2():
     d0 = cl.clark_data(cl.monomial(2), 0.0, cl.Arc.full_circle())
     dh = cl.clark_data(cl.monomial(2), 0.5, cl.Arc.full_circle())
-    q = cl.arc_between(-np.pi / 4, 3 * np.pi / 4, True, False)
+    q = cl.Arc(-np.pi / 4, 3 * np.pi / 4, True, False)
     rep = cl.comparability_check(d0, dh, [q])
     assert rep.ratio_min == pytest.approx(1.0)
     assert rep.ratio_max == pytest.approx(1.0)
     rep_full = cl.comparability_check(d0, dh, [cl.Arc.full_circle()])
     assert rep_full.ratio_max == pytest.approx(1.0)
     with pytest.raises(EmptyArc):
-        cl.comparability_check(d0, dh, [cl.arc_between(0.1, 0.2)])
+        cl.comparability_check(d0, dh, [cl.Arc(0.1, 0.2)])
 
 
 def test_comparability_exp_dyadic(exp_u):
-    scan = cl.arc_between(0.3, TWO_PI - 0.3, True, True)
+    scan = cl.Arc(0.3, TWO_PI - 0.3, True, True)
     d0 = cl.clark_data(exp_u, 0.0, scan)
     dh = cl.clark_data(exp_u, 0.5, scan)
-    arcs = [cl.arc_between(np.pi - w, np.pi + w, True, True)
+    arcs = [cl.Arc(np.pi - w, np.pi + w, True, True)
             for w in (2.55, 2.85, 3.0)]
     rep = cl.comparability_check(d0, dh, arcs)
     assert 0 < rep.ratio_min <= rep.ratio_max < np.inf
@@ -152,7 +150,7 @@ def test_comparability_exp_dyadic(exp_u):
 
 
 def test_edge_uncertain_flags(exp_u):
-    scan = cl.arc_between(0.05, TWO_PI - 0.05, True, True)
+    scan = cl.Arc(0.05, TWO_PI - 0.05, True, True)
     data = cl.clark_data(exp_u, 0.0, scan, tol=1e-10)
     assert data.edge_uncertain is not None
     assert not data.edge_uncertain.all()
@@ -161,7 +159,7 @@ def test_edge_uncertain_flags(exp_u):
 def exp_scan(N):
     """The scan clark_data_for uses for the exp atoms |n| <= N."""
     th = exp_lattice([-(N + 1), -N, N, N + 1])[0]
-    return cl.arc_between(0.5 * (th[0] + th[1]), 0.5 * (th[2] + th[3]), True, True)
+    return cl.Arc(0.5 * (th[0] + th[1]), 0.5 * (th[2] + th[3]), True, True)
 
 
 def bisection_oracle(u, scan, offset, step):
@@ -169,7 +167,7 @@ def bisection_oracle(u, scan, offset, step):
     in the lift's range over the scan, bisected 47 times from the whole
     scan (the bracket then lies below 1e-13 rad).  Returns k and the
     roots as canonical angles."""
-    lo = scan.start.theta
+    lo = scan.start
     hi = lo + scan.length
     p_lo, p_hi = inner._phase_lift(u, np.array([lo, hi]))
     k = np.arange(np.ceil((p_lo - offset) / step - 1e-12),
@@ -202,14 +200,14 @@ def test_solver_matches_bisection_oracle(family, alpha, scan):
     # its even members, so one oracle run serves both
     k, oracle = bisection_oracle(u, scan, 0.0, np.pi)
     cells = cl.phase_partition(u, 2, scan, tol=1e-13)
-    ends = [c.start.theta for c in cells] + [cells[-1].start.theta + cells[-1].length]
+    ends = [c.start for c in cells] + [cells[-1].start + cells[-1].length]
     assert len(ends) == oracle.size
     assert np.max(angle_gap(ends, oracle)) <= 1e-12
     if alpha == 0.0:
         oracle = oracle[k % 2 == 0]
     else:
         oracle = bisection_oracle(u, scan, TWO_PI * alpha, TWO_PI)[1]
-    atoms = [p.theta for p in cl.find_atoms(u, alpha, scan, tol=1e-13)]
+    atoms, _ = cl.find_atoms(u, alpha, scan, tol=1e-13)
     assert len(atoms) == oracle.size > 0
     assert np.max(angle_gap(atoms, oracle)) <= 1e-12
 
@@ -231,9 +229,9 @@ def count_phase_calls(monkeypatch):
                                      (cl.SingularAtomic(atoms=((0.0, 1.0),)), exp_scan(20))],
                          ids=["monomial:8", "exp:20"])
 def test_tol_below_float_resolution_terminates(u, scan, monkeypatch):
-    ref = np.array([p.theta for p in cl.find_atoms(u, 0.0, scan, tol=1e-13)])
+    ref, _ = cl.find_atoms(u, 0.0, scan, tol=1e-13)
     calls = count_phase_calls(monkeypatch)
-    fine = np.array([p.theta for p in cl.find_atoms(u, 0.0, scan, tol=1e-20)])
+    fine, _ = cl.find_atoms(u, 0.0, scan, tol=1e-20)
     # no bracket gets below 1e-20 wide: the adjacent-floats stop ends the
     # levels, after 3 (monomial) and 8 (exp) solver passes when measured
     assert len(calls) <= 1 + 16
@@ -246,10 +244,10 @@ def test_exact_newton_step_still_closes_bracket(monkeypatch):
     # root; the push past it must close the bracket at once instead of
     # leaving one end behind for bisection to walk in
     calls = count_phase_calls(monkeypatch)
-    pts = cl.find_atoms(cl.monomial(1024), 0.0, cl.Arc.full_circle(), tol=1e-13)
-    assert len(pts) == 1024
+    thetas, _ = cl.find_atoms(cl.monomial(1024), 0.0, cl.Arc.full_circle(), tol=1e-13)
+    assert len(thetas) == 1024
     assert len(calls) <= 1 + 3  # the scan sample, then the solver
-    assert np.max(angle_gap([p.theta for p in pts], TWO_PI * np.arange(1024) / 1024)) <= 1e-13
+    assert np.max(angle_gap(thetas, TWO_PI * np.arange(1024) / 1024)) <= 1e-13
 
 
 def test_solver_passes_hand_the_kernel_distinct_points(monkeypatch):
@@ -258,7 +256,7 @@ def test_solver_passes_hand_the_kernel_distinct_points(monkeypatch):
     fam = parse_family("counterexample:1.0:1024")
     u = cl.inner_function(fam)
     calls = count_phase_calls(monkeypatch)
-    assert len(cl.find_atoms(u, 0.0, clark_scan_arc(fam))) == 1024
+    assert len(cl.find_atoms(u, 0.0, clark_scan_arc(fam))[0]) == 1024
     solver = calls[1:]
     assert len(solver) >= 2
     assert all(np.unique(t).size == t.size for t in solver)

@@ -95,10 +95,8 @@ def test_sparse_route_matches_materialized_find_atoms(member):
     assert atoms.n_atoms >= 1
     lo = min(1e-6, 0.5 * atoms.thetas[0])
     u = cl.inner_function(member)
-    pts = cl.find_atoms(u, 0.0, cl.arc_between(lo, np.pi / 2, False, True),
-                        tol=1e-13)
-    thetas = np.array([p.theta for p in pts])
-    masses = np.array([1.0 / cl.angular_derivative(u, p) for p in pts])
+    thetas, _ = cl.find_atoms(u, 0.0, cl.Arc(lo, np.pi / 2, False, True), tol=1e-13)
+    masses = np.array([1.0 / cl.angular_derivative(u, t) for t in thetas])
     assert thetas.size == atoms.n_atoms
     assert np.max(np.abs(thetas - atoms.thetas)) <= 1e-12
     assert np.max(np.abs(masses / atoms.masses - 1.0)) <= 1e-10

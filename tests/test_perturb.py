@@ -97,7 +97,7 @@ def test_random_plans_generate_valid_measures():
     for seed in range(5):
         plan = cl.random_plan(base, seed=seed)
         lam = cl.generate(plan)
-        rep = cl.bessonov_check(lam, accumulation_points=[cl.CirclePoint(0.0)])
+        rep = cl.bessonov_check(lam, accumulation_points=[0.0])
         assert rep.verdict in ("pass", "pass-with-flags")
         adm = cl.perturbed_admissibility(base, lam)
         assert adm.passed

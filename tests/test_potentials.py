@@ -235,7 +235,7 @@ def test_scan_sup_reaches_the_max_on_the_circle(family, N):
     # 5.2393 on 1.0:256, 6.19 on 1.0:1024)
     fam = cl.parse_family(family)
     u, m = cl.inner_function(fam), cl.squared_measure(cl.clark_data_for(fam, truncation=N).measure)
-    spec = np.reshape([p.theta for p in cl.spectrum(u)], (-1, 1))
+    spec = np.reshape(cl.spectrum(u), (-1, 1))
     free = ~circle.arc_mask(spec, m.thetas, m.gaps).any(axis=0)
     phi = (m.thetas[free, None] + m.gaps[free, None] * (np.arange(1, 1025) / 1025)).ravel()
     G = np.abs(1.0 - cl.evaluate(u, np.exp(1j * phi))) ** 2 * potentials.potential_grid(m, 1.0, phi)
@@ -265,11 +265,11 @@ def test_weighted_potential_bridge(exp_u):
     sup61 = cl.atom_potential_sup(mu).value
     deriv = data.derivatives
     atom_limits = deriv**2 * mu.masses
-    scan = cl.arc_between(1e-3, TWO_PI - 1e-3, True, True)
-    half_atoms = cl.find_atoms(exp_u, 0.5, scan)
+    scan = cl.Arc(1e-3, TWO_PI - 1e-3, True, True)
+    half_atoms, _ = cl.find_atoms(exp_u, 0.5, scan)
     vals = []
-    for p in half_atoms:
-        z = p.complex
+    for t in half_atoms:
+        z = complex(np.cos(t), np.sin(t))
         vals.append(abs(1 - cl.evaluate(exp_u, z)) ** 2 * cl.potential(mu, z))
     assert max(vals) <= 4 * sup61 + 4 * float(atom_limits.max())
 
@@ -283,7 +283,7 @@ def _grid_loop_form(u, m, depth, parts):
         r = 1.0 - 2.0 ** (-j)
         M = int(min(potentials.ANGULAR_BASE * 2 ** j, potentials.ANGULAR_CAP))
         pts.append(r * np.exp(1j * np.linspace(0.0, TWO_PI, M, endpoint=False)))
-    spec = [p.theta for p in cl.spectrum(u)]
+    spec = cl.spectrum(u)
     for theta, gap in zip(m.thetas, m.gaps):
         if any(0.0 < np.mod(eta - theta, TWO_PI) < gap for eta in spec):
             continue
@@ -305,7 +305,7 @@ def _exp20():
 def _blaschke_singular():
     u = cl.Product((cl.FiniteBlaschke((0.5, 0.3j - 0.2, -0.7 + 0.1j, 0.9 * np.exp(2j))),
                     cl.SingularAtomic(((1.0, 0.3), (4.0, 0.05)))))
-    return u, cl.clark_data(u, 0.0, cl.arc_between(1.01, 3.99, True, True)).measure
+    return u, cl.clark_data(u, 0.0, cl.Arc(1.01, 3.99, True, True)).measure
 
 
 @pytest.mark.parametrize("grid", [{}, dict(GRID_DEPTH=9, ANGULAR_BASE=12, ANGULAR_CAP=1000)],
@@ -367,7 +367,7 @@ def test_scan_agrees_across_disk_block_sizes(case, monkeypatch):
     # thousand differ by at most (sources) u of each sum, 4.4e-14 relative
     # at 401 sources; 1e-13 leaves a margin
     u, m = case()
-    n_grid = potentials._grid_points(m, [p.theta for p in cl.spectrum(u)],
+    n_grid = potentials._grid_points(m, cl.spectrum(u),
                                      range(1, potentials.GRID_DEPTH + 1), [0.5])[0].size
     assert n_grid * m.n_atoms >= 4 * circle.DISK_BLOCK
     default = cl.sup_inf_scan(u, m)

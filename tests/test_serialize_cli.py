@@ -356,7 +356,21 @@ def test_cli_example_exp_reports_one_atom(tmp_path):
     assert main(["example", "exp", "--truncation", "0", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())["outputs"]
     assert doc["atom_potential_sup"] is None and doc["atom_potential_stable"] is None
+    assert doc["atom_potential_sup_coarse"] is None
     assert doc["atom_count"] and doc["total_mass_ok"] and doc["potential_ok"]
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_cli_example_exp_checks_stability_from_ten_on(N, tmp_path):
+    # the stability check compares the pair sup with the truncation N // 10,
+    # which holds two atoms only from N = 10 on: below, the coarse sup and
+    # the verdict are null (at N = 1 a fixed 5-atom "coarse" measure once
+    # failed it, at N = 2 it was the measure itself)
+    out = tmp_path / "e.json"
+    assert main(["example", "exp", "--truncation", str(N), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["outputs"]
+    assert doc["atom_potential_sup"] > 0
+    assert doc["atom_potential_sup_coarse"] is None and doc["atom_potential_stable"] is None
 
 
 def test_cli_tolsa(tmp_path):
@@ -365,6 +379,23 @@ def test_cli_tolsa(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["outputs"]["max_ratio"] == pytest.approx(0.25, abs=1e-10)
+
+
+def test_cli_tolsa_witness_arc_is_two_angles(tmp_path):
+    # the witness arc is written as its two angles and flags, and it holds
+    # exactly the witness atoms: witness_count of them from witness_start on
+    out = tmp_path / "t.json"
+    assert main(["tolsa", "--family", "exp", "--truncation", "20", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["outputs"]
+    arc = doc["witness_arc"]
+    assert set(arc) == {"start", "end", "closed_left", "closed_right"}
+    assert type(arc["start"]) is float and type(arc["end"]) is float
+    thetas = cl.clark_data_for(cl.ExpSingular(), truncation=20).measure.thetas
+    start, count = doc["witness_start"], doc["witness_count"]
+    assert 0 < count < thetas.size
+    want = np.zeros(thetas.size, dtype=bool)
+    want[(start + np.arange(count)) % thetas.size] = True
+    assert np.array_equal(cl.Arc(**arc).mask(thetas), want)
 
 
 @pytest.mark.parametrize("sizes", ["0,4", "1,4", "64,32"])

@@ -25,7 +25,7 @@ def test_bessonov_single_atom():
 
 def test_bessonov_exp_passes_with_flags():
     data = cl.exp_clark_data(500)
-    rep = cl.bessonov_check(data.measure, accumulation_points=[cl.CirclePoint(0.0)])
+    rep = cl.bessonov_check(data.measure, accumulation_points=[0.0])
     assert rep.verdict == "pass-with-flags"
     assert rep.A == pytest.approx(data.A, abs=1e-12)
     assert rep.B == pytest.approx(data.B, abs=1e-12)
@@ -35,8 +35,8 @@ def test_bessonov_exp_passes_with_flags():
 
 
 def test_bessonov_exp_stability_under_doubling():
-    r1 = cl.bessonov_check(cl.exp_clark_data(500).measure, [cl.CirclePoint(0.0)])
-    r2 = cl.bessonov_check(cl.exp_clark_data(1000).measure, [cl.CirclePoint(0.0)])
+    r1 = cl.bessonov_check(cl.exp_clark_data(500).measure, [0.0])
+    r2 = cl.bessonov_check(cl.exp_clark_data(1000).measure, [0.0])
     assert abs(r2.A - r1.A) < 0.01 * r1.A
     s1 = r1.record("v-cauchy-of-one").details["sup"]
     s2 = r2.record("v-cauchy-of-one").details["sup"]
@@ -46,7 +46,7 @@ def test_bessonov_exp_stability_under_doubling():
 def test_bessonov_squared_masses_fail_condition_iv():
     data = cl.exp_clark_data(1000)
     rep = cl.bessonov_check(cl.squared_measure(data.measure),
-                            accumulation_points=[cl.CirclePoint(0.0)])
+                            accumulation_points=[0.0])
     assert rep.verdict == "fail"
     rec = rep.record("iv-mass-gap-constants")
     assert not rec.passed
@@ -61,7 +61,7 @@ def test_bessonov_pass_at_small_truncations():
             cl.clark_data_for(cl.Monomial(k)).measure).verdict == "pass"
     for N in (4, 16, 64):
         rep = cl.bessonov_check(cl.exp_clark_data(N).measure,
-                                [cl.CirclePoint(0.0)])
+                                [0.0])
         assert rep.verdict in ("pass", "pass-with-flags")
 
 
@@ -146,7 +146,7 @@ def test_bessonov_records_match_loop_form(case):
         m = cl.generate(cl.random_plan(cl.exp_clark_data(50), seed=3))
     else:
         m = cl.exp_clark_data(50).measure
-    rep = cl.bessonov_check(m, [cl.CirclePoint(t) for t in etas])
+    rep = cl.bessonov_check(m, etas)
     for name, want in _bessonov_loop_form(m, etas).items():
         got = rep.record(name).details
         assert {k: got[k] for k in want} == want, name
