@@ -26,6 +26,14 @@ so with g = f sigma
 
 a real sum over each pair of atoms once (circle.kernel_sum), with no
 complex division and no rounded e^{i theta}.
+
+A section of the exponential family exp((z+1)/(z-1)) on consecutive
+lattice labels is a diagonal-unitary conjugate of H_N/(2 pi), H_N[j,k] =
+1/(j - k) the discrete Hilbert matrix, so its norm depends on N alone.  A
+section that carries its labels (``nested_sections``) has its norm taken
+from the half-size block of H_N (``_hilbert_block``) and its products
+from ``hilbert_route``; both first check the section against the
+family's closed forms (``_lattice_labels``).
 """
 from __future__ import annotations
 
@@ -45,6 +53,18 @@ from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceed
 #: real N x N arrays at once (16 N^2 bytes), MEMORY_BUDGET (1 GiB, so
 #: 8192 atoms) at the cap; ``apply`` needs no dense storage.
 DENSE_CAP = math.isqrt(MEMORY_BUDGET // 16)
+
+#: A labelled section matches the exponential family's closed forms when
+#: its atoms lie within LATTICE_ANGLE_TOL (chordal) of the lattice points
+#: and its masses within LATTICE_MASS_RTOL of the lattice masses,
+#: relative.  Numeric clark_data_for(exp) atoms at the default tol sit
+#: within 2.6e-14 rad of the lattice angles, and their masses within
+#: about 1.3e-13 N relative at truncation N (2.0e-10 at N = 1500,
+#: measured for N = 100..4000), so the mass tolerance admits every
+#: truncation short of the DUPLICATE_TOL limit (N near 5.6e5), and an
+#: error of 1% in one mass is 1e5 times beyond it.
+LATTICE_ANGLE_TOL = 1e-12
+LATTICE_MASS_RTOL = 1e-7
 
 
 class CauchySection:
@@ -114,26 +134,30 @@ class CauchySection:
         return 0.5 * (g.sum() - g) + 0.5j * cot
 
 
-def nested_sections(measure: AtomicMeasure, sizes) -> list[CauchySection]:
+def nested_sections(measure: AtomicMeasure, sizes, lattice_indices=None) -> list[CauchySection]:
     """Sections over the N largest-mass atoms (ties broken by angle), so
-    each section's matrix is a principal submatrix of the next."""
+    each section's matrix is a principal submatrix of the next.  Given
+    the measure's lattice labels, each section carries its own."""
     order = np.argsort(-measure.masses, kind="stable")
     out = []
     for n in sizes:
         if n > measure.n_atoms:
             raise NotEnoughAtoms(f"requested section size {n} > {measure.n_atoms}")
         idx = np.sort(order[:n])
-        out.append(CauchySection(AtomicMeasure(measure.thetas[idx],
-                                               measure.masses[idx])))
+        out.append(CauchySection(
+            AtomicMeasure(measure.thetas[idx], measure.masses[idx]),
+            None if lattice_indices is None else np.asarray(lattice_indices)[idx]))
     return out
 
 
 @dataclass
 class OperatorNormEstimate:
     """Norms of nested sections, nondecreasing in the section size by
-    nesting.  Each value is ||S_N||/2 from one real symmetric eigensolve
-    of S_N^T S_N, within the rounding bound stated in ``operator_norm``,
-    and a lower bound for the norm of the full operator."""
+    nesting, and lower bounds for the norm of the full operator.  A
+    section without labels gives ||S_N||/2 from one real symmetric
+    eigensolve of S_N^T S_N; a labelled exp section gives the norm of the
+    closed-form lattice section from the half-size Hilbert block.  Each
+    lies within the rounding bound stated in ``operator_norm``."""
 
     sizes: list[int]
     values: list[float]
@@ -149,9 +173,10 @@ class OperatorNormEstimate:
         return self.values[-1] / self.values[-2] - 1.0
 
 
-def operator_norm(measure: AtomicMeasure, sizes) -> OperatorNormEstimate:
+def operator_norm(measure: AtomicMeasure, sizes, lattice_indices=None) -> OperatorNormEstimate:
     """Norms of nested sections of increasing size (each at least 2).
 
+    The route is chosen from the input alone.  Without lattice labels,
     ||A_N|| = ||S_N||/2 = sqrt(lambda_max(G))/2 with G = S_N^T S_N real
     symmetric, formed by one symmetric product and passed to one
     ``np.linalg.eigvalsh`` (LAPACK syevd).  Rounding the inner products
@@ -166,22 +191,90 @@ def operator_norm(measure: AtomicMeasure, sizes) -> OperatorNormEstimate:
         |lambda - ||S||^2| <= gamma_N ||S||_F^2 + p(N) eps ||S||^2,
 
     and the value's relative error is at most half of that over ||S||^2.
-    Each value is also a lower bound for the norm of the full operator.
+
+    With the measure's ``lattice_indices`` (the exponential family's
+    labels, as clark_data_for attaches them), every section must match
+    the family's closed forms (``_lattice_labels``) and hold consecutive
+    labels, which the mass-ordered nesting gives, since the masses at
+    +k and -k tie; otherwise WrongFamily is raised, never a silent dense
+    fallback.  Such a section is a diagonal-unitary conjugate of
+    H_N/(2 pi), H_N[j,k] = 1/(j - k), and the value is the norm of that
+    closed-form lattice section, ||B||/(2 pi) with B the half-size block
+    of ``_hilbert_block``: sqrt(lambda_max(B B^T))/(2 pi), one eigensolve
+    at size n = N // 2.  B's entries are sums of two reciprocals of exact
+    integers (sqrt 2 over one in the odd column), so |fl(B) - B| <=
+    2 eps B+ entrywise, B+ the same sums of absolute values, and
+    with gamma_n and p(n) as above the value's relative error is at most
+
+        2 eps ||B+||_F/||B|| + (gamma_n ||B||_F^2/||B||^2 + p(n) eps)/2.
+
+    Every size beyond DENSE_CAP is refused before any section's matrix
+    is built.  Each value is also a lower bound for the norm of the full
+    operator.
     """
     sizes = list(sizes)
     if any(n < 2 for n in sizes):
         raise NotEnoughAtoms(f"section sizes must be at least 2, got {sizes}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ClarkLabError(f"section sizes must be increasing, got {sizes}")
-    values = []
-    for sec in nested_sections(measure, sizes):
-        S = sec._skew()
-        G = S.T @ S
-        del S  # the eigensolve copies G, so S would make a third N x N array
-        values.append(0.5 * float(np.sqrt(np.linalg.eigvalsh(G)[-1])))
+    sections = nested_sections(measure, sizes, lattice_indices)
+    if sizes[-1] > DENSE_CAP:
+        raise DenseCapExceeded(f"section size {sizes[-1]} exceeds dense cap {DENSE_CAP}")
+    values = [_dense_norm(sec) if sec.lattice_indices is None else _lattice_norm(sec)
+              for sec in sections]
     return OperatorNormEstimate(sizes=sizes, values=values,
                                 converged=[True] * len(sizes),
                                 iterations=[0] * len(sizes))
+
+
+def _dense_norm(section: CauchySection) -> float:
+    """||S_N||/2 from the dense section (operator_norm)."""
+    S = section._skew()
+    G = S.T @ S
+    del S  # the eigensolve copies G, so S would make a third N x N array
+    return 0.5 * float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
+
+
+def _hilbert_block(N: int) -> np.ndarray:
+    """The n x (N - n) block B, n = N // 2, whose singular values are
+    those of H_N[j,k] = 1/(j - k) (zero diagonal).
+
+    H_N is skew-centrosymmetric, J H J = -H with J the order reversal, so
+    it maps the vectors with J x = x to those with J x = -x and back (the
+    even/odd split of Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+    In the orthonormal bases (e_i - e_{N-1-i})/sqrt 2 and (e_j +
+    e_{N-1-j})/sqrt 2 for i, j < n, plus e_n for odd N, H is [[0, -B^T],
+    [B, 0]] with
+
+        B[i,j] = 1/(i - j) + 1/(i + j - (N - 1)),   B[i,n] = sqrt 2/(i - n),
+
+    the first term 0 on the diagonal; i + j < N - 1, so the second
+    denominator is never 0.
+    """
+    n = N // 2
+    i = np.arange(n, dtype=float)
+    B = np.empty((n, N - n))
+    T = B[:, :n]
+    np.subtract.outer(i, i, out=T)
+    np.fill_diagonal(T, np.inf)
+    np.reciprocal(T, out=T)
+    hankel = np.add.outer(i, i - (N - 1))
+    T += np.reciprocal(hankel, out=hankel)
+    del hankel
+    if N % 2:
+        B[:, n] = math.sqrt(2.0) / (i - n)
+    return B
+
+
+def _lattice_norm(section: CauchySection) -> float:
+    """||A_N|| of a labelled exp section, ||H_N||/(2 pi) (operator_norm)."""
+    labels, _ = _lattice_labels(section)
+    if np.any(np.diff(np.sort(labels)) != 1):
+        raise WrongFamily("section labels are not consecutive")
+    B = _hilbert_block(section.N)
+    G = B @ B.T
+    del B
+    return float(np.sqrt(np.linalg.eigvalsh(G)[-1])) / TWO_PI
 
 
 @dataclass
@@ -314,22 +407,36 @@ def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralR
     return TailIntegralReport(lhs=lhs, rhs_scale=rhs_scale, ratio=lhs / rhs_scale)
 
 
+def _lattice_labels(section: CauchySection) -> tuple[np.ndarray, np.ndarray]:
+    """The section's lattice labels n and the family's closed-form masses
+    sigma_n = 2/(4 n^2 pi^2 + 1) at them, once its atoms lie within
+    LATTICE_ANGLE_TOL of zeta_n = (2 n pi i + 1)/(2 n pi i - 1) and its
+    masses within LATTICE_MASS_RTOL of sigma_n, relative; WrongFamily
+    otherwise."""
+    if section.lattice_indices is None:
+        raise WrongFamily("section carries no lattice labels")
+    n = section.lattice_indices
+    zeta = (2 * n * np.pi * 1j + 1) / (2 * n * np.pi * 1j - 1)
+    sig = 2.0 / (4.0 * n.astype(float) ** 2 * np.pi**2 + 1.0)
+    far = float(np.max(np.abs(zeta - section.measure.points_complex)))
+    off = float(np.max(np.abs(section.sigma / sig - 1.0)))
+    if far > LATTICE_ANGLE_TOL or off > LATTICE_MASS_RTOL:
+        raise WrongFamily(
+            f"section does not match the family's closed forms: atoms {far:.1e} from the "
+            f"lattice points (tolerance {LATTICE_ANGLE_TOL:g}), masses {off:.1e} relative "
+            f"from the lattice masses (tolerance {LATTICE_MASS_RTOL:g})")
+    return n, sig
+
+
 def hilbert_route(section: CauchySection, f) -> np.ndarray:
     """Apply the section through the discrete-Hilbert-transform algebra of
     the single-point-mass exponential family:
       x_m = (2 m pi i + 1) f_m sigma_m,
       (C f)(zeta_n) = (2 n pi i - 1)/(4 pi i) * sum_{m != n} x_m/(n - m).
     Requires the section to carry its integer lattice labels and to match
-    the family's closed forms.
+    the family's closed forms (``_lattice_labels``).
     """
-    if section.lattice_indices is None:
-        raise WrongFamily("section carries no lattice labels")
-    n = section.lattice_indices
-    zeta = (2 * n * np.pi * 1j + 1) / (2 * n * np.pi * 1j - 1)
-    sig = 2.0 / (4.0 * n.astype(float) ** 2 * np.pi**2 + 1.0)
-    if (np.max(np.abs(zeta - section.measure.points_complex)) > 1e-9
-            or np.max(np.abs(sig - section.sigma)) > 1e-9):
-        raise WrongFamily("section does not match the family's closed forms")
+    n, sig = _lattice_labels(section)
     f = np.asarray(f, dtype=complex)
     if f.shape != (section.N,):
         raise DimensionMismatch(f"expected {section.N} values, got {f.shape}")

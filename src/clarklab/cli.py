@@ -1,10 +1,10 @@
 """Command-line driver.
 
 Subcommands: atoms, bessonov, tolsa, norm, potential, perturb, example,
-report.  Every run emits a JSON report embedding the exact command line,
-package version, wall time, and truncation metadata.  Exit codes: 0 when
-the numeric verdict passes, 1 when it fails (including rejected
-perturbation plans), 2 for usage or input errors.
+report.  Every run emits a JSON report embedding the command line that
+``main`` parsed, package version, wall time, and truncation metadata.
+Exit codes: 0 when the numeric verdict passes, 1 when it fails
+(including rejected perturbation plans), 2 for usage or input errors.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import shlex
 import sys
 import time
 
@@ -41,7 +42,7 @@ def _digest(args: argparse.Namespace) -> str:
 
 def _emit(args, payload: dict, passed: bool, truncation=None) -> int:
     report = {
-        "command": " ".join(sys.argv),
+        "command": args._command,
         "version": __version__,
         "inputs_digest": _digest(args),
         "truncation": truncation,
@@ -104,7 +105,7 @@ def cmd_norm(args) -> int:
     fam = parse_family(args.family)
     data = clark_data_for(fam, truncation=args.truncation, tol=args.tol)
     sizes = [int(s) for s in args.sizes.split(",")]
-    est = operator_norm(data.measure, sizes)
+    est = operator_norm(data.measure, sizes, data.lattice_indices)
     nondecreasing = all(b >= a - 1e-9 for a, b in zip(est.values, est.values[1:]))
     payload = {"sizes": est.sizes, "values": est.values,
                "converged": est.converged,
@@ -344,9 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on argv (sys.argv[1:] when None); its report
+    records the command as ``clarklab`` followed by argv."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
         args._t0 = time.time()
+        args._command = shlex.join(["clarklab", *argv])
         return args.func(args)
     except ConstraintViolation as e:
         print(f"constraint violation: {e}", file=sys.stderr)

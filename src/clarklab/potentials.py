@@ -29,8 +29,8 @@ from .circle import AtomicMeasure, TWO_PI, disk_sum, gaps_holding, kernel_sum
 from .clark import ClarkData
 from .errors import (ClarkLabError, MateZero, NotEnoughAtoms, QuadratureNotConverged,
                      SupportMismatch)
-from .inner import (InnerFunction, _angular_derivatives, angular_derivative, evaluate,
-                    pythagorean_pair, spectrum)
+from .inner import (InnerFunction, _angular_derivatives, _phase_lift, angular_derivative,
+                    evaluate, pythagorean_pair, spectrum)
 
 #: z closer than this to an atom makes the potential infinite.
 ATOM_HIT_TOL = 1e-14
@@ -356,9 +356,19 @@ def _grid_points(m: AtomicMeasure, spec, rings, fractions) -> tuple[np.ndarray, 
 
 
 def _scan_G(u, m, r: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G at the points r e^{i phi}, and those points."""
+    """G at the points r e^{i phi}, and those points.
+
+    On the circle (r == 1) |1 - u|^2 = 4 sin^2(Phi/2), Phi the phase lift
+    of u at phi itself.  u evaluated at the rounded z = e^{i phi}, an ulp
+    off the circle, would lose the residue 1 - |z|^2 of each factor's
+    modulus: on exp N = 200, next to the smallest gaps, that read G
+    3.8e-11 relative off the 40-digit value, and the lift 1.3e-12."""
     z = r * np.exp(1j * phi)
-    return np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, r, phi), z
+    on = r == 1.0
+    one_minus_u2 = np.empty(r.size)
+    one_minus_u2[~on] = np.abs(1.0 - evaluate(u, z[~on])) ** 2
+    one_minus_u2[on] = 4.0 * np.sin(0.5 * _phase_lift(u, phi[on])) ** 2
+    return one_minus_u2 * potential_grid(m, r, phi), z
 
 
 def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:

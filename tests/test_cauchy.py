@@ -237,6 +237,68 @@ def test_operator_norm_matches_discrete_hilbert_norm():
         assert abs(value - exact) <= 1e-14 * exact, n
 
 
+def test_lattice_route_matches_the_discrete_hilbert_norm():
+    # labelled exp sections take the half-size block at odd and even N
+    data = cl.exp_clark_data(40)
+    sizes = [2, 3, 4, 5, 6, 7, 8, 31, 32, 33, 64, 81]
+    est = cl.operator_norm(data.measure, sizes, data.lattice_indices)
+    checks = load_checks()
+    for n, value in zip(sizes, est.values, strict=True):
+        exact = checks.lattice_section_norm(n)
+        assert abs(value - exact) <= 1e-14 * exact, n
+
+
+def test_lattice_route_matches_the_dense_path_on_numeric_atoms():
+    # the numeric atoms sit within the atom tolerance of the lattice, so
+    # the stored-angle section and the closed-form one agree closely
+    data = cl.clark_data_for(cl.parse_family("exp"), truncation=600)
+    sizes = [32, 64, 128, 256, 512, 1024]
+    lattice = cl.operator_norm(data.measure, sizes, data.lattice_indices).values
+    dense = cl.operator_norm(data.measure, sizes).values
+    for n, a, b in zip(sizes, lattice, dense, strict=True):
+        assert abs(a - b) <= 1e-12 * b, n
+
+
+def test_lattice_route_refuses_sizes_beyond_the_dense_cap_before_any_block(monkeypatch):
+    data = cl.exp_clark_data(500)
+    built = []
+    monkeypatch.setattr(cauchy, "_hilbert_block", lambda N: built.append(N))
+    monkeypatch.setattr(cauchy, "DENSE_CAP", 1000)
+    with pytest.raises(DenseCapExceeded, match="section size 1001 exceeds dense cap 1000"):
+        cl.operator_norm(data.measure, [32, 64, 1001], data.lattice_indices)
+    assert not built
+
+
+def test_lattice_routes_refuse_a_section_off_the_closed_forms():
+    # label 1000 carries mass 5.07e-8, below an absolute tolerance of 1e-9
+    # even when scaled by 1.01; the relative test catches it
+    data = cl.exp_clark_data(1000)
+    masses, labels = data.measure.masses.copy(), data.lattice_indices
+    masses[labels == 1000] *= 1.01
+    m = cl.AtomicMeasure(data.measure.thetas, masses)
+    with pytest.raises(WrongFamily, match="closed forms"):
+        cl.hilbert_route(cl.CauchySection(m, lattice_indices=labels), np.ones(m.n_atoms))
+    with pytest.raises(WrongFamily, match="closed forms"):
+        cl.operator_norm(m, [m.n_atoms], labels)
+    # the sections short of label 1000 still match
+    assert cl.operator_norm(m, [3, 64], labels).values[1] == pytest.approx(
+        load_checks().lattice_section_norm(64), rel=1e-14)
+    # a labelled measure off the lattice
+    with pytest.raises(WrongFamily, match="closed forms"):
+        cl.operator_norm(z2_section().measure, [2], [0, 1])
+
+
+def test_lattice_route_refuses_labels_that_are_not_consecutive():
+    theta, masses, _ = cl.exp_lattice([0, 1, 2, 5])
+    order = np.argsort(theta)
+    m = cl.AtomicMeasure(theta[order], masses[order])
+    labels = np.array([0, 1, 2, 5])[order]
+    assert cl.operator_norm(m, [2, 3], labels).values[1] == pytest.approx(
+        load_checks().lattice_section_norm(3), rel=1e-14)
+    with pytest.raises(WrongFamily, match="not consecutive"):
+        cl.operator_norm(m, [2, 4], labels)
+
+
 @pytest.mark.parametrize("measure", [
     lambda: cl.generate(cl.random_plan(cl.exp_clark_data(200), 11)),
     lambda: cl.clark_data_for(cl.parse_family("counterexample:1.0:512")).measure,

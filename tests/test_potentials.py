@@ -244,6 +244,32 @@ def test_scan_sup_reaches_the_max_on_the_circle(family, N):
     assert rep.converged
 
 
+def test_scan_G_on_the_circle_against_mpmath(exp_u):
+    # G at the exact polar points r = 1, phi next to the 20 smallest gaps
+    # of exp N = 200, against 40 digits: on the circle u = exp(-i cot(phi/2))
+    # and |e^{i phi} - zeta|^2 = 4 sin^2((phi - theta)/2).  u evaluated at
+    # the rounded e^{i phi} reads G 3.8e-11 relative off; the phase lift
+    # 1.3e-12
+    mp = pytest.importorskip("mpmath")
+    mu = cl.squared_measure(cl.clark_data_for(cl.parse_family("exp"), truncation=200).measure)
+    idx = np.argsort(mu.gaps, kind="stable")[:20]
+    phi = (mu.thetas[idx, None] + mu.gaps[idx, None] * (np.array([1, 8, 15]) / 16)).ravel()
+    with mp.workdps(40):
+        sin_cos = [(mp.sin(mp.mpf(t) / 2), mp.cos(mp.mpf(t) / 2)) for t in mu.thetas]
+        masses = [mp.mpf(x) for x in mu.masses]
+        want = []
+        for p in phi:
+            s, c = mp.sin(mp.mpf(p) / 2), mp.cos(mp.mpf(p) / 2)
+            V = mp.fsum(w / (4 * (s * ct - c * st) ** 2) for (st, ct), w in zip(sin_cos, masses))
+            want.append(float(4 * mp.sin(mp.cot(mp.mpf(p) / 2) / 2) ** 2 * V))
+    G, _ = potentials._scan_G(exp_u, mu, np.ones(phi.size), phi)
+    cartesian = (np.abs(1.0 - cl.evaluate(exp_u, np.exp(1j * phi))) ** 2
+                 * potentials.potential_grid(mu, 1.0, phi))
+    err = np.max(np.abs(G / want - 1.0))
+    assert err <= 0.1 * np.max(np.abs(cartesian / want - 1.0))
+    assert err <= 5e-12
+
+
 def test_scan_converges_at_the_default_grid(exp_u):
     mu = cl.squared_measure(cl.exp_clark_data(100).measure)
     rep = cl.sup_inf_scan(exp_u, mu)

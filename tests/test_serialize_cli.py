@@ -132,6 +132,33 @@ def test_cli_atoms_monomial(tmp_path):
     assert "command" in doc and "version" in doc
 
 
+def test_cli_report_records_the_command_main_parsed(tmp_path, monkeypatch):
+    # an in-process call records its own argv, not the host process's
+    out = tmp_path / "a b.json"
+    argv = ["atoms", "--family", "monomial:4", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["command"] == shlex.join(["clarklab", *argv])
+    # without argv, main parses sys.argv[1:] and records that
+    argv = ["atoms", "--family", "monomial:3", "--out", str(out)]
+    monkeypatch.setattr("sys.argv", ["/usr/bin/clarklab", *argv])
+    assert main() == 0
+    assert json.loads(out.read_text())["command"] == "clarklab " + shlex.join(argv)
+
+
+def test_cli_norm_takes_the_lattice_route_on_exp(tmp_path, capsys):
+    out = tmp_path / "norm.json"
+    assert main(["norm", "--family", "exp", "--truncation", "40", "--sizes", "2,3,32,81",
+                 "--out", str(out)]) == 0
+    data = cl.clark_data_for(cl.parse_family("exp"), truncation=40)
+    est = cl.operator_norm(data.measure, [2, 3, 32, 81], data.lattice_indices)
+    assert json.loads(out.read_text())["outputs"]["values"] == est.values
+    # atoms located with a coarse tol lie off the closed forms: refused,
+    # not sent down the dense path
+    assert main(["norm", "--family", "exp", "--truncation", "40", "--sizes", "2,81",
+                 "--tol", "1e-10", "--out", str(out)]) == 2
+    assert "does not match the family's closed forms" in capsys.readouterr().err
+
+
 def test_cli_inputs_digest_is_stable(tmp_path):
     digests = []
     for name, family in (("a.json", "monomial:4"), ("b.json", "monomial:4"),
