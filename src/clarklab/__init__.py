@@ -13,12 +13,12 @@ __version__ = "0.1.0"
 from .circle import Arc, AtomicMeasure, measure_of_arc
 from .inner import (FiniteBlaschke, InnerFunction, Product, PythagoreanPair,
                     SingularAtomic, angular_derivative, boundary_phase,
-                    clark_identity_residual, evaluate, monomial,
-                    pythagorean_pair, spectrum)
+                    evaluate, monomial, pythagorean_pair, spectrum)
 from .clark import (ClarkData, clark_data, comparability_check, find_atoms,
                     partition_regularity, phase_partition)
 from .potentials import (AtomPotentialSup, KernelNorms, PotentialReport,
-                         atom_potential_sup, dirichlet_quadrature, kernel_norms,
+                         atom_potential_sup, clark_identity_residual,
+                         dirichlet_quadrature, kernel_norms,
                          mass_ratio_check, poisson, potential, radial_limit_check,
                          sup_inf_scan)
 from .cauchy import (CauchySection, OperatorNormEstimate, TolsaReport,

@@ -397,7 +397,7 @@ def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralR
         if arc_mask(theta, Q.start, Q.length, True, True)[0]:
             raise BoundaryAtom("atom sits on the boundary of the arc")
         raise AtomOutsideArc("atom must lie strictly inside the arc")
-    outside = ~section.measure.membership(Q)
+    outside = ~Q.mask(section.theta)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)
     lhs = float(disk_sum(1.0, theta[0], section.theta[outside], section.sigma[outside]))

@@ -180,9 +180,6 @@ class AtomicMeasure:
     def empty() -> "AtomicMeasure":
         return AtomicMeasure(np.empty(0), np.empty(0))
 
-    def __len__(self) -> int:
-        return self.thetas.size
-
     @property
     def n_atoms(self) -> int:
         return self.thetas.size
@@ -197,17 +194,10 @@ class AtomicMeasure:
     def points_complex(self) -> np.ndarray:
         return np.exp(1j * self.thetas)
 
-    def rotated(self, delta: float) -> "AtomicMeasure":
-        return AtomicMeasure(self.thetas + delta, self.masses.copy())
-
-    def membership(self, arc: Arc) -> np.ndarray:
-        """Boolean mask of atoms inside the arc, honoring endpoint flags."""
-        return arc.mask(self.thetas)
-
 
 def measure_of_arc(m: AtomicMeasure, arc: Arc) -> float:
     """Mass that the measure puts on the arc."""
-    return float(m.masses[m.membership(arc)].sum())
+    return float(m.masses[arc.mask(m.thetas)].sum())
 
 
 def gaps_holding(m: AtomicMeasure, angles) -> np.ndarray:

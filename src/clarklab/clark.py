@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (MEMORY_BUDGET, Arc, AtomicMeasure, TWO_PI, canonical_angles,
+from .circle import (MEMORY_BUDGET, Arc, AtomicMeasure, TWO_PI, arc_mask, canonical_angles,
                      measure_of_arc, neighbor_constants)
 from .errors import ClarkLabError, EmptyArc, PhaseMonotonicityViolation, SpectrumPoint
 from .inner import (EPS_SPECTRUM, InnerFunction, _angular_derivatives, _phase,
@@ -103,12 +103,11 @@ def _level_roots(u, scan: Arc, tol: float, offset: float, step: float):
     lo = scan.start
     hi = lo + scan.length
     margin = 2.0 * np.arcsin(EPS_SPECTRUM / 2.0)  # chordal -> angular
-    for t in spectrum(u):
-        for k in (-1, 0, 1):
-            if lo - margin <= t + TWO_PI * k <= hi + margin:
-                raise SpectrumPoint(
-                    f"scan arc comes within {EPS_SPECTRUM:g} of spectrum point "
-                    f"theta={t:.6g}")
+    spec = spectrum(u)
+    near = spec[arc_mask(spec, lo - margin, scan.length + 2.0 * margin, True, True)]
+    if near.size:
+        raise SpectrumPoint(f"scan arc comes within {EPS_SPECTRUM:g} of spectrum point "
+                            f"theta={near[0]:.6g}")
     ts = np.linspace(lo, hi, 1025)
     ph = _phase(u, ts, derivative=False)[0]
     if np.any(np.diff(ph) < -1e-9) or ph[-1] < ph[0]:
@@ -159,9 +158,9 @@ class ClarkData:
     derivatives: np.ndarray
     A: float
     B: float
-    witness_A: int = -1
-    witness_B: int = -1
-    edge_uncertain: np.ndarray | None = None
+    witness_A: int
+    witness_B: int
+    edge_uncertain: np.ndarray
     #: integer labels when the data comes from a closed-form lattice family
     lattice_indices: np.ndarray | None = None
 
@@ -177,12 +176,18 @@ def clark_data(u: InnerFunction, alpha: float, scan: Arc,
     derivs = np.array([angular_derivative(u, t) for t in thetas.tolist()], dtype=float)
     if np.any(~np.isfinite(derivs)):
         raise SpectrumPoint("infinite angular derivative at a located atom")
+    return _assemble(alpha, thetas, derivs, flags, spectrum(u))
+
+
+def _assemble(alpha, thetas, derivs, flags, excluded, labels=None) -> ClarkData:
+    """ClarkData of atoms at the angles thetas with angular derivatives
+    derivs, edge flags and optional labels, all sorted by angle: masses
+    1/derivs, and neighbor constants without the gaps holding an angle of
+    excluded (see neighbor_constants)."""
     order = np.argsort(thetas, kind="stable")
-    derivs, flags = derivs[order], flags[order]
-    measure = AtomicMeasure(thetas[order], 1.0 / derivs)
-    A, B, wa, wb = neighbor_constants(measure, excluded_points=spectrum(u))
-    return ClarkData(alpha=alpha, measure=measure, derivatives=derivs,
-                     A=A, B=B, witness_A=wa, witness_B=wb, edge_uncertain=flags)
+    measure = AtomicMeasure(thetas[order], 1.0 / derivs[order])
+    return ClarkData(alpha, measure, derivs[order], *neighbor_constants(measure, excluded),
+                     flags[order], None if labels is None else labels[order])
 
 
 def phase_partition(u: InnerFunction, n_levels: int, scan: Arc,
@@ -266,7 +271,7 @@ def comparability_check(data: ClarkData, data_alpha: ClarkData,
         if s0 == 0.0 or s1 == 0.0:
             raise EmptyArc("arc carries no atom of one of the measures")
         ratios.append(s0 / s1)
-        if int(data.measure.membership(q).sum()) >= 2:
+        if int(q.mask(data.measure.thetas).sum()) >= 2:
             leb.append(s0 / q.length)
     ratios = np.asarray(ratios)
     return ComparabilityReport(

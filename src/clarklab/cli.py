@@ -28,8 +28,8 @@ from .families import (ExpSingular, Monomial, clark_data_for, divergence_ladder,
 from .inner import spectrum
 from .perturb import PerturbationPlan, generate, random_plan, squared_measure
 from .potentials import atom_potential_sup, mass_ratio_check, potential, sup_inf_scan
-from .serialize import (clark_to_dict, load_json, measure_from_dict, measure_to_dict,
-                        to_jsonable, write_csv, write_json)
+from .serialize import (clark_to_dict, is_number_array, load_json, measure_from_dict,
+                        measure_to_dict, to_jsonable, write_csv, write_json)
 from .verify import bessonov_check
 
 
@@ -66,7 +66,10 @@ def _emit(args, payload: dict, passed: bool, truncation=None) -> int:
 def _load_measure(args) -> AtomicMeasure:
     """A measure document, or a `perturb` report (outputs.perturbed)."""
     doc = load_json(args.measure)
-    return measure_from_dict(doc if "atoms" in doc else doc["outputs"]["perturbed"])
+    if type(doc) is dict and "atoms" not in doc:
+        outputs = doc.get("outputs")
+        doc = outputs.get("perturbed") if type(outputs) is dict else None
+    return measure_from_dict(doc)
 
 
 def cmd_atoms(args) -> int:
@@ -131,12 +134,11 @@ def cmd_perturb(args) -> int:
     fam = parse_family(args.family)
     base = clark_data_for(fam, truncation=args.truncation, tol=args.tol)
     if args.plan:
-        d = load_json(args.plan)
-        if {"alpha", "t_offsets", "eps"} <= set(d):
-            plan = PerturbationPlan(base=base, alpha=d["alpha"],
-                                    t_offsets=d["t_offsets"], eps=d["eps"])
-        else:
-            plan = random_plan(base, seed=int(d.get("seed", args.seed)))
+        doc = load_json(args.plan)
+        if not (type(doc) is dict and doc.keys() == {"alpha", "t_offsets", "eps"}
+                and all(map(is_number_array, doc.values()))):
+            raise ValueError("a plan document is three arrays of numbers: alpha, t_offsets, eps")
+        plan = PerturbationPlan(base=base, **doc)
     else:
         plan = random_plan(base, seed=args.seed)
     try:
@@ -236,6 +238,8 @@ def cmd_report(args) -> int:
     body = doc.get("outputs", doc) if isinstance(doc, dict) else doc
     records = body.get("ladder") if isinstance(body, dict) else body
     if isinstance(body, dict) and "sizes" in body and "values" in body:
+        if not (type(body["sizes"]) is list and type(body["values"]) is list):
+            raise ValueError("cannot flatten the norm ladder: sizes and values must be arrays")
         header = ["size", "value"]
         rows = list(zip(body["sizes"], body["values"]))
     elif isinstance(records, list) and records and all(isinstance(r, dict) for r in records):
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("perturb", help="generate and verify a perturbed measure")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--plan", help="plan JSON ({alpha, t_offsets, eps} or {seed})")
+    sp.add_argument("--plan", help="plan JSON {alpha, t_offsets, eps}, three arrays")
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(func=cmd_perturb)

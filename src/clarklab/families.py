@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Arc, AtomicMeasure, TWO_PI, neighbor_constants
-from .clark import ClarkData, _check_level_count, _solve_levels, clark_data
+from .circle import Arc, AtomicMeasure, TWO_PI
+from .clark import ClarkData, _assemble, _check_level_count, _solve_levels, clark_data
 from .errors import ClarkLabError, NotEnoughAtoms
 from .inner import FiniteBlaschke, InnerFunction, SingularAtomic, _check_zero_count, monomial
 from .potentials import atom_potential_sup
@@ -70,15 +70,6 @@ def parse_family(text: str) -> FamilySpec:
                      "or counterexample:ALPHA:K[:sym]")
 
 
-def family_name(fam: FamilySpec) -> str:
-    if isinstance(fam, Monomial):
-        return f"monomial:{fam.k}"
-    if isinstance(fam, ExpSingular):
-        return "exp"
-    sym = ":sym" if fam.symmetrized else ""
-    return f"counterexample:{fam.alpha}:{fam.K}{sym}"
-
-
 def cayley(w):
     """Upper half-plane to disk, w -> (w - i)/(w + i)."""
     w = np.asarray(w, dtype=complex)
@@ -118,14 +109,8 @@ def exp_clark_data(n_max: int) -> ClarkData:
     """Closed-form Clark data of the exponential example over the integer
     window |n| <= n_max."""
     n = np.arange(-n_max, n_max + 1)
-    theta, masses, deriv = exp_lattice(n)
-    order = np.argsort(theta, kind="stable")
-    measure = AtomicMeasure(theta[order], masses[order])
-    A, B, wa, wb = neighbor_constants(measure, excluded_points=(0.0,))
-    return ClarkData(alpha=0.0, measure=measure, derivatives=deriv[order],
-                     A=A, B=B, witness_A=wa, witness_B=wb,
-                     edge_uncertain=np.zeros(n.size, dtype=bool),
-                     lattice_indices=n[order])
+    theta, _, deriv = exp_lattice(n)
+    return _assemble(0.0, theta, deriv, np.zeros(n.size, dtype=bool), (0.0,), n)
 
 
 def exp_total_mass() -> float:
@@ -409,8 +394,8 @@ def clark_data_for(fam: FamilySpec, alpha: float = 0.0, truncation: int = 100,
         lo = 0.5 * (theta_out[0] + exp_lattice([-truncation])[0][0])
         hi = 0.5 * (theta_out[1] + exp_lattice([truncation])[0][0])
         data = clark_data(u, alpha, Arc(lo, hi, True, True), tol)
-        if alpha == 0.0 and data.n_atoms == 2 * truncation + 1:
-            order = np.argsort(exp_lattice(np.arange(-truncation, truncation + 1))[0])
-            data.lattice_indices = np.arange(-truncation, truncation + 1)[order]
+        n = np.arange(-truncation, truncation + 1)
+        if alpha == 0.0 and data.n_atoms == n.size:
+            data.lattice_indices = n[np.argsort(exp_lattice(n)[0], kind="stable")]
         return data
     return clark_data(u, alpha, clark_scan_arc(fam), tol)

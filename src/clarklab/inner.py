@@ -18,15 +18,13 @@ once, and the Arg and derivative terms are summed pairwise from them.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import circle
-from .circle import (MEMORY_BUDGET, TWO_PI, canonical_angles, chord_angles, disk_sum,
-                     finite_angle)
+from .circle import MEMORY_BUDGET, TWO_PI, canonical_angles, chord_angles, finite_angle
 from .errors import ClarkLabError, DegenerateSymbol, SpectrumPoint
 
 #: Chordal radius around the spectrum inside which boundary operations
@@ -35,6 +33,10 @@ EPS_SPECTRUM = 1e-8
 
 #: Chordal distance to a singular atom below which evaluate refuses.
 EVAL_ATOM_TOL = 1e-14
+
+#: sin^2 of the half-angle to a singular atom below which the phase
+#: kernel and angular_derivative refuse: the chord 2 |sin| below 1e-12.
+PHASE_ATOM_SIN2 = 0.25e-24
 
 #: Angular-derivative partial sums beyond this cap are reported as inf,
 #: standing in for the divergent series on the spectrum.
@@ -280,7 +282,8 @@ def _phase_block(f, x, const, derivative, buf):
         half = 0.5 * (tj - x[:, None])
         # 2 w / |e^{i x} - xi|^2 = (w/2) / sin^2, with the chord checked first
         sin2 = np.sin(half) ** 2
-        _refuse_atoms(sin2, 0.25e-24, tj, "angular derivative" if derivative else "phase lift")
+        _refuse_atoms(sin2, PHASE_ATOM_SIN2, tj,
+                      "angular derivative" if derivative else "phase lift")
         if lift:
             ph = ph + (w / np.tan(half)).sum(axis=-1)
         if derivative:
@@ -355,7 +358,7 @@ def angular_derivative(u: InnerFunction, theta: float) -> float:
         d += (f.mass / (dx * dx + dy * dy)).sum()
     if f.sing_theta.size:
         sin2 = np.sin(0.5 * (f.sing_theta - theta)) ** 2
-        _refuse_atoms(sin2, 0.25e-24, f.sing_theta, "angular derivative")
+        _refuse_atoms(sin2, PHASE_ATOM_SIN2, f.sing_theta, "angular derivative")
         d += (0.5 * f.sing_w / sin2).sum()
     d += f.origin_zeros
     return np.inf if d > DERIVATIVE_OVERFLOW_CAP else float(d)
@@ -383,18 +386,3 @@ def pythagorean_pair(u: InnerFunction) -> PythagoreanPair:
         raise DegenerateSymbol("u(0) = 1; the mate is not defined")
     gamma = np.conj(w) / abs(w)
     return PythagoreanPair(u=u, gamma=complex(gamma))
-
-
-def clark_identity_residual(u: InnerFunction, alpha: float, m, z: complex) -> float:
-    """| (1-|u(z)|^2)/|e^{2 pi i alpha} - u(z)|^2  -  P_m(z) |.
-
-    Near zero exactly when m is (a good truncation of) the Clark measure
-    of u at parameter alpha.  z must lie in the open disk.
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("z must lie in the open disk")
-    uz = evaluate(u, z)
-    lhs = (1.0 - abs(uz) ** 2) / abs(np.exp(2j * np.pi * alpha) - uz) ** 2
-    rhs = (1.0 - abs(z) ** 2) * float(disk_sum(*cmath.polar(z), m.thetas, m.masses))
-    return abs(lhs - rhs)

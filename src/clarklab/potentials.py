@@ -14,7 +14,7 @@ at most (25 sqrt(r)/|z - zeta| + 9) u of itself, u the unit roundoff, and
 the sum over N atoms by gamma_N more.  Callers pass the polar coordinates
 they build (scan rings r = 1 - 2^-j, r = 1 at the scan's circle points,
 atoms and spectrum points, the quadrature grid), which keep 1 - r exact;
-only ``potential`` and ``inner.clark_identity_residual`` convert a
+only ``potential``, and the Poisson integral through it, converts a
 complex z.
 """
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .circle import AtomicMeasure, TWO_PI, disk_sum, gaps_holding, kernel_sum
 from .clark import ClarkData
 from .errors import (ClarkLabError, MateZero, NotEnoughAtoms, QuadratureNotConverged,
                      SupportMismatch)
-from .inner import (InnerFunction, _angular_derivatives, _phase_lift, angular_derivative,
-                    evaluate, pythagorean_pair, spectrum)
+from .inner import (InnerFunction, _phase, _phase_lift, angular_derivative, evaluate,
+                    pythagorean_pair, spectrum)
 
 #: z closer than this to an atom makes the potential infinite.
 ATOM_HIT_TOL = 1e-14
@@ -67,6 +67,18 @@ def poisson(m: AtomicMeasure, z) -> float:
     if abs(z) >= 1.0:
         raise ValueError("Poisson integral needs |z| < 1")
     return (1.0 - abs(z) ** 2) * potential(m, z)
+
+
+def clark_identity_residual(u: InnerFunction, alpha: float, m: AtomicMeasure, z) -> float:
+    """| (1-|u(z)|^2)/|e^{2 pi i alpha} - u(z)|^2  -  P_m(z) |.
+
+    Near zero exactly when m is (a good truncation of) the Clark measure
+    of u at parameter alpha.  z must lie in the open disk (else
+    ValueError, from poisson).
+    """
+    p = poisson(m, z)
+    uz = evaluate(u, z)
+    return abs((1.0 - abs(uz) ** 2) / abs(np.exp(2j * np.pi * alpha) - uz) ** 2 - p)
 
 
 @dataclass
@@ -390,8 +402,9 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
     """
     if m.n_atoms == 0:
         raise SupportMismatch("empty measure")
-    derivs = _angular_derivatives(u, m.thetas)
-    resid = np.abs(evaluate(u, m.points_complex) - 1.0) / np.maximum(derivs, 1.0)
+    # |u - 1| = 2 |sin(Phi/2)| from the phase lift at the atoms themselves
+    phase, derivs = _phase(u, m.thetas)
+    resid = 2.0 * np.abs(np.sin(0.5 * phase)) / np.maximum(derivs, 1.0)
     if np.any(resid > SUPPORT_TOL):
         raise SupportMismatch(
             f"atom angular residual {resid.max():.3e} exceeds {SUPPORT_TOL:g}")

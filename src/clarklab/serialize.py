@@ -24,9 +24,20 @@ def measure_to_dict(m: AtomicMeasure) -> dict:
                       for t, mass in zip(memoryview(m.thetas), memoryview(m.masses))]}
 
 
-def measure_from_dict(d: dict) -> AtomicMeasure:
-    atoms = d["atoms"]
-    return AtomicMeasure([a["theta"] for a in atoms], [a["mass"] for a in atoms])
+def is_number_array(v) -> bool:
+    """Whether v is a JSON array of numbers (a bool is not a number)."""
+    return type(v) is list and all(type(x) in (int, float) for x in v)
+
+
+def measure_from_dict(d) -> AtomicMeasure:
+    """The measure of a document {"atoms": [{"theta": t, "mass": m}, ...]}
+    with numbers t and m; any other document raises ValueError."""
+    atoms = d.get("atoms") if type(d) is dict else None
+    if type(atoms) is list and all(type(a) is dict for a in atoms):
+        thetas, masses = [a.get("theta") for a in atoms], [a.get("mass") for a in atoms]
+        if is_number_array(thetas) and is_number_array(masses):
+            return AtomicMeasure(thetas, masses)
+    raise ValueError('measure document: {"atoms": [{"theta": number, "mass": number}, ...]}')
 
 
 def clark_to_dict(data: ClarkData) -> dict:
@@ -37,8 +48,7 @@ def clark_to_dict(data: ClarkData) -> dict:
     out["B"] = float(data.B)
     out["witness_A"] = int(data.witness_A)
     out["witness_B"] = int(data.witness_B)
-    if data.edge_uncertain is not None:
-        out["edge_uncertain"] = data.edge_uncertain.tolist()
+    out["edge_uncertain"] = data.edge_uncertain.tolist()
     if data.lattice_indices is not None:
         out["lattice_indices"] = data.lattice_indices.tolist()
     return out

@@ -104,7 +104,7 @@ def test_membership_agrees_with_contains(full, closed_left, closed_right):
         probes = [*rng.uniform(0, TWO_PI, 20), *ends,
                   *(np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf))]
         for t in probes:
-            assert cl.AtomicMeasure([t], [1.0]).membership(arc)[0] == contains(arc, t)
+            assert arc.mask(cl.AtomicMeasure([t], [1.0]).thetas)[0] == contains(arc, t)
         assert arc.mask(canonical_angles(np.array(probes))).tolist() == [
             contains(arc, t) for t in probes]
 

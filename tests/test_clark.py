@@ -43,6 +43,22 @@ def test_scan_through_spectrum_rejected(exp_u):
         cl.find_atoms(exp_u, 0.0, cl.Arc.full_circle())
 
 
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_scan_end_near_spectrum_rejected_within_the_margin(exp_u, side):
+    # exp's spectrum is {0}; the scan keeps the angular margin
+    # 2 arcsin(EPS_SPECTRUM/2) ~ 1e-8 from it, across the wrap at 2 pi too.
+    # The arcs are 1e-13 long, so the accepted ones hold few levels.
+    def arc(gap):
+        if side == "above":
+            return cl.Arc(gap, gap + 1e-13, True, True)
+        return cl.Arc(2 * np.pi - gap - 1e-13, 2 * np.pi - gap, True, True)
+
+    with pytest.raises(SpectrumPoint, match="theta=0"):
+        cl.find_atoms(exp_u, 0.0, arc(1e-9))
+    thetas, _ = cl.find_atoms(exp_u, 0.0, arc(2e-8))
+    assert thetas.size >= 1
+
+
 def test_clark_data_monomials(z2_data):
     d1 = cl.clark_data(cl.monomial(1), 0.0, cl.Arc.full_circle())
     assert d1.n_atoms == 1

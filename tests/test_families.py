@@ -8,15 +8,16 @@ from clarklab.families import (CounterexampleBlaschke, ExpSingular, Monomial,
                                cayley, counterexample_base_phase,
                                counterexample_phase,
                                counterexample_sparse_atoms, divergence_ladder,
-                               family_name, parse_family)
+                               parse_family)
 
 TWO_PI = 2 * np.pi
 
 
 def test_parse_family_roundtrip():
-    for text in ("exp", "monomial:4", "counterexample:1.0:64",
-                 "counterexample:0.5:32:sym"):
-        assert family_name(parse_family(text)) == text
+    for text, spec in (("exp", ExpSingular()), ("monomial:4", Monomial(4)),
+                       ("counterexample:1.0:64", CounterexampleBlaschke(1.0, 64)),
+                       ("counterexample:0.5:32:sym", CounterexampleBlaschke(0.5, 32, True))):
+        assert parse_family(text) == spec
     with pytest.raises(ValueError):
         parse_family("mystery:3")
 
@@ -80,15 +81,16 @@ def test_divergence_ladder_counterexample_factual():
     assert recs[1].scan_delta >= 1e-6
 
 
-@pytest.mark.parametrize("member", [
-    CounterexampleBlaschke(alpha=1.0, K=64),
-    CounterexampleBlaschke(alpha=1.0, K=512),
-    CounterexampleBlaschke(alpha=1.0, K=1000),
-    CounterexampleBlaschke(alpha=1.0, K=2048),   # beyond the exact head
-    CounterexampleBlaschke(alpha=0.5, K=64),
-    CounterexampleBlaschke(alpha=1.0, K=16, symmetrized=True),
-], ids=family_name)
-def test_sparse_route_matches_materialized_find_atoms(member):
+@pytest.mark.parametrize("text", [
+    "counterexample:1.0:64",
+    "counterexample:1.0:512",
+    "counterexample:1.0:1000",
+    "counterexample:1.0:2048",   # beyond the exact head
+    "counterexample:0.5:64",
+    "counterexample:1.0:16:sym",
+])
+def test_sparse_route_matches_materialized_find_atoms(text):
+    member = parse_family(text)
     # oracle: monotone-phase bisection on the materialized product, scanned
     # from well below the route's deepest atom
     atoms, bound = counterexample_sparse_atoms(member)
@@ -103,11 +105,12 @@ def test_sparse_route_matches_materialized_find_atoms(member):
     assert bound < 1e-11
 
 
-@pytest.mark.parametrize("member", [
-    CounterexampleBlaschke(alpha=1.0, K=64, symmetrized=True),
-    *(CounterexampleBlaschke(alpha=1.0, K=10**e) for e in (3, 6, 9, 12)),
-], ids=family_name)
-def test_sparse_route_matches_bisection_oracle(member):
+@pytest.mark.parametrize("text", [
+    "counterexample:1.0:64:sym",
+    *(f"counterexample:1.0:{10**e}" for e in (3, 6, 9, 12)),
+])
+def test_sparse_route_matches_bisection_oracle(text):
+    member = parse_family(text)
     # oracle: the route before the Newton solver, 64 halvings per level in
     # u = log(-x) from [0, 64], which ends below float64 resolution
     atoms, _ = counterexample_sparse_atoms(member)
@@ -155,13 +158,14 @@ def test_sparse_route_closed_form_oracle():
         assert atoms_bound < 1e-11
 
 
-@pytest.mark.parametrize("member", [
-    CounterexampleBlaschke(alpha=1.0, K=families.EXACT_HEAD + 1, symmetrized=True),
-    CounterexampleBlaschke(alpha=1.0, K=10**12, symmetrized=True),
-    CounterexampleBlaschke(alpha=0.5, K=10**6),
-    CounterexampleBlaschke(alpha=1.0, K=2**53 + 1),
-], ids=family_name)
-def test_sparse_route_rejects_without_materializing(member):
+@pytest.mark.parametrize("text", [
+    f"counterexample:1.0:{families.EXACT_HEAD + 1}:sym",
+    f"counterexample:1.0:{10**12}:sym",
+    f"counterexample:0.5:{10**6}",
+    f"counterexample:1.0:{2**53 + 1}",
+])
+def test_sparse_route_rejects_without_materializing(text):
+    member = parse_family(text)
     # a fall-through to the K-tuple of zeros would take minutes or exhaust
     # memory at these K; the route refuses up front instead
     with pytest.raises(ClarkLabError):

@@ -266,6 +266,13 @@ def test_cli_usage_error():
     assert rc == 2
 
 
+#: Valid JSON of the wrong shape for `bessonov --measure` and `perturb --plan`.
+MEASURE_DOCUMENTS = {"list.json": [1, 2], "number.json": 3, "atoms-number.json": {"atoms": 5},
+                     "atom-list.json": {"atoms": [[0.1, 1]]}, "outputs-number.json": {"outputs": 3}}
+PLAN_DOCUMENTS = {"list.json": [1, 2], "alpha-only.json": {"alpha": [0.01] * 4},
+                  "sed.json": {"sed": 3}, "seed.json": {"seed": 3}}
+
+
 @pytest.mark.parametrize("argv", [
     ["atoms", "--family", "monomial"],
     ["atoms", "--family", "counterexample:1.0"],
@@ -280,14 +287,22 @@ def test_cli_usage_error():
     ["atoms", "--family", "exp", "--truncation", "-2"],
     ["potential", "--family", "exp", "--truncation", "-2"],
     ["example", "exp", "--truncation", "-2"],
+    *(["bessonov", "--measure", name] for name in MEASURE_DOCUMENTS),
+    *(["perturb", "--family", "monomial:4", "--plan", name] for name in PLAN_DOCUMENTS),
+    ["report", "--json", "values-number.json", "--csv", "ladder.csv"],
 ], ids=["monomial-no-k", "counterexample-no-k", "exp-with-arg", "counterexample-bad-suffix",
         "monomial-bad-k", "bessonov-no-source", "bessonov-two-sources",
         "bessonov-family-accumulation", "seed-off-perturb",
         "report-empty-ladder", "atoms-negative-truncation",
-        "potential-negative-truncation", "example-negative-truncation"])
+        "potential-negative-truncation", "example-negative-truncation",
+        *(f"measure-{name[:-5]}" for name in MEASURE_DOCUMENTS),
+        *(f"plan-{name[:-5]}" for name in PLAN_DOCUMENTS), "report-values-number"])
 def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ladder.json").write_text('{"outputs": {"ladder": []}}')
+    (tmp_path / "values-number.json").write_text('{"outputs": {"sizes": [1, 2], "values": 3}}')
+    for name, doc in {**MEASURE_DOCUMENTS, **PLAN_DOCUMENTS}.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
