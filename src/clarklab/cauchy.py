@@ -16,7 +16,9 @@ unitary and
 real and antisymmetric with zero diagonal.  S is the one dense section
 built here, in real arithmetic from angle differences, so nearby atoms
 lose no digits to the cancellation in 1 - conj(zeta_m) zeta_n.  Norms
-read ||A|| = ||S||/2, and the Tolsa scan reads the Gram S^T S.
+read ||A|| = ||S||/2 from the Gram S^T S.  The Tolsa scan reads the same
+Gram, weighted, but builds neither S nor S^T S: partial fractions give
+each entry from two kernel sums (``_arc_gram``).
 
 The section is applied without storing it, in the same half-angle
 differences d = (theta_n - theta_m)/2: 1/(1 - e^{2id}) = 1/2 + (i/2) cot d,
@@ -49,9 +51,10 @@ from .circle import (KERNELS, MEMORY_BUDGET, ROW_BLOCK, Arc, AtomicMeasure, TWO_
 from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
-#: Largest section built densely.  A norm or a Tolsa scan holds two
-#: real N x N arrays at once (16 N^2 bytes), MEMORY_BUDGET (1 GiB, so
-#: 8192 atoms) at the cap; ``apply`` needs no dense storage.
+#: Largest section built densely.  A norm holds two real N x N arrays
+#: at once (16 N^2 bytes), MEMORY_BUDGET (1 GiB, so 8192 atoms) at the
+#: cap; a Tolsa scan holds one, (N + 1)^2 reals, and ``apply`` needs no
+#: dense storage.
 DENSE_CAP = math.isqrt(MEMORY_BUDGET // 16)
 
 #: A labelled section matches the exponential family's closed forms when
@@ -289,24 +292,81 @@ class TolsaReport:
 
 
 def _arc_gram(section: CauchySection) -> np.ndarray:
-    """P[a,b] = Re <U_a, U_b> for a, b = 0..N (see tolsa_scan), formed in
-    place on the Gram S^T S."""
+    """P[a,b] = Re <U_a, U_b> for a, b = 0..N (see tolsa_scan), the 2-D
+    prefix sum P[a,b] = sum_{m<a, k<b} W[m,k] of the weighted Gram
+    W[m,k] = G[m,k] Re(conj(c_m) c_k)/4, G = S^T S, c = sqrt(sig) e^{ih},
+    h = theta/2, formed without S and without the product S^T S.
+
+    With r = sqrt(sig), G[m,k] = sum_{n != m,k} sig_n r_m r_k /
+    (sin(h_n - h_m) sin(h_n - h_k)) for m != k.  The partial fractions
+    1/(sin(x - a) sin(x - b)) = (cot(x - a) - cot(x - b))/sin(a - b) split
+    it into two sums over n != m,k, of sig_n cot(h_n - h_m) and of
+    sig_n cot(h_n - h_k).  With K = kernel_sum(h, sig, "cot"), K_j =
+    sum_{n != j} sig_n cot(h_j - h_n), and t = cot(h_m - h_k), they are
+    -K_m + sig_k t and -K_k - sig_m t, so
+
+        G[m,k] = r_m r_k csc(h_m - h_k) B,  B = K_k - K_m + (sig_m + sig_k) t,
+
+    and on the diagonal G[m,m] = sig_m D_m, D = kernel_sum(h, sig,
+    "1+cot^2").  The weight is r_m r_k cos(h_m - h_k)/4, so
+
+        W[m,k] = sig_m sig_k t B/4 (m != k),   W[m,m] = sig_m^2 D_m/4.
+
+    Each block of ROW_BLOCK rows of W is written into P's rows, one np.tan
+    per entry (the "cot" kernel), then takes its prefix sums along the
+    rows; the carry P[a] += P[a - 1] goes row by row (a cumsum down axis
+    0 walks columns, which was slower at 2049 atoms), adding in the order
+    a row-by-row pass adds.  The working set is P and one block.
+
+    Rounding, to first order in the unit roundoff u.  Let kappa_j and
+    delta_j be kernel_sum's stated bounds on the errors of K_j and D_j.
+    The computed t carries 1.05 ulp from np.tan and the division (see
+    circle.KERNELS) and the rounding of h_m - h_k, which moves it by at
+    most u |h_m - h_k| (1 + t^2), and not at all where h_k/2 <= h_m <=
+    2 h_k (Sterbenz).  B takes four roundings and W three more, so with
+    M = |K_m| + |K_k| + (sig_m + sig_k) |t|
+
+        |dW[m,k]| <= sig_m sig_k (|t| (kappa_m + kappa_k + 10 u M)
+                     + 2 u M |h_m - h_k| (1 + t^2))/4,
+        |dW[m,m]| <= sig_m^2 (delta_m + 2 u D_m)/4.
+
+    P[a,b] adds its a b entries along a row, then down the carry, so
+    |dP[a,b]| <= sum_{m<a, k<b} (|dW[m,k]| + gamma_{a+b} |W[m,k]|),
+    gamma_n = n u/(1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2).  B cancels where atoms m and k are
+    close, but what it cancels is of the diagonal's size: D_m >= sig_k
+    (1 + t^2) and D_k >= sig_m (1 + t^2), so sig_m sig_k (sig_m + sig_k)
+    t^2/4 <= W[m,m] + W[k,k].  Raises before allocating when the section
+    is over ``DENSE_CAP``.
+    """
     N = section.N
-    S = section._skew()
+    if N > DENSE_CAP:
+        raise DenseCapExceeded(f"section size {N} exceeds dense cap {DENSE_CAP}")
+    half, sig = section.half, section.sigma
+    K = kernel_sum(half, sig, "cot")
+    q = 0.25 * sig
+    diag = q * sig * kernel_sum(half, sig, "1+cot^2")
+    cot = KERNELS["cot"][0]
     P = np.zeros((N + 1, N + 1))
-    np.matmul(S.T, S, out=P[1:, 1:])
-    del S
-    # Re c and Im c, halved so that their products carry the 1/4; P[a] is
-    # the prefix sum of its weighted row of G plus P[a - 1].  Per block of
-    # rows the weights and the prefix sums are whole-block passes; the
-    # carry goes row by row (a cumsum down axis 0 walks columns, which was
-    # slower at 2049 atoms), adding in the order a row-by-row pass adds.
-    rs = 0.5 * np.sqrt(section.sigma)
-    cr, ci = rs * np.cos(section.half), rs * np.sin(section.half)
+    buf = np.empty(min(ROW_BLOCK, N) * N)
     for a in range(1, N + 1, ROW_BLOCK):
         e = min(a + ROW_BLOCK, N + 1)
+        m = slice(a - 1, e - 1)
+        t = buf[:(e - a) * N].reshape(e - a, N)
+        np.subtract(half[m, None], half, out=t)
+        # any nonzero difference keeps cot finite on the diagonal, which
+        # then takes W[m,m]
+        np.fill_diagonal(t[:, m], 1.0)
+        t = cot(t)
         rows = P[a:e, 1:]
-        rows *= cr[a - 1:e - 1, None] * cr + ci[a - 1:e - 1, None] * ci
+        np.add(sig[m, None], sig, out=rows)
+        rows *= t
+        rows += K
+        rows -= K[m, None]
+        rows *= t
+        rows *= sig
+        rows *= q[m, None]
+        np.fill_diagonal(rows[:, m], diag[m])
         np.cumsum(rows, axis=1, out=rows)
         for i in range(a, e):
             np.add(P[i], P[i - 1], out=P[i])
@@ -318,8 +378,8 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
     atoms; since sigma is atomic those arcs realize every contiguous atom
     subset, which is all chi_Q can see.
 
-    With W = A diag(sqrt(sig)) and the cumulative columns
-    U_b = sum_{m<b} W[:, m] (U_0 = 0), an arc holding atoms a..b-1 has
+    With V = A diag(sqrt(sig)) and the cumulative columns
+    U_b = sum_{m<b} V[:, m] (U_0 = 0), an arc holding atoms a..b-1 has
     ||C chi_Q|| = ||U_b - U_a||, and one wrapping past the last atom to
     hold a..N-1 and 0..e-1 has ||C chi_Q|| = ||U_N - U_a + U_e||.  Both
     expand in the real Gram P[a,b] = Re <U_a, U_b>.  Since A = D (i/2) S D*,
@@ -327,10 +387,15 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
 
         P[a,b] = 1/4 sum_{m<a, m'<b} G[m,m'] Re(conj(c_m) c_m'),
 
-    a 2-D prefix sum of G times a rank-two real matrix, formed in place
-    on G.  Each arc then costs O(1), and the arcs are evaluated in row
-    blocks of starts.  The witness is the first maximizer in (start,
-    count) order.  The working set is two real N x N arrays, S and G.
+    a 2-D prefix sum of G times a rank-two real matrix, built from two
+    kernel sums without G itself (``_arc_gram``).  Each arc then costs
+    O(1), and the arcs are evaluated in row blocks of starts.
+    The witness is the first maximizer in (start, count) order of the
+    ratios read from P, so it maximizes the ratio up to P's rounding
+    bound (``_arc_gram``): each ||C chi_Q||^2 is a sum of at most six
+    entries of P, which cancel.  The reported ratio is therefore not read
+    from P but from one ``apply`` on the witness arc's indicator.  The
+    working set is P, (N + 1)^2 reals, and O(ROW_BLOCK N) more.
     """
     N = section.N
     if N < 2:
@@ -368,6 +433,10 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
             best = float(ratio2.flat[i])
             wit = (a0 + i // N, i % N + 1)
     a, cnt = wit
+    chi = np.zeros(N)
+    chi[(a + np.arange(cnt)) % N] = 1.0
+    norm2 = float(section.sigma @ np.abs(section.apply(chi)) ** 2)
+    ratio = math.sqrt(norm2 / float(section.sigma @ chi))
     if cnt == N:
         arc = Arc.full_circle()
     else:
@@ -376,7 +445,7 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
         j = (a + cnt - 1) % N
         right = th[j] + 0.5 * ((th[(j + 1) % N] - th[j]) % TWO_PI)
         arc = Arc(left, right, closed_left=True, closed_right=True)
-    return TolsaReport(max_ratio=float(np.sqrt(max(best, 0.0))),
+    return TolsaReport(max_ratio=ratio,
                        witness_arc=arc, witness_start=a, witness_count=cnt,
                        n_arcs=N + (N - 1) ** 2)
 

@@ -51,8 +51,9 @@ PAIR_BLOCK = 1 << 13
 #: BLAS thread).
 DISK_BLOCK = 1 << 16
 
-#: Rows per block in the upper-triangle passes: kernel_sum,
-#: ``cauchy.CauchySection._skew`` and the Tolsa scan's prefix pass.
+#: Rows per block in the upper-triangle passes, kernel_sum and
+#: ``cauchy.CauchySection._skew``, and in the full-row pass that writes
+#: the Tolsa scan's weighted Gram and its prefix sums (``cauchy._arc_gram``).
 ROW_BLOCK = 32
 
 

@@ -148,14 +148,29 @@ def _full_square_skew(sec):
     return S
 
 
+def _gram_rows(sec):
+    """The weighted Gram W of cauchy._arc_gram, row by row, in its order of
+    operations: sig_m sig_k t B/4 off the diagonal, t = cot(h_m - h_k) and
+    B = K_k - K_m + (sig_m + sig_k) t, and sig_m^2 D_m/4 on it."""
+    N, half, sig = sec.N, sec.half, sec.sigma
+    K = circle.kernel_sum(half, sig, "cot")
+    q = 0.25 * sig
+    diag = q * sig * circle.kernel_sum(half, sig, "1+cot^2")
+    W = np.empty((N, N))
+    for m in range(N):
+        d = half[m] - half
+        d[m] = 1.0
+        t = 1.0 / np.tan(d)
+        W[m] = (((sig[m] + sig) * t + K - K[m]) * t * sig) * q[m]
+        W[m, m] = diag[m]
+    return W
+
+
 def _row_by_row_arc_gram(sec):
-    N, S = sec.N, _full_square_skew(sec)
+    N, W = sec.N, _gram_rows(sec)
     P = np.zeros((N + 1, N + 1))
-    P[1:, 1:] = S.T @ S
-    rs = 0.5 * np.sqrt(sec.sigma)
-    cr, ci = rs * np.cos(0.5 * sec.theta), rs * np.sin(0.5 * sec.theta)
     for a in range(1, N + 1):
-        P[a, 1:] = np.cumsum(P[a, 1:] * (cr[a - 1] * cr + ci[a - 1] * ci))
+        P[a, 1:] = np.cumsum(W[a - 1])
         P[a] += P[a - 1]
     return P
 
@@ -167,9 +182,10 @@ def _row_by_row_arc_gram(sec):
 @pytest.mark.parametrize("rows", [1, 7, cauchy.ROW_BLOCK])
 def test_blocked_dense_builds_match_the_full_square(measure, rows, monkeypatch):
     # _skew computes the upper triangle by blocks of rows and mirrors it
-    # negated; the Tolsa prefix pass goes by blocks of rows.  Both equal
-    # the full-square build and the row-by-row pass bit for bit, so the
-    # scan's ratios and witnesses do not depend on the block size
+    # negated; the Tolsa Gram and its prefix sums go by blocks of rows.
+    # Both equal the full-square build and the row-by-row pass bit for
+    # bit, so the scan's ratios and witnesses do not depend on the block
+    # size
     sec = cl.CauchySection(measure())
     assert sec.N > rows
     want = cl.tolsa_scan(sec)
@@ -179,6 +195,101 @@ def test_blocked_dense_builds_match_the_full_square(measure, rows, monkeypatch):
     got = cl.tolsa_scan(sec)
     assert (got.max_ratio, got.witness_start, got.witness_count) == (
         want.max_ratio, want.witness_start, want.witness_count)
+
+
+U = np.finfo(float).eps / 2
+
+
+def _gamma(n):
+    return n * U / (1 - n * U)
+
+
+def _prefix2(X):
+    """The 2-D prefix sums of X under a zero first row and column."""
+    P = np.zeros((X.shape[0] + 1, X.shape[1] + 1))
+    P[1:, 1:] = X.cumsum(axis=1).cumsum(axis=0)
+    return P
+
+
+def _check_gram_identity(sec):
+    # the unweighted form r_m r_k csc(h_m - h_k) B and the weighted Gram W
+    # of _arc_gram against S^T S from _skew, then _arc_gram's P against
+    # the prefix sums of the weighted S^T S.  Each side may err by its
+    # bound: _arc_gram's stated bounds on W and P, and for S^T S
+    # gamma_N |S|^T |S| plus each S entry's 3 ulp and argument rounding
+    N, half, sig = sec.N, sec.half, sec.sigma
+    off = ~np.eye(N, dtype=bool)
+    d = np.subtract.outer(half, half)
+    ad = np.abs(d)
+    t = np.where(off, 1.0 / np.tan(np.where(off, d, 1.0)), 0.0)
+    at, csc2 = np.abs(t), np.where(off, 1.0 + t * t, 0.0)
+    K = circle.kernel_sum(half, sig, "cot")
+    D = circle.kernel_sum(half, sig, "1+cot^2")
+    # kernel_sum's stated bounds on K and D, to first order
+    g = _gamma(N + N // circle.ROW_BLOCK + 1) + 3 * U
+    kappa = (g * at + U * ad * csc2) @ sig
+    delta = (g * csc2 + 2 * U * ad * at * csc2) @ sig
+    ss, sig2 = np.multiply.outer(sig, sig), np.add.outer(sig, sig)
+    M = np.add.outer(np.abs(K), np.abs(K)) + sig2 * at
+    kk = np.add.outer(kappa, kappa)
+    bound_W = ss * (at * (kk + 10 * U * M) + 2 * U * M * ad * csc2) / 4
+    np.fill_diagonal(bound_W, sig ** 2 * (delta + 2 * U * D) / 4)
+
+    S = sec._skew()
+    aS = np.abs(S)
+    eS = aS * U * (3 + ad * at)
+    G = S.T @ S
+    err_G = _gamma(N) * (aS.T @ aS) + eS.T @ aS + aS.T @ eS
+
+    rr = np.sqrt(ss)
+    B = np.add.outer(-K, K) + sig2 * t
+    Gu = np.where(off, rr / np.sin(np.where(off, d, 1.0)) * B, 0.0)
+    np.fill_diagonal(Gu, sig * D)
+    dB = kk + sig2 * U * (1.05 * at + ad * csc2) + 4 * U * M
+    bound_u = rr * np.sqrt(csc2) * (dB + M * U * (4 + ad * at))
+    np.fill_diagonal(bound_u, sig * (delta + U * D))
+    assert np.all(np.abs(Gu - G) <= bound_u + err_G)
+
+    W = _gram_rows(sec)
+    weight = 0.25 * rr * np.cos(d)
+    err_ref = (np.abs(weight) * err_G + U * np.abs(G * weight)
+               + np.abs(G) * 0.25 * rr * U * (4 * np.abs(np.cos(d)) + ad * np.abs(np.sin(d))))
+    W_ref = G * weight
+    assert np.all(np.abs(W - W_ref) <= bound_W + err_ref)
+
+    P = cauchy._arc_gram(sec)
+    assert np.array_equal(P, _row_by_row_arc_gram(sec))
+    tol_P = _prefix2(bound_W + err_ref) + _gamma(2 * N + 2) * _prefix2(np.abs(W) + np.abs(W_ref))
+    assert np.all(np.abs(P - _prefix2(W_ref)) <= tol_P)
+
+
+@st.composite
+def clustered_measures(draw):
+    # clusters of 1-5 atoms centred on distinct slots of a 64-point grid,
+    # so slot 0's clusters straddle theta = 0; neighbours in a cluster
+    # 1e-9 to 1e-3 apart, masses over six decades
+    slots = draw(st.lists(st.integers(0, 63), min_size=2, max_size=8, unique=True))
+    thetas = []
+    for slot in slots:
+        gaps = 10.0 ** np.array(draw(st.lists(st.floats(-9, -3), max_size=4)))
+        offsets = np.concatenate([[0.0], np.cumsum(gaps)])
+        thetas.extend(2 * np.pi * slot / 64 + offsets - offsets[-1] / 2)
+    exps = draw(st.lists(st.floats(-6, 0), min_size=len(thetas), max_size=len(thetas)))
+    return cl.AtomicMeasure(thetas, 10.0 ** np.array(exps))
+
+
+@settings(max_examples=50, deadline=None)
+@given(clustered_measures())
+def test_arc_gram_identity_on_clustered_atoms(m):
+    _check_gram_identity(cl.CauchySection(m))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: cl.exp_clark_data(40).measure, perturbed_measure, counterexample_measure,
+    lambda: cl.clark_data_for(cl.parse_family("monomial:64")).measure,
+], ids=["exp", "perturbed", "counterexample", "monomial"])
+def test_arc_gram_identity(measure):
+    _check_gram_identity(cl.CauchySection(measure()))
 
 
 def load_checks():
@@ -455,17 +566,42 @@ def test_tolsa_and_norm_rotation_invariant(m, delta):
 
 
 def test_tolsa_working_set():
-    # two real N x N arrays, S and its Gram written into P: 16 N^2 bytes
-    # plus the row blocks, 16.9 N^2 at 401 atoms; the complex section,
-    # stacked columns and Gram it replaced peaked at 40 N^2
-    sec = exp_section(200)
+    # P, (N + 1)^2 reals, is 8.0 N^2 bytes; one block of ROW_BLOCK rows and
+    # the scan's blocks of PAIR_BLOCK pairs add 0.7 N^2 at 1001 atoms
+    # (8.7 N^2 measured; at 401 atoms those fixed-size blocks make it
+    # 11.0 N^2).  The dense section and its Gram it replaced peaked at 16 N^2
+    sec = exp_section(500)
     tracemalloc.start()
     try:
         cl.tolsa_scan(sec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * sec.N ** 2
+    assert peak <= 9 * sec.N ** 2
+
+
+def test_tolsa_ratio_against_long_double():
+    # the reported ratio is one apply on the witness arc's indicator; the
+    # reference sums the same arc in long double on the stored angles.
+    # P's entries cancel in each arc's norm, so a ratio read from P errs
+    # by 4.0e-13 here
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double here")
+    m = cl.exp_clark_data(400).measure
+    rep = cl.tolsa_scan(cl.CauchySection(m))
+    N = m.n_atoms
+    half = m.thetas.astype(np.longdouble) / 2
+    sig = m.masses.astype(np.longdouble)
+    g = np.zeros(N, dtype=np.longdouble)
+    idx = (rep.witness_start + np.arange(rep.witness_count)) % N
+    g[idx] = sig[idx]
+    d = np.subtract.outer(half, half)
+    np.fill_diagonal(d, 1)
+    cot = 1 / np.tan(d)
+    np.fill_diagonal(cot, 0)
+    re, im = (g.sum() - g) / 2, cot @ g / 2
+    want = np.sqrt(np.sum(sig * (re * re + im * im)) / g.sum())
+    assert abs(rep.max_ratio - want) <= 1e-14 * want
 
 
 def test_tolsa_beyond_memory_budget_raises(monkeypatch):

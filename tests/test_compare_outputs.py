@@ -27,3 +27,6 @@ def test_compare_outputs_reports_a_mismatch():
     assert tool.differences(a, dict(a)) == []
     assert tool.differences(a, b) == ["outputs"]
     assert tool.differences(a, dict(b, exit=2)) == ["exit", "outputs"]
+    assert tool.number_differences(a["outputs"], b["outputs"]) == [
+        {"path": "outputs.x", "parent": 1.0, "change": 1.0000000000000002,
+         "rel": 2.220446049250313e-16}]

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -495,3 +498,22 @@ def test_cli_reports_are_deterministic(tmp_path):
         assert main(["report", "--json", str(tmp_path / "norm0.json"), "--csv", str(csv)]) == 0
         csvs.append(csv.read_text())
     assert csvs[0] == csvs[1]
+
+
+def test_cli_tolsa_reports_are_identical_at_one_and_two_blas_threads(tmp_path):
+    # BLAS reads its thread count when it loads, so each count runs in a
+    # fresh interpreter; the reports agree apart from the timing and the
+    # command line (which names the --out path)
+    src = Path(cl.__file__).resolve().parent.parent
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"tolsa{threads}.json"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "clarklab.cli", "tolsa", "--family", "exp",
+                        "--truncation", "1024", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        doc = json.loads(out.read_text())
+        del doc["wall_time_s"], doc["command"]
+        docs.append(doc)
+    assert docs[0] == docs[1]

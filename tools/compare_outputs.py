@@ -9,8 +9,10 @@ each checkout's ``src``, with one BLAS thread, from one temporary
 directory that holds the input documents of DOCUMENTS.  For each
 command it compares the exit code, the stderr and the parsed
 ``outputs`` of the report as canonical JSON text: keys sorted, floats
-by repr, so a float is equal only bit for bit and NaN equals NaN.  It
-prints one JSON summary and exits 0 when every command is equal, 1
+by repr, so a float is equal only bit for bit and NaN equals NaN.
+Where the outputs differ, the summary lists each differing number by
+its path in the report, with both values and the relative difference.
+It prints one JSON summary and exits 0 when every command is equal, 1
 otherwise.
 """
 from __future__ import annotations
@@ -77,6 +79,9 @@ COMMANDS = [
     "perturb --family monomial:8 --seed 5",
     "tolsa --family counterexample:1.0:128",
     "bessonov --family counterexample:1.0:512",
+    "tolsa --family exp --truncation 400",
+    "tolsa --family counterexample:1.0:512",
+    "tolsa --family monomial:256",
     # documents of the wrong shape
     "bessonov --measure list.json",
     "bessonov --measure number.json",
@@ -124,6 +129,26 @@ def differences(a: dict, b: dict) -> list[str]:
     return [k for k in ("exit", "outputs", "stderr") if a[k] != b[k]]
 
 
+def number_differences(a: str, b: str) -> list[dict]:
+    """The numbers that differ between two canonical outputs texts, by
+    their path, with |change - parent|/|parent|; other differences of
+    shape or type are listed with both values."""
+    return _walk(json.loads(a), json.loads(b), "outputs")
+
+
+def _walk(a, b, path):
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [d for k in a for d in _walk(a[k], b[k], f"{path}.{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in _walk(x, y, f"{path}[{i}]")]
+    if canonical(a) == canonical(b):
+        return []
+    row = {"path": path, "parent": a, "change": b}
+    if all(isinstance(v, float) for v in (a, b)) and a != 0.0:
+        row["rel"] = abs(b - a) / abs(a)
+    return [row]
+
+
 def compare(parent, change, commands=COMMANDS) -> dict:
     """Run each command on both checkouts and summarize the differences."""
     results = []
@@ -136,6 +161,9 @@ def compare(parent, change, commands=COMMANDS) -> dict:
             diff = differences(a, b)
             row = {"command": command, "exit_parent": a["exit"], "exit_change": b["exit"],
                    "equal": not diff, "differences": diff}
+            if ("outputs" in diff and not command.startswith("report")
+                    and None not in (a["outputs"], b["outputs"])):
+                row["numbers"] = number_differences(a["outputs"], b["outputs"])
             if "stderr" in diff:
                 row["stderr_parent"] = a["stderr"].splitlines()[-1:]
                 row["stderr_change"] = b["stderr"].splitlines()[-1:]
