@@ -18,7 +18,7 @@ print("z^2 section: norm =", cl.operator_norm(z2, [2]).values[0],
 measure = cl.exp_clark_data(600).measure
 est = cl.operator_norm(measure, [32, 64, 128, 256, 512])
 print("\nsection norms (nested; ||A|| = ||S||/2 for the real antisymmetric S,"
-      " one eigensolve of S^T S each):")
+      " one eigensolve of the closed-form Gram S^T S each):")
 for n, v in zip(est.sizes, est.values):
     print(f"  N = {n:4d}: {v:.8f}")
 print(f"last doubling growth: {est.last_doubling_growth * 100:.2f}%")

@@ -13,12 +13,12 @@ unitary and
 
     S[n,m] = sqrt(sigma_n sigma_m) / sin((theta_n - theta_m)/2),
 
-real and antisymmetric with zero diagonal.  S is the one dense section
-built here, in real arithmetic from angle differences, so nearby atoms
-lose no digits to the cancellation in 1 - conj(zeta_m) zeta_n.  Norms
-read ||A|| = ||S||/2 from the Gram S^T S.  The Tolsa scan reads the same
-Gram, weighted, but builds neither S nor S^T S: partial fractions give
-each entry from two kernel sums (``_arc_gram``).
+real and antisymmetric with zero diagonal.  Norms read ||A|| = ||S||/2
+from the Gram G = S^T S, and the Tolsa scan reads the same Gram,
+weighted.  Neither builds S: partial fractions give each entry of G from
+two kernel sums (``_gram_rows``), in real arithmetic from angle
+differences, so nearby atoms lose no digits to the cancellation in
+1 - conj(zeta_m) zeta_n.
 
 The section is applied without storing it, in the same half-angle
 differences d = (theta_n - theta_m)/2: 1/(1 - e^{2id}) = 1/2 + (i/2) cot d,
@@ -52,9 +52,9 @@ from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceed
                      DimensionMismatch, NotEnoughAtoms, WrongFamily)
 
 #: Largest section built densely.  A norm holds two real N x N arrays
-#: at once (16 N^2 bytes), MEMORY_BUDGET (1 GiB, so 8192 atoms) at the
-#: cap; a Tolsa scan holds one, (N + 1)^2 reals, and ``apply`` needs no
-#: dense storage.
+#: at once, its Gram and ``np.linalg.eigvalsh``'s copy of it (16 N^2
+#: bytes), MEMORY_BUDGET (1 GiB, so 8192 atoms) at the cap; a Tolsa scan
+#: holds one, (N + 1)^2 reals, and ``apply`` needs no dense storage.
 DENSE_CAP = math.isqrt(MEMORY_BUDGET // 16)
 
 #: A labelled section matches the exponential family's closed forms when
@@ -85,43 +85,19 @@ class CauchySection:
         self.lattice_indices = (None if lattice_indices is None
                                 else np.asarray(lattice_indices, dtype=int))
 
-    def _skew(self) -> np.ndarray:
-        """S[n,m] = sqrt(sig_n sig_m)/sin((theta_n - theta_m)/2), zero
-        diagonal; exactly antisymmetric, since sin is odd and the mass
-        product is formed before the division.  So only the upper
-        triangle is computed, in blocks of rows from their diagonal on,
-        and mirrored negated below it, which writes the entries computing
-        them would.  Raises before allocating when the section is over
-        ``DENSE_CAP``."""
-        N = self.N
-        if N > DENSE_CAP:
-            raise DenseCapExceeded(f"section size {N} exceeds dense cap {DENSE_CAP}")
-        half = self.half
-        rs = np.sqrt(self.sigma)
-        S = np.empty((N, N))
-        for r in range(0, N, ROW_BLOCK):
-            e = min(r + ROW_BLOCK, N)
-            T = S[r:e, r:]
-            np.subtract.outer(half[r:e], half[r:], out=T)
-            np.sin(T, out=T)
-            np.fill_diagonal(T, 1.0)
-            np.divide(np.multiply.outer(rs[r:e], rs[r:]), T, out=T)
-            np.fill_diagonal(T, 0.0)
-            np.negative(T[:, e - r:].T, out=S[e:, r:e])
-        return S
-
     def matrix(self) -> np.ndarray:
-        """Dense A with A[n,m] = sqrt(sig_n sig_m)/(1 - conj(z_m) z_n),
-        zero diagonal, formed as D (i/2) S D* with D = diag(e^{-i theta/2})."""
-        e = np.exp(-0.5j * self.theta)
-        return 0.5j * e[:, None] * self._skew() * np.conj(e)[None, :]
-
-    def cauchy_of_one(self, n: int) -> complex:
-        """(C 1)(zeta_n) = sum_{m != n} sigma_m / (1 - conj(zeta_m) zeta_n),
-        in the angle form of the module docstring."""
-        others = np.arange(self.N) != n
-        cot = KERNELS["cot"][0](self.half[n] - self.half[others]) @ self.sigma[others]
-        return complex(0.5 * (self.sigma.sum() - self.sigma[n]) + 0.5j * cot)
+        """Dense A[n,m] = sqrt(sig_n sig_m) (1/2 + (i/2) cot(h_n - h_m)),
+        h = theta/2, zero diagonal: the form ``apply`` sums, exactly
+        Hermitian since np.tan is odd.  Raises before allocating when the
+        section is over ``DENSE_CAP``."""
+        if self.N > DENSE_CAP:
+            raise DenseCapExceeded(f"section size {self.N} exceeds dense cap {DENSE_CAP}")
+        d = np.subtract.outer(self.half, self.half)
+        np.fill_diagonal(d, 1.0)
+        rs = np.sqrt(self.sigma)
+        A = np.multiply.outer(rs, rs) * (0.5 + 0.5j * KERNELS["cot"][0](d))
+        np.fill_diagonal(A, 0.0)
+        return A
 
     def cauchy_one_all(self) -> np.ndarray:
         return self.apply(np.ones(self.N))
@@ -158,9 +134,10 @@ class OperatorNormEstimate:
     """Norms of nested sections, nondecreasing in the section size by
     nesting, and lower bounds for the norm of the full operator.  A
     section without labels gives ||S_N||/2 from one real symmetric
-    eigensolve of S_N^T S_N; a labelled exp section gives the norm of the
-    closed-form lattice section from the half-size Hilbert block.  Each
-    lies within the rounding bound stated in ``operator_norm``."""
+    eigensolve of the closed-form Gram S_N^T S_N; a labelled exp section
+    gives the norm of the closed-form lattice section from the half-size
+    Hilbert block.  Each lies within the rounding bound stated in
+    ``operator_norm``."""
 
     sizes: list[int]
     values: list[float]
@@ -181,17 +158,15 @@ def operator_norm(measure: AtomicMeasure, sizes, lattice_indices=None) -> Operat
 
     The route is chosen from the input alone.  Without lattice labels,
     ||A_N|| = ||S_N||/2 = sqrt(lambda_max(G))/2 with G = S_N^T S_N real
-    symmetric, formed by one symmetric product and passed to one
-    ``np.linalg.eigvalsh`` (LAPACK syevd).  Rounding the inner products
-    gives |fl(G) - G| <= gamma_N |S|^T |S| entrywise, gamma_N =
-    N eps/(1 - N eps) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.5), and that error has 2-norm at most
-    gamma_N ||S||_F^2.  syevd is backward stable, so each computed
-    eigenvalue lies within p(N) eps ||G|| of an exact one of fl(G)
-    (LAPACK Users' Guide, 3rd ed., section 4.7).  Hence the computed
-    lambda satisfies
+    symmetric, its lower triangle formed entrywise in closed form
+    (``_gram``) and passed to one ``np.linalg.eigvalsh`` (LAPACK syevd),
+    which reads only that triangle.  ``_gram`` bounds |fl(G) - G| <= E
+    entrywise, E symmetric, so the error has 2-norm at most ||E||_F.
+    syevd is backward stable, so each computed eigenvalue lies within
+    p(N) eps ||G|| of an exact one of fl(G) (LAPACK Users' Guide, 3rd
+    ed., section 4.7).  Hence the computed lambda satisfies
 
-        |lambda - ||S||^2| <= gamma_N ||S||_F^2 + p(N) eps ||S||^2,
+        |lambda - ||S||^2| <= ||E||_F + p(N) eps ||S||^2,
 
     and the value's relative error is at most half of that over ||S||^2.
 
@@ -206,8 +181,11 @@ def operator_norm(measure: AtomicMeasure, sizes, lattice_indices=None) -> Operat
     of ``_hilbert_block``: sqrt(lambda_max(B B^T))/(2 pi), one eigensolve
     at size n = N // 2.  B's entries are sums of two reciprocals of exact
     integers (sqrt 2 over one in the odd column), so |fl(B) - B| <=
-    2 eps B+ entrywise, B+ the same sums of absolute values, and
-    with gamma_n and p(n) as above the value's relative error is at most
+    2 eps B+ entrywise, B+ the same sums of absolute values.  Rounding
+    the inner products of B B^T adds at most gamma_n |B|^T |B|, gamma_n =
+    n eps/(1 - n eps) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.5), so with p(n) as above the value's
+    relative error is at most
 
         2 eps ||B+||_F/||B|| + (gamma_n ||B||_F^2/||B||^2 + p(n) eps)/2.
 
@@ -230,12 +208,88 @@ def operator_norm(measure: AtomicMeasure, sizes, lattice_indices=None) -> Operat
                                 iterations=[0] * len(sizes))
 
 
+def _gram_rows(section: CauchySection, out: np.ndarray, lower: bool):
+    """The partial fractions of G = S^T S by blocks of ROW_BLOCK rows m,
+    shared by ``_gram`` and ``_arc_gram``.  For each block, write t =
+    cot(h_m - h_k) into a buffer and B = K_k - K_m + (sig_m + sig_k) t
+    into out[m, :c], h = theta/2 and K = kernel_sum(h, sig, "cot"), over
+    the columns k < c: all N of them, or up to the block's last row when
+    ``lower``.  Then yield (m, t, out[m, :c], D[m]), D = kernel_sum(h,
+    sig, "1+cot^2").  On the diagonal k = m, t and B hold finite values
+    that the callers overwrite.  One buffer of ROW_BLOCK rows serves
+    every block.
+
+    With r = sqrt(sig), G[m,k] = sum_{n != m,k} sig_n r_m r_k /
+    (sin(h_n - h_m) sin(h_n - h_k)) for m != k.  The partial fractions
+    1/(sin(x - a) sin(x - b)) = (cot(x - a) - cot(x - b))/sin(a - b) split
+    it into two sums over n != m,k, of sig_n cot(h_n - h_m) and of
+    sig_n cot(h_n - h_k).  With K_j = sum_{n != j} sig_n cot(h_j - h_n)
+    they are -K_m + sig_k t and -K_k - sig_m t, so
+
+        G[m,k] = r_m r_k csc(h_m - h_k) B,   G[m,m] = sig_m D_m.
+
+    Rounding, to first order in the unit roundoff u.  Let kappa_j be
+    kernel_sum's stated bound on the error of K_j.  The computed t
+    carries 1.05 ulp from np.tan and the division (see circle.KERNELS)
+    and the rounding of h_m - h_k, which moves it by at most
+    u |h_m - h_k| (1 + t^2), and not at all where h_k/2 <= h_m <= 2 h_k
+    (Sterbenz).  B takes four roundings, so with M = |K_m| + |K_k| +
+    (sig_m + sig_k) |t|
+
+        |dB| <= kappa_m + kappa_k + (sig_m + sig_k) u (1.05 |t|
+                + |h_m - h_k| (1 + t^2)) + 4 u M.
+    """
+    N, half, sig = section.N, section.half, section.sigma
+    K = kernel_sum(half, sig, "cot")
+    D = kernel_sum(half, sig, "1+cot^2")
+    buf = np.empty(min(ROW_BLOCK, N) * N)
+    for a in range(0, N, ROW_BLOCK):
+        e = min(a + ROW_BLOCK, N)
+        m, c = slice(a, e), e if lower else N
+        t = buf[:(e - a) * c].reshape(e - a, c)
+        np.subtract(half[m, None], half[:c], out=t)
+        # any nonzero difference keeps cot finite on the diagonal
+        np.fill_diagonal(t[:, m], 1.0)
+        KERNELS["cot"][0](t)
+        B = out[m, :c]
+        np.add(sig[m, None], sig[:c], out=B)
+        B *= t
+        B += K[:c]
+        B -= K[m, None]
+        yield m, t, B, D[m]
+
+
+def _gram(section: CauchySection) -> np.ndarray:
+    """The lower triangle of G = S^T S (operator_norm), zero above it,
+    from ``_gram_rows``: atoms are sorted by angle, so h_m > h_k below
+    the diagonal and csc(h_m - h_k) = sqrt(1 + t^2) there.  Each block's
+    square on the diagonal is written whole, its upper part then zeroed;
+    the working set is G and one block.
+
+    With _gram_rows' dB, M and t, and delta_m kernel_sum's stated bound on
+    the error of D_m: sqrt(1 + t^2) errs by at most u (2.55 + |h_m - h_k|
+    |t|) relative, from t's error and its own three roundings, and r_m,
+    r_k and the three products add 4 u more, so
+
+        |dG[m,k]| <= r_m r_k sqrt(1 + t^2) (|dB| + u M (7 + |h_m - h_k| |t|)),
+        |dG[m,m]| <= sig_m (delta_m + u D_m).
+    """
+    rs = np.sqrt(section.sigma)
+    G = np.zeros((section.N, section.N))
+    for m, t, rows, D in _gram_rows(section, G, lower=True):
+        rows *= np.sqrt(np.add(np.square(t, t), 1.0, t), t)
+        rows *= rs[:m.stop]
+        rows *= rs[m, None]
+        square = rows[:, m]
+        np.fill_diagonal(square, section.sigma[m] * D)
+        square[np.triu_indices(len(square), 1)] = 0.0
+    return G
+
+
 def _dense_norm(section: CauchySection) -> float:
-    """||S_N||/2 from the dense section (operator_norm)."""
-    S = section._skew()
-    G = S.T @ S
-    del S  # the eigensolve copies G, so S would make a third N x N array
-    return 0.5 * float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
+    """||S_N||/2 from the closed-form Gram (operator_norm); eigvalsh reads
+    only its lower triangle (UPLO='L')."""
+    return 0.5 * float(np.sqrt(np.linalg.eigvalsh(_gram(section))[-1]))
 
 
 def _hilbert_block(N: int) -> np.ndarray:
@@ -295,20 +349,9 @@ def _arc_gram(section: CauchySection) -> np.ndarray:
     """P[a,b] = Re <U_a, U_b> for a, b = 0..N (see tolsa_scan), the 2-D
     prefix sum P[a,b] = sum_{m<a, k<b} W[m,k] of the weighted Gram
     W[m,k] = G[m,k] Re(conj(c_m) c_k)/4, G = S^T S, c = sqrt(sig) e^{ih},
-    h = theta/2, formed without S and without the product S^T S.
-
-    With r = sqrt(sig), G[m,k] = sum_{n != m,k} sig_n r_m r_k /
-    (sin(h_n - h_m) sin(h_n - h_k)) for m != k.  The partial fractions
-    1/(sin(x - a) sin(x - b)) = (cot(x - a) - cot(x - b))/sin(a - b) split
-    it into two sums over n != m,k, of sig_n cot(h_n - h_m) and of
-    sig_n cot(h_n - h_k).  With K = kernel_sum(h, sig, "cot"), K_j =
-    sum_{n != j} sig_n cot(h_j - h_n), and t = cot(h_m - h_k), they are
-    -K_m + sig_k t and -K_k - sig_m t, so
-
-        G[m,k] = r_m r_k csc(h_m - h_k) B,  B = K_k - K_m + (sig_m + sig_k) t,
-
-    and on the diagonal G[m,m] = sig_m D_m, D = kernel_sum(h, sig,
-    "1+cot^2").  The weight is r_m r_k cos(h_m - h_k)/4, so
+    h = theta/2, formed without S and without the product S^T S.  With
+    t, B and G's entries from ``_gram_rows``, the weight is r_m r_k
+    cos(h_m - h_k)/4, so
 
         W[m,k] = sig_m sig_k t B/4 (m != k),   W[m,m] = sig_m^2 D_m/4.
 
@@ -318,13 +361,9 @@ def _arc_gram(section: CauchySection) -> np.ndarray:
     0 walks columns, which was slower at 2049 atoms), adding in the order
     a row-by-row pass adds.  The working set is P and one block.
 
-    Rounding, to first order in the unit roundoff u.  Let kappa_j and
-    delta_j be kernel_sum's stated bounds on the errors of K_j and D_j.
-    The computed t carries 1.05 ulp from np.tan and the division (see
-    circle.KERNELS) and the rounding of h_m - h_k, which moves it by at
-    most u |h_m - h_k| (1 + t^2), and not at all where h_k/2 <= h_m <=
-    2 h_k (Sterbenz).  B takes four roundings and W three more, so with
-    M = |K_m| + |K_k| + (sig_m + sig_k) |t|
+    Rounding, to first order in the unit roundoff u.  With _gram_rows'
+    kappa_j, dB and M, and delta_j kernel_sum's stated bound on the error
+    of D_j, W takes three more roundings than B, so
 
         |dW[m,k]| <= sig_m sig_k (|t| (kappa_m + kappa_k + 10 u M)
                      + 2 u M |h_m - h_k| (1 + t^2))/4,
@@ -342,33 +381,16 @@ def _arc_gram(section: CauchySection) -> np.ndarray:
     N = section.N
     if N > DENSE_CAP:
         raise DenseCapExceeded(f"section size {N} exceeds dense cap {DENSE_CAP}")
-    half, sig = section.half, section.sigma
-    K = kernel_sum(half, sig, "cot")
+    sig = section.sigma
     q = 0.25 * sig
-    diag = q * sig * kernel_sum(half, sig, "1+cot^2")
-    cot = KERNELS["cot"][0]
     P = np.zeros((N + 1, N + 1))
-    buf = np.empty(min(ROW_BLOCK, N) * N)
-    for a in range(1, N + 1, ROW_BLOCK):
-        e = min(a + ROW_BLOCK, N + 1)
-        m = slice(a - 1, e - 1)
-        t = buf[:(e - a) * N].reshape(e - a, N)
-        np.subtract(half[m, None], half, out=t)
-        # any nonzero difference keeps cot finite on the diagonal, which
-        # then takes W[m,m]
-        np.fill_diagonal(t[:, m], 1.0)
-        t = cot(t)
-        rows = P[a:e, 1:]
-        np.add(sig[m, None], sig, out=rows)
-        rows *= t
-        rows += K
-        rows -= K[m, None]
+    for m, t, rows, D in _gram_rows(section, P[1:, 1:], lower=False):
         rows *= t
         rows *= sig
         rows *= q[m, None]
-        np.fill_diagonal(rows[:, m], diag[m])
+        np.fill_diagonal(rows[:, m], q[m] * sig[m] * D)
         np.cumsum(rows, axis=1, out=rows)
-        for i in range(a, e):
+        for i in range(m.start + 1, m.stop + 1):
             np.add(P[i], P[i - 1], out=P[i])
     return P
 

@@ -51,9 +51,10 @@ PAIR_BLOCK = 1 << 13
 #: BLAS thread).
 DISK_BLOCK = 1 << 16
 
-#: Rows per block in the upper-triangle passes, kernel_sum and
-#: ``cauchy.CauchySection._skew``, and in the full-row pass that writes
-#: the Tolsa scan's weighted Gram and its prefix sums (``cauchy._arc_gram``).
+#: Rows per block in kernel_sum's upper-triangle pass and in
+#: ``cauchy._gram_rows``, which writes the Gram of a Cauchy section: the
+#: norm's lower triangle (``cauchy._gram``) and the Tolsa scan's weighted
+#: full rows with their prefix sums (``cauchy._arc_gram``).
 ROW_BLOCK = 32
 
 
@@ -272,8 +273,7 @@ def kernel_sum(x, weights, kernel):
     x, with k one of KERNELS, each pair once.
 
     The upper triangle goes by blocks of ROW_BLOCK rows from their
-    diagonal on, as cauchy.CauchySection._skew builds it, in one buffer
-    allocated per call: a block T[i, j] = k(x_{r+i} - x_{r+j}) gives its own
+    diagonal on, in one buffer allocated per call: a block T[i, j] = k(x_{r+i} - x_{r+j}) gives its own
     rows as T @ w, and by the kernel's parity the rows below it as
     parity (T^T @ w_block).  Only the ROW_BLOCK x ROW_BLOCK squares on the
     diagonal are evaluated whole, both triangles, which adds ROW_BLOCK/N to

@@ -28,22 +28,14 @@ def exp_section(N):
 
 
 def test_cauchy_of_one_examples():
+    # (C 1)(zeta_n) at every atom; for z^2 each atom sees the other's mass
+    # 1/2 over 1 - (-1)
     single = cl.CauchySection(cl.AtomicMeasure([0.0], [1.0]))
-    assert single.cauchy_of_one(0) == 0.0
+    assert single.cauchy_one_all()[0] == 0.0
     sec = z2_section()
     i0 = int(np.argmin(sec.theta))  # atom at angle 0
-    assert sec.cauchy_of_one(i0) == pytest.approx(0.25)
-    assert np.allclose(sec.cauchy_one_all(),
-                       [sec.cauchy_of_one(0), sec.cauchy_of_one(1)])
-
-
-def test_cauchy_of_one_is_the_row_of_cauchy_one_all():
-    # one row's sum over the other atoms and the pair-once sum over all of
-    # them add the same terms in different orders
-    sec = cl.CauchySection(perturbed_measure())
-    all_rows = sec.cauchy_one_all()
-    for n in range(sec.N):
-        assert abs(sec.cauchy_of_one(n) - all_rows[n]) <= 1e-14 * abs(all_rows[n])
+    assert sec.cauchy_one_all()[i0] == pytest.approx(0.25)
+    assert np.allclose(sec.cauchy_one_all(), [0.25, 0.25])
 
 
 def test_cauchy_one_all_against_mpmath_next_to_the_wrap():
@@ -87,8 +79,7 @@ def test_apply_examples():
 
 def test_apply_matches_dense_matrix_on_perturbed_measure(rng):
     # irregular atoms, so no lattice identity is shared by the two paths;
-    # apply differences the points zeta_n - zeta_m and loses about
-    # log10(1/min gap) ~ 4 digits here, while the dense sin form does not
+    # matrix() writes out the cot form that apply sums pair by pair
     base = cl.exp_clark_data(60)
     sec = cl.CauchySection(cl.generate(cl.random_plan(base, 4)))
     f = rng.standard_normal(sec.N) + 1j * rng.standard_normal(sec.N)
@@ -148,7 +139,7 @@ def _full_square_skew(sec):
     return S
 
 
-def _gram_rows(sec):
+def _weighted_gram_rows(sec):
     """The weighted Gram W of cauchy._arc_gram, row by row, in its order of
     operations: sig_m sig_k t B/4 off the diagonal, t = cot(h_m - h_k) and
     B = K_k - K_m + (sig_m + sig_k) t, and sig_m^2 D_m/4 on it."""
@@ -167,7 +158,7 @@ def _gram_rows(sec):
 
 
 def _row_by_row_arc_gram(sec):
-    N, W = sec.N, _gram_rows(sec)
+    N, W = sec.N, _weighted_gram_rows(sec)
     P = np.zeros((N + 1, N + 1))
     for a in range(1, N + 1):
         P[a, 1:] = np.cumsum(W[a - 1])
@@ -181,16 +172,16 @@ def _row_by_row_arc_gram(sec):
 ], ids=["exp", "perturbed", "counterexample"])
 @pytest.mark.parametrize("rows", [1, 7, cauchy.ROW_BLOCK])
 def test_blocked_dense_builds_match_the_full_square(measure, rows, monkeypatch):
-    # _skew computes the upper triangle by blocks of rows and mirrors it
-    # negated; the Tolsa Gram and its prefix sums go by blocks of rows.
-    # Both equal the full-square build and the row-by-row pass bit for
-    # bit, so the scan's ratios and witnesses do not depend on the block
-    # size
+    # the norm's Gram goes by blocks of rows up to each block's diagonal;
+    # the Tolsa Gram and its prefix sums go by blocks of full rows.  Both
+    # are the same bit for bit at every block size, and the Tolsa Gram
+    # equals the row-by-row pass, so neither the norm nor the scan's
+    # ratios and witnesses depend on the block size
     sec = cl.CauchySection(measure())
     assert sec.N > rows
-    want = cl.tolsa_scan(sec)
+    want, want_G = cl.tolsa_scan(sec), cauchy._gram(sec)
     monkeypatch.setattr(cauchy, "ROW_BLOCK", rows)
-    assert np.array_equal(sec._skew(), _full_square_skew(sec))
+    assert np.array_equal(cauchy._gram(sec), want_G)
     assert np.array_equal(cauchy._arc_gram(sec), _row_by_row_arc_gram(sec))
     got = cl.tolsa_scan(sec)
     assert (got.max_ratio, got.witness_start, got.witness_count) == (
@@ -212,10 +203,12 @@ def _prefix2(X):
 
 
 def _check_gram_identity(sec):
-    # the unweighted form r_m r_k csc(h_m - h_k) B and the weighted Gram W
-    # of _arc_gram against S^T S from _skew, then _arc_gram's P against
-    # the prefix sums of the weighted S^T S.  Each side may err by its
-    # bound: _arc_gram's stated bounds on W and P, and for S^T S
+    # the norm's Gram (cauchy._gram, the lower triangle of r_m r_k
+    # csc(h_m - h_k) B) and the weighted Gram W of _arc_gram against S^T S
+    # from the full-square sin form, then _arc_gram's P against the prefix
+    # sums of the weighted S^T S.  Each side may err by its bound: the
+    # stated bounds on W and P; for G, _gram's stated bound with 4 u M in
+    # place of its 7 u M, tighter, and it holds; and for S^T S
     # gamma_N |S|^T |S| plus each S entry's 3 ulp and argument rounding
     N, half, sig = sec.N, sec.half, sec.sigma
     off = ~np.eye(N, dtype=bool)
@@ -235,22 +228,21 @@ def _check_gram_identity(sec):
     bound_W = ss * (at * (kk + 10 * U * M) + 2 * U * M * ad * csc2) / 4
     np.fill_diagonal(bound_W, sig ** 2 * (delta + 2 * U * D) / 4)
 
-    S = sec._skew()
+    S = _full_square_skew(sec)
     aS = np.abs(S)
     eS = aS * U * (3 + ad * at)
     G = S.T @ S
     err_G = _gamma(N) * (aS.T @ aS) + eS.T @ aS + aS.T @ eS
 
     rr = np.sqrt(ss)
-    B = np.add.outer(-K, K) + sig2 * t
-    Gu = np.where(off, rr / np.sin(np.where(off, d, 1.0)) * B, 0.0)
-    np.fill_diagonal(Gu, sig * D)
     dB = kk + sig2 * U * (1.05 * at + ad * csc2) + 4 * U * M
     bound_u = rr * np.sqrt(csc2) * (dB + M * U * (4 + ad * at))
     np.fill_diagonal(bound_u, sig * (delta + U * D))
-    assert np.all(np.abs(Gu - G) <= bound_u + err_G)
+    Gu, low = cauchy._gram(sec), np.tri(N, dtype=bool)
+    assert not Gu[~low].any()
+    assert np.all((np.abs(Gu - G) <= bound_u + err_G)[low])
 
-    W = _gram_rows(sec)
+    W = _weighted_gram_rows(sec)
     weight = 0.25 * rr * np.cos(d)
     err_ref = (np.abs(weight) * err_G + U * np.abs(G * weight)
                + np.abs(G) * 0.25 * rr * U * (4 * np.abs(np.cos(d)) + ad * np.abs(np.sin(d))))
@@ -305,15 +297,13 @@ def load_checks():
     lambda: cl.exp_clark_data(40).measure, perturbed_measure, counterexample_measure,
 ], ids=["exp", "perturbed", "counterexample"])
 def test_section_matrix_is_hermitian(measure):
-    # A = D (i/2) S D*, D = diag(e^{-i theta/2}), with S real, exactly
-    # antisymmetric and zero on the diagonal; so A is Hermitian
+    # A[n,m] = sqrt(sig_n sig_m) (1/2 + (i/2) cot(h_n - h_m)) with zero
+    # diagonal; h_m - h_n = -(h_n - h_m) exactly and np.tan is odd, so A
+    # is Hermitian bit for bit
     sec = cl.CauchySection(measure())
-    A, S = sec.matrix(), sec._skew()
-    assert S.dtype == np.float64 and np.array_equal(S, -S.T)
+    A = sec.matrix()
     assert not np.diagonal(A).any()
-    e = np.exp(-0.5j * sec.theta)
-    assert np.array_equal(A, 0.5j * e[:, None] * S * np.conj(e)[None, :])
-    assert np.max(np.abs(A - A.conj().T)) <= 1e-15 * np.max(np.abs(A))
+    assert np.array_equal(A, A.conj().T)
     # the sin form of the independent checks, built apart from clarklab
     checks = load_checks()
     ref = checks.section_matrix(checks.Atoms(sec.theta, sec.sigma))
@@ -580,6 +570,21 @@ def test_tolsa_working_set():
     assert peak <= 9 * sec.N ** 2
 
 
+def test_dense_norm_working_set():
+    # G, N^2 reals, is 8.0 N^2 bytes, and one block of ROW_BLOCK rows adds
+    # 0.26 N^2 at 1001 atoms (8.5 N^2 measured); S and S^T S together took
+    # 16 N^2.  eigvalsh's LAPACK copy of G is allocated outside numpy,
+    # where tracemalloc does not see it
+    m = cl.exp_clark_data(500).measure
+    tracemalloc.start()
+    try:
+        cl.operator_norm(m, [m.n_atoms])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * m.n_atoms ** 2
+
+
 def test_tolsa_ratio_against_long_double():
     # the reported ratio is one apply on the witness arc's indicator; the
     # reference sums the same arc in long double on the stored angles.
@@ -605,9 +610,8 @@ def test_tolsa_ratio_against_long_double():
 
 
 def test_tolsa_beyond_memory_budget_raises(monkeypatch):
-    # the working set, 16 N^2 bytes, fits the 16 DENSE_CAP^2 of a dense
-    # section exactly when N <= DENSE_CAP: 21 atoms fit under a cap of 21,
-    # not under 20
+    # the scan refuses the sections the norm refuses, those over
+    # DENSE_CAP: 21 atoms fit under a cap of 21, not under 20
     monkeypatch.setattr(cauchy, "DENSE_CAP", 20)
     sec = cl.CauchySection(cl.exp_clark_data(10).measure)
     with pytest.raises(DenseCapExceeded, match="section size 21 exceeds dense cap 20"):
