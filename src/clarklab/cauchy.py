@@ -18,7 +18,10 @@ from the Gram G = S^T S, and the Tolsa scan reads the same Gram,
 weighted.  Neither builds S: partial fractions give each entry of G from
 two kernel sums (``_gram_rows``), in real arithmetic from angle
 differences, so nearby atoms lose no digits to the cancellation in
-1 - conj(zeta_m) zeta_n.
+1 - conj(zeta_m) zeta_n.  The scan streams the rows of the weighted
+Gram's 2-D prefix sum a block at a time and reads both arcs of a pair
+of endpoints from the row of the later one, so it holds
+O(ROW_BLOCK N) reals and no N x N array.
 
 The section is applied without storing it, in the same half-angle
 differences d = (theta_n - theta_m)/2: 1/(1 - e^{2id}) = 1/2 + (i/2) cot d,
@@ -43,9 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import circle
 from .circle import (KERNELS, MEMORY_BUDGET, ROW_BLOCK, Arc, AtomicMeasure, TWO_PI, arc_mask,
                      chord_angles, disk_sum, kernel_sum)
 from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceeded,
@@ -53,9 +54,16 @@ from .errors import (AtomOutsideArc, BoundaryAtom, ClarkLabError, DenseCapExceed
 
 #: Largest section built densely.  A norm holds two real N x N arrays
 #: at once, its Gram and ``np.linalg.eigvalsh``'s copy of it (16 N^2
-#: bytes), MEMORY_BUDGET (1 GiB, so 8192 atoms) at the cap; a Tolsa scan
-#: holds one, (N + 1)^2 reals, and ``apply`` needs no dense storage.
+#: bytes), and ``matrix`` one complex one, MEMORY_BUDGET (1 GiB, so 8192
+#: atoms) at the cap.  A Tolsa scan holds no N x N array (ARC_BLOCKS),
+#: and ``apply`` needs no dense storage.
 DENSE_CAP = math.isqrt(MEMORY_BUDGET // 16)
+
+#: Blocks of ROW_BLOCK x (N + 1) reals that a Tolsa scan holds at once:
+#: ``_gram_rows``' two, ``_arc_rows``' one and the scan's temporaries.
+#: Its tracemalloc peak was 8.1 to 9.9 blocks from 81 to 16 385 exp
+#: atoms (numpy 2.4).
+ARC_BLOCKS = 12
 
 #: A labelled section matches the exponential family's closed forms when
 #: its atoms lie within LATTICE_ANGLE_TOL (chordal) of the lattice points
@@ -88,14 +96,21 @@ class CauchySection:
     def matrix(self) -> np.ndarray:
         """Dense A[n,m] = sqrt(sig_n sig_m) (1/2 + (i/2) cot(h_n - h_m)),
         h = theta/2, zero diagonal: the form ``apply`` sums, exactly
-        Hermitian since np.tan is odd.  Raises before allocating when the
-        section is over ``DENSE_CAP``."""
+        Hermitian since np.tan is odd.  The cot is taken in place in A's
+        imaginary part, the real part set to 1 and A scaled by
+        sqrt(sig_n sig_m)/2 in blocks of ROW_BLOCK rows, so A is the only
+        N x N array.  Raises before allocating when the section is over
+        ``DENSE_CAP``."""
         if self.N > DENSE_CAP:
             raise DenseCapExceeded(f"section size {self.N} exceeds dense cap {DENSE_CAP}")
-        d = np.subtract.outer(self.half, self.half)
-        np.fill_diagonal(d, 1.0)
+        A = np.empty((self.N, self.N), dtype=complex)
+        np.subtract.outer(self.half, self.half, out=A.imag)
+        np.fill_diagonal(A.imag, 1.0)
+        KERNELS["cot"][0](A.imag)
+        A.real = 1.0
         rs = np.sqrt(self.sigma)
-        A = np.multiply.outer(rs, rs) * (0.5 + 0.5j * KERNELS["cot"][0](d))
+        for a in range(0, self.N, ROW_BLOCK):
+            A[a:a + ROW_BLOCK] *= np.multiply.outer(0.5 * rs[a:a + ROW_BLOCK], rs)
         np.fill_diagonal(A, 0.0)
         return A
 
@@ -208,16 +223,16 @@ def operator_norm(measure: AtomicMeasure, sizes, lattice_indices=None) -> Operat
                                 iterations=[0] * len(sizes))
 
 
-def _gram_rows(section: CauchySection, out: np.ndarray, lower: bool):
+def _gram_rows(section: CauchySection, lower: bool):
     """The partial fractions of G = S^T S by blocks of ROW_BLOCK rows m,
-    shared by ``_gram`` and ``_arc_gram``.  For each block, write t =
-    cot(h_m - h_k) into a buffer and B = K_k - K_m + (sig_m + sig_k) t
-    into out[m, :c], h = theta/2 and K = kernel_sum(h, sig, "cot"), over
-    the columns k < c: all N of them, or up to the block's last row when
-    ``lower``.  Then yield (m, t, out[m, :c], D[m]), D = kernel_sum(h,
-    sig, "1+cot^2").  On the diagonal k = m, t and B hold finite values
-    that the callers overwrite.  One buffer of ROW_BLOCK rows serves
-    every block.
+    shared by ``_gram`` and ``_arc_rows``.  For each block, write t =
+    cot(h_m - h_k) and B = K_k - K_m + (sig_m + sig_k) t, h = theta/2 and
+    K = kernel_sum(h, sig, "cot"), over the columns k < c: all N of them,
+    or up to the block's last row when ``lower``.  Then yield (m, t, B,
+    D[m]), D = kernel_sum(h, sig, "1+cot^2").  On the diagonal k = m, t
+    and B hold finite values that the callers overwrite.  t and B each
+    live in one buffer of ROW_BLOCK rows that serves every block, so a
+    caller uses a block before it asks for the next.
 
     With r = sqrt(sig), G[m,k] = sum_{n != m,k} sig_n r_m r_k /
     (sin(h_n - h_m) sin(h_n - h_k)) for m != k.  The partial fractions
@@ -242,16 +257,15 @@ def _gram_rows(section: CauchySection, out: np.ndarray, lower: bool):
     N, half, sig = section.N, section.half, section.sigma
     K = kernel_sum(half, sig, "cot")
     D = kernel_sum(half, sig, "1+cot^2")
-    buf = np.empty(min(ROW_BLOCK, N) * N)
+    t_buf, B_buf = np.empty((2, min(ROW_BLOCK, N) * N))
     for a in range(0, N, ROW_BLOCK):
         e = min(a + ROW_BLOCK, N)
         m, c = slice(a, e), e if lower else N
-        t = buf[:(e - a) * c].reshape(e - a, c)
+        t, B = (buf[:(e - a) * c].reshape(e - a, c) for buf in (t_buf, B_buf))
         np.subtract(half[m, None], half[:c], out=t)
         # any nonzero difference keeps cot finite on the diagonal
         np.fill_diagonal(t[:, m], 1.0)
         KERNELS["cot"][0](t)
-        B = out[m, :c]
         np.add(sig[m, None], sig[:c], out=B)
         B *= t
         B += K[:c]
@@ -263,8 +277,9 @@ def _gram(section: CauchySection) -> np.ndarray:
     """The lower triangle of G = S^T S (operator_norm), zero above it,
     from ``_gram_rows``: atoms are sorted by angle, so h_m > h_k below
     the diagonal and csc(h_m - h_k) = sqrt(1 + t^2) there.  Each block's
-    square on the diagonal is written whole, its upper part then zeroed;
-    the working set is G and one block.
+    last product is written into G's rows, its square on the diagonal
+    whole, its upper part then zeroed; the working set is G and
+    ``_gram_rows``' two blocks.
 
     With _gram_rows' dB, M and t, and delta_m kernel_sum's stated bound on
     the error of D_m: sqrt(1 + t^2) errs by at most u (2.55 + |h_m - h_k|
@@ -276,11 +291,10 @@ def _gram(section: CauchySection) -> np.ndarray:
     """
     rs = np.sqrt(section.sigma)
     G = np.zeros((section.N, section.N))
-    for m, t, rows, D in _gram_rows(section, G, lower=True):
-        rows *= np.sqrt(np.add(np.square(t, t), 1.0, t), t)
-        rows *= rs[:m.stop]
-        rows *= rs[m, None]
-        square = rows[:, m]
+    for m, t, B, D in _gram_rows(section, lower=True):
+        B *= np.sqrt(np.add(np.square(t, t), 1.0, t), t)
+        B *= rs[:m.stop]
+        square = np.multiply(B, rs[m, None], out=G[m, :m.stop])[:, m]
         np.fill_diagonal(square, section.sigma[m] * D)
         square[np.triu_indices(len(square), 1)] = 0.0
     return G
@@ -345,21 +359,25 @@ class TolsaReport:
     n_arcs: int
 
 
-def _arc_gram(section: CauchySection) -> np.ndarray:
-    """P[a,b] = Re <U_a, U_b> for a, b = 0..N (see tolsa_scan), the 2-D
-    prefix sum P[a,b] = sum_{m<a, k<b} W[m,k] of the weighted Gram
-    W[m,k] = G[m,k] Re(conj(c_m) c_k)/4, G = S^T S, c = sqrt(sig) e^{ih},
-    h = theta/2, formed without S and without the product S^T S.  With
-    t, B and G's entries from ``_gram_rows``, the weight is r_m r_k
-    cos(h_m - h_k)/4, so
+def _arc_rows(section: CauchySection):
+    """The rows of P[a,b] = Re <U_a, U_b> for a, b = 0..N (see
+    tolsa_scan), in order: yields (first, rows), rows[i] = P[first + i]
+    for first = 1, 1 + ROW_BLOCK, ..., each row N + 1 reals with column 0
+    zero (P[0] is zero).  P is the 2-D prefix sum P[a,b] = sum_{m<a, k<b}
+    W[m,k] of the weighted Gram W[m,k] = G[m,k] Re(conj(c_m) c_k)/4,
+    G = S^T S, c = sqrt(sig) e^{ih}, h = theta/2, formed without S and
+    without the product S^T S.  With t, B and G's entries from
+    ``_gram_rows``, the weight is r_m r_k cos(h_m - h_k)/4, so
 
         W[m,k] = sig_m sig_k t B/4 (m != k),   W[m,m] = sig_m^2 D_m/4.
 
-    Each block of ROW_BLOCK rows of W is written into P's rows, one np.tan
-    per entry (the "cot" kernel), then takes its prefix sums along the
-    rows; the carry P[a] += P[a - 1] goes row by row (a cumsum down axis
-    0 walks columns, which was slower at 2049 atoms), adding in the order
-    a row-by-row pass adds.  The working set is P and one block.
+    Each block of ROW_BLOCK rows of W is written into one buffer, one
+    np.tan per entry (the "cot" kernel), then takes its prefix sums along
+    the rows; the carry P[a] += P[a - 1] goes row by row (a cumsum down
+    axis 0 walks columns, five times slower at 2049 atoms) from the
+    previous block's last row, kept in the buffer's first row, adding in
+    the order a row-by-row pass adds.  The next block overwrites the
+    buffer.
 
     Rounding, to first order in the unit roundoff u.  With _gram_rows'
     kappa_j, dB and M, and delta_j kernel_sum's stated bound on the error
@@ -375,24 +393,21 @@ def _arc_gram(section: CauchySection) -> np.ndarray:
     Algorithms, 2nd ed., section 4.2).  B cancels where atoms m and k are
     close, but what it cancels is of the diagonal's size: D_m >= sig_k
     (1 + t^2) and D_k >= sig_m (1 + t^2), so sig_m sig_k (sig_m + sig_k)
-    t^2/4 <= W[m,m] + W[k,k].  Raises before allocating when the section
-    is over ``DENSE_CAP``.
+    t^2/4 <= W[m,m] + W[k,k].
     """
-    N = section.N
-    if N > DENSE_CAP:
-        raise DenseCapExceeded(f"section size {N} exceeds dense cap {DENSE_CAP}")
-    sig = section.sigma
-    q = 0.25 * sig
-    P = np.zeros((N + 1, N + 1))
-    for m, t, rows, D in _gram_rows(section, P[1:, 1:], lower=False):
-        rows *= t
-        rows *= sig
-        rows *= q[m, None]
-        np.fill_diagonal(rows[:, m], q[m] * sig[m] * D)
-        np.cumsum(rows, axis=1, out=rows)
-        for i in range(m.start + 1, m.stop + 1):
-            np.add(P[i], P[i - 1], out=P[i])
-    return P
+    sig, q = section.sigma, 0.25 * section.sigma
+    buf = np.zeros((min(ROW_BLOCK, section.N) + 1, section.N + 1))
+    for m, t, B, D in _gram_rows(section, lower=False):
+        rows = buf[:len(B) + 1]
+        B *= t
+        B *= sig
+        W = np.multiply(B, q[m, None], out=rows[1:, 1:])
+        np.fill_diagonal(W[:, m], q[m] * sig[m] * D)
+        np.cumsum(W, axis=1, out=W)
+        for i in range(1, len(rows)):
+            np.add(rows[i], rows[i - 1], out=rows[i])
+        yield m.start + 1, rows[1:]
+        buf[0] = rows[-1]
 
 
 def tolsa_scan(section: CauchySection) -> TolsaReport:
@@ -401,60 +416,69 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
     subset, which is all chi_Q can see.
 
     With V = A diag(sqrt(sig)) and the cumulative columns
-    U_b = sum_{m<b} V[:, m] (U_0 = 0), an arc holding atoms a..b-1 has
-    ||C chi_Q|| = ||U_b - U_a||, and one wrapping past the last atom to
-    hold a..N-1 and 0..e-1 has ||C chi_Q|| = ||U_N - U_a + U_e||.  Both
-    expand in the real Gram P[a,b] = Re <U_a, U_b>.  Since A = D (i/2) S D*,
-    A* A = D G D* / 4 with G = S^T S, so with c = sqrt(sig) e^{i theta/2}
+    U_b = sum_{m<b} V[:, m] (U_0 = 0), the arc holding atoms e..b-1 has
+    ||C chi_Q|| = ||U_b - U_e||.  Its complement, the arc that starts at
+    b and wraps past the last atom to hold b..N-1 and 0..e-1, has
+    C chi = C 1 - C chi_Q and so ||U_N - U_b + U_e||.  Both expand in the real Gram P[a,b] =
+    Re <U_a, U_b>.  Since A = D (i/2) S D*, A* A = D G D* / 4 with
+    G = S^T S, so with c = sqrt(sig) e^{i theta/2}
 
         P[a,b] = 1/4 sum_{m<a, m'<b} G[m,m'] Re(conj(c_m) c_m'),
 
-    a 2-D prefix sum of G times a rank-two real matrix, built from two
-    kernel sums without G itself (``_arc_gram``).  Each arc then costs
-    O(1), and the arcs are evaluated in row blocks of starts.
+    a 2-D prefix sum of G times a rank-two real matrix, whose rows come
+    from two kernel sums without G itself (``_arc_rows``).  Both arcs of
+    a pair e < b are read from row b, when it arrives: with d[a] = P[a,a],
+    the first has norm^2 x = d[e] + d[b] - 2 P[b,e], the second, for
+    1 <= e < b < N, x + ||U_N||^2 - 2 P[b,N] + 2 P[e,N], and its mass is
+    sigma(T) less the first's.  d and P[., N] are kept as the rows
+    arrive, and ||U_N||^2 = sum sig |C 1|^2 comes from one
+    ``cauchy_one_all``, so each arc costs O(1) and P is never held.
+
     The witness is the first maximizer in (start, count) order of the
-    ratios read from P, so it maximizes the ratio up to P's rounding
-    bound (``_arc_gram``): each ||C chi_Q||^2 is a sum of at most six
-    entries of P, which cancel.  The reported ratio is therefore not read
-    from P but from one ``apply`` on the witness arc's indicator.  The
-    working set is P, (N + 1)^2 reals, and O(ROW_BLOCK N) more.
+    ratios read from P; rows arrive in order of the arcs' later ends, so
+    ties go to the smallest start (N + 1) + count.  It maximizes the
+    ratio up to P's rounding bound (``_arc_rows``): each ||C chi_Q||^2 is
+    a sum of at most five entries of P and ||U_N||^2, which cancel.  The
+    reported ratio is therefore not read from P but from one ``apply`` on
+    the witness arc's indicator.  The working set is ARC_BLOCKS blocks
+    of ROW_BLOCK x (N + 1) reals, checked against MEMORY_BUDGET before
+    any is allocated; the time is O(N^2).
     """
     N = section.N
     if N < 2:
         raise NotEnoughAtoms("Tolsa scan needs at least 2 atoms")
-    P = _arc_gram(section)
-    # an arc from start a with count c ends at b = a + c; an end b = N + e
-    # stands for U_N + U_e, so d_end[b] = ||U_b||^2 and cross[., b] =
-    # Re <U_a, U_b> hold for both kinds of arc.  Row a of a window view
-    # holds the ends b = a + 1..a + N in place.
-    d = np.diagonal(P)
-    d_end = np.concatenate([d, P[N, N] + d[1:] + 2.0 * P[N, 1:]])
+    need = ARC_BLOCKS * min(ROW_BLOCK, N) * (N + 1) * 8
+    if need > MEMORY_BUDGET:
+        raise ClarkLabError(f"a Tolsa scan of {N} atoms needs {need} bytes > {MEMORY_BUDGET}")
     cm = np.concatenate([[0.0], np.cumsum(section.sigma)])
-    cm_end = np.concatenate([cm, cm[N] + cm[1:]])
-    d_ends = sliding_window_view(d_end[1:], N)
-    cm_ends = sliding_window_view(cm_end[1:], N)
-
-    best = -np.inf
-    wit = (0, N)
-    step = max(1, circle.PAIR_BLOCK // N)
-    W = 2 * N + 1
-    cross = np.empty((min(step, N), W))
-    for a0 in range(0, N, step):
-        h = min(step, N - a0)
-        rows = P[a0:a0 + h]
-        cross[:h, :N + 1] = rows
-        np.add(rows[:, N:], rows[:, 1:], out=cross[:h, N + 1:])
-        # row i's ends a0 + i + 1.. start i (W + 1) + a0 + 1 entries into
-        # the flattened block
-        sheared = sliding_window_view(cross.reshape(-1), N)[a0 + 1::W + 1][:h]
-        norm2 = d[a0:a0 + h, None] + d_ends[a0:a0 + h] - 2.0 * sheared
-        ratio2 = norm2 / (cm_ends[a0:a0 + h] - cm[a0:a0 + h, None])
-        ratio2[int(a0 == 0):, -1] = -np.inf  # the full circle counts once, at start 0
-        i = int(np.argmax(ratio2))
-        if ratio2.flat[i] > best:
-            best = float(ratio2.flat[i])
-            wit = (a0 + i // N, i % N + 1)
-    a, cnt = wit
+    u2 = float(section.sigma @ np.abs(section.cauchy_one_all()) ** 2)
+    d, pN = np.zeros(N + 1), np.zeros(N + 1)
+    # the pairs e >= b of a block's square, which hold no arc
+    upper = ~np.tri(min(ROW_BLOCK, N), k=-1, dtype=bool)
+    best = (-np.inf, 0)  # the ratio^2 and minus the key
+    for b0, rows in _arc_rows(section):
+        sq, c = upper[:len(rows), :len(rows)], b0 + len(rows)
+        d[b0:c], pN[b0:c] = rows[:, b0:c].diagonal(), rows[:, N]
+        # row i holds the pairs e < b = b0 + i; -inf over a mass in
+        # (0, sigma(T)) gives both arcs of a pair e >= b the ratio -inf
+        x = d[b0:c, None] + d[:c] - 2.0 * rows[:, :c]
+        mass = cm[b0:c, None] - cm[:c]
+        np.copyto(x[:, b0:], -np.inf, where=sq)
+        np.copyto(mass[:, b0:], 0.5 * cm[N], where=sq)
+        plain = x / mass
+        x += u2 - 2.0 * pN[b0:c, None]
+        x += 2.0 * pN[:c]
+        # neither e = 0 nor b = N starts an arc that wraps
+        x[:, 0] = x[N - b0:] = -np.inf
+        wrapped = np.divide(x, np.subtract(cm[N], mass, out=mass), out=x)
+        top = max(plain.max(), wrapped.max())
+        if top >= best[0]:
+            # keys start (N + 1) + count: e N + b plain, (b + 1) N + e wrapped
+            i, e = np.nonzero(plain == top)
+            j, f = np.nonzero(wrapped == top)
+            keys = np.concatenate([e * N + b0 + i, (b0 + j + 1) * N + f])
+            best = max(best, (top, -int(keys.min())))
+    a, cnt = divmod(-best[1], N + 1)
     chi = np.zeros(N)
     chi[(a + np.arange(cnt)) % N] = 1.0
     norm2 = float(section.sigma @ np.abs(section.apply(chi)) ** 2)
@@ -467,8 +491,7 @@ def tolsa_scan(section: CauchySection) -> TolsaReport:
         j = (a + cnt - 1) % N
         right = th[j] + 0.5 * ((th[(j + 1) % N] - th[j]) % TWO_PI)
         arc = Arc(left, right, closed_left=True, closed_right=True)
-    return TolsaReport(max_ratio=ratio,
-                       witness_arc=arc, witness_start=a, witness_count=cnt,
+    return TolsaReport(max_ratio=ratio, witness_arc=arc, witness_start=a, witness_count=cnt,
                        n_arcs=N + (N - 1) ** 2)
 
 

@@ -27,8 +27,9 @@ DUPLICATE_TOL = 1e-12
 
 #: Bytes that one working set may hold, checked before it is allocated:
 #: a dense section's two real N x N arrays (cauchy.DENSE_CAP is derived
-#: from it), an inner function's zeros (inner.ZERO_BYTES each) and the
-#: levels of one atom search (clark.LEVEL_BYTES each).
+#: from it), a Tolsa scan's blocks of rows (cauchy.ARC_BLOCKS), an inner
+#: function's zeros (inner.ZERO_BYTES each) and the levels of one atom
+#: search (clark.LEVEL_BYTES each).
 MEMORY_BUDGET = 1 << 30
 
 #: Largest (points x sources) block in one broadcast sum or product: the
@@ -38,8 +39,8 @@ MEMORY_BUDGET = 1 << 30
 #: allocation.  On an x86-64 host with numpy 2.4, locating the
 #: counterexample:1.0:1024 atoms took 3 minor page faults and 0.6 s at
 #: this budget, 261k faults and 1.2 s at 1.5 times it.  Its readers are
-#: ``inner._phase``, ``inner._blockwise`` and ``cauchy.tolsa_scan``;
-#: kernel_sum and disk_sum work in one buffer allocated per call instead
+#: ``inner._phase`` and ``inner._blockwise``; kernel_sum, disk_sum and
+#: the Cauchy sections work in buffers allocated once per call instead
 #: (ROW_BLOCK, DISK_BLOCK).
 PAIR_BLOCK = 1 << 13
 
@@ -54,7 +55,9 @@ DISK_BLOCK = 1 << 16
 #: Rows per block in kernel_sum's upper-triangle pass and in
 #: ``cauchy._gram_rows``, which writes the Gram of a Cauchy section: the
 #: norm's lower triangle (``cauchy._gram``) and the Tolsa scan's weighted
-#: full rows with their prefix sums (``cauchy._arc_gram``).
+#: full rows with their prefix sums, streamed a block at a time
+#: (``cauchy._arc_rows``); ``CauchySection.matrix`` scales its rows in
+#: blocks of as many.
 ROW_BLOCK = 32
 
 

@@ -98,9 +98,8 @@ def test_matrix_beyond_dense_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("consumer", [
     lambda m: cl.operator_norm(m, [m.n_atoms]),
-    lambda m: cl.tolsa_scan(cl.CauchySection(m)),
     lambda m: cl.CauchySection(m).matrix(),
-], ids=["operator_norm", "tolsa_scan", "matrix"])
+], ids=["operator_norm", "matrix"])
 def test_dense_cap_raises_before_building(consumer, monkeypatch):
     # one dense N x N array of 1001 atoms is 8 MB; the refusal allocates
     # none of it
@@ -140,7 +139,7 @@ def _full_square_skew(sec):
 
 
 def _weighted_gram_rows(sec):
-    """The weighted Gram W of cauchy._arc_gram, row by row, in its order of
+    """The weighted Gram W of cauchy._arc_rows, row by row, in its order of
     operations: sig_m sig_k t B/4 off the diagonal, t = cot(h_m - h_k) and
     B = K_k - K_m + (sig_m + sig_k) t, and sig_m^2 D_m/4 on it."""
     N, half, sig = sec.N, sec.half, sec.sigma
@@ -166,6 +165,14 @@ def _row_by_row_arc_gram(sec):
     return P
 
 
+def _streamed_arc_gram(sec):
+    """P rebuilt from the blocks of rows that cauchy._arc_rows streams."""
+    P = np.zeros((sec.N + 1, sec.N + 1))
+    for first, rows in cauchy._arc_rows(sec):
+        P[first:first + len(rows)] = rows
+    return P
+
+
 @pytest.mark.parametrize("measure", [
     lambda: cl.exp_clark_data(40).measure, lambda: perturbed_measure(),
     lambda: counterexample_measure(),
@@ -173,7 +180,7 @@ def _row_by_row_arc_gram(sec):
 @pytest.mark.parametrize("rows", [1, 7, cauchy.ROW_BLOCK])
 def test_blocked_dense_builds_match_the_full_square(measure, rows, monkeypatch):
     # the norm's Gram goes by blocks of rows up to each block's diagonal;
-    # the Tolsa Gram and its prefix sums go by blocks of full rows.  Both
+    # the Tolsa Gram and its prefix sums stream by blocks of full rows.  Both
     # are the same bit for bit at every block size, and the Tolsa Gram
     # equals the row-by-row pass, so neither the norm nor the scan's
     # ratios and witnesses depend on the block size
@@ -182,7 +189,7 @@ def test_blocked_dense_builds_match_the_full_square(measure, rows, monkeypatch):
     want, want_G = cl.tolsa_scan(sec), cauchy._gram(sec)
     monkeypatch.setattr(cauchy, "ROW_BLOCK", rows)
     assert np.array_equal(cauchy._gram(sec), want_G)
-    assert np.array_equal(cauchy._arc_gram(sec), _row_by_row_arc_gram(sec))
+    assert np.array_equal(_streamed_arc_gram(sec), _row_by_row_arc_gram(sec))
     got = cl.tolsa_scan(sec)
     assert (got.max_ratio, got.witness_start, got.witness_count) == (
         want.max_ratio, want.witness_start, want.witness_count)
@@ -204,8 +211,8 @@ def _prefix2(X):
 
 def _check_gram_identity(sec):
     # the norm's Gram (cauchy._gram, the lower triangle of r_m r_k
-    # csc(h_m - h_k) B) and the weighted Gram W of _arc_gram against S^T S
-    # from the full-square sin form, then _arc_gram's P against the prefix
+    # csc(h_m - h_k) B) and the weighted Gram W of _arc_rows against S^T S
+    # from the full-square sin form, then _arc_rows' P against the prefix
     # sums of the weighted S^T S.  Each side may err by its bound: the
     # stated bounds on W and P; for G, _gram's stated bound with 4 u M in
     # place of its 7 u M, tighter, and it holds; and for S^T S
@@ -249,7 +256,7 @@ def _check_gram_identity(sec):
     W_ref = G * weight
     assert np.all(np.abs(W - W_ref) <= bound_W + err_ref)
 
-    P = cauchy._arc_gram(sec)
+    P = _streamed_arc_gram(sec)
     assert np.array_equal(P, _row_by_row_arc_gram(sec))
     tol_P = _prefix2(bound_W + err_ref) + _gamma(2 * N + 2) * _prefix2(np.abs(W) + np.abs(W_ref))
     assert np.all(np.abs(P - _prefix2(W_ref)) <= tol_P)
@@ -509,8 +516,8 @@ def test_tolsa_matches_brute_force(name, monkeypatch):
     # the witness is the first arc that attains the maximum, up to ties
     first = arcs[int(np.argmax(ratios >= top * (1 - 1e-12)))]
     assert (rep.witness_start, rep.witness_count) == first
-    # one start per block gives the same report as one block for all starts
-    monkeypatch.setattr(circle, "PAIR_BLOCK", 1)
+    # one row per block gives the same report as one block for all rows
+    monkeypatch.setattr(cauchy, "ROW_BLOCK", 1)
     one_row = cl.tolsa_scan(cl.CauchySection(sec.measure))
     assert (one_row.max_ratio, one_row.witness_start, one_row.witness_count) == (
         rep.max_ratio, rep.witness_start, rep.witness_count)
@@ -555,19 +562,44 @@ def test_tolsa_and_norm_rotation_invariant(m, delta):
     assert abs(n1 - n0) <= 1e-10 * n0
 
 
-def test_tolsa_working_set():
-    # P, (N + 1)^2 reals, is 8.0 N^2 bytes; one block of ROW_BLOCK rows and
-    # the scan's blocks of PAIR_BLOCK pairs add 0.7 N^2 at 1001 atoms
-    # (8.7 N^2 measured; at 401 atoms those fixed-size blocks make it
-    # 11.0 N^2).  The dense section and its Gram it replaced peaked at 16 N^2
-    sec = exp_section(500)
+def _tolsa_peak(sec):
     tracemalloc.start()
     try:
-        cl.tolsa_scan(sec)
+        rep = cl.tolsa_scan(sec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * sec.N ** 2
+    return rep, peak
+
+
+def _tolsa_working_set(N):
+    """The scan's stated working set in bytes: ARC_BLOCKS blocks of
+    ROW_BLOCK x (N + 1) reals."""
+    return cauchy.ARC_BLOCKS * min(cauchy.ROW_BLOCK, N) * (N + 1) * 8
+
+
+def test_tolsa_working_set():
+    # no (N + 1)^2 array: the stated ARC_BLOCKS blocks of ROW_BLOCK rows
+    # (9.1 blocks measured at 1001 atoms, 2.2 MiB); holding all of P, the
+    # scan peaked at 8.3 MiB, 34 blocks
+    sec = exp_section(500)
+    _, peak = _tolsa_peak(sec)
+    assert peak <= _tolsa_working_set(sec.N)
+
+
+def test_matrix_working_set():
+    # A, N^2 complex entries, is 16 N^2 bytes: the cot is taken in place in
+    # its imaginary part and the weights multiplied in by row blocks
+    # (16.4 N^2 measured at 1001 atoms; the cot and weights as whole
+    # temporaries took 32.1 N^2)
+    sec = exp_section(500)
+    tracemalloc.start()
+    try:
+        sec.matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * sec.N ** 2
 
 
 def test_dense_norm_working_set():
@@ -610,14 +642,23 @@ def test_tolsa_ratio_against_long_double():
 
 
 def test_tolsa_beyond_memory_budget_raises(monkeypatch):
-    # the scan refuses the sections the norm refuses, those over
-    # DENSE_CAP: 21 atoms fit under a cap of 21, not under 20
+    # the scan refuses by its stated working set, before it allocates any
+    # block, and DENSE_CAP no longer limits it: 1001 atoms scan under a
+    # cap of 20 and a budget of exactly their working set
+    sec = exp_section(500)
+    need = _tolsa_working_set(sec.N)
     monkeypatch.setattr(cauchy, "DENSE_CAP", 20)
-    sec = cl.CauchySection(cl.exp_clark_data(10).measure)
-    with pytest.raises(DenseCapExceeded, match="section size 21 exceeds dense cap 20"):
-        cl.tolsa_scan(sec)
-    monkeypatch.setattr(cauchy, "DENSE_CAP", 21)
-    assert cl.tolsa_scan(sec).n_arcs == 21 + 20 ** 2
+    monkeypatch.setattr(cauchy, "MEMORY_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClarkLabError, match=f"1001 atoms needs {need} bytes > {need - 1}"):
+            cl.tolsa_scan(sec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sec.N
+    monkeypatch.setattr(cauchy, "MEMORY_BUDGET", need)
+    assert cl.tolsa_scan(sec).n_arcs == 1001 + 1000 ** 2
 
 
 def test_tolsa_below_operator_norm():
@@ -722,3 +763,17 @@ def test_operator_norm_full_ladder_plateau():
     est = cl.operator_norm(measure, [2**k for k in range(5, 13)])
     assert all(b >= a - 1e-9 for a, b in zip(est.values, est.values[1:]))
     assert est.last_doubling_growth < 0.05
+
+
+@pytest.mark.slow
+def test_tolsa_scan_past_the_dense_cap():
+    # 16 385 exp atoms, twice DENSE_CAP: every arc, in the stated working
+    # set (8.2 blocks measured, 33 MiB; max RSS 74 MB), about 7 s.  Every
+    # exp section is a conjugate of H_N/(2 pi), whose norm Hilbert's
+    # inequality puts below 1/2, and no arc ratio exceeds the norm
+    sec = exp_section(8192)
+    assert sec.N == 16385 > cauchy.DENSE_CAP
+    rep, peak = _tolsa_peak(sec)
+    assert rep.n_arcs == sec.N + (sec.N - 1) ** 2
+    assert 0 < rep.max_ratio < 0.5
+    assert peak <= _tolsa_working_set(sec.N)

@@ -83,6 +83,7 @@ COMMANDS = [
     "tolsa --family counterexample:1.0:512",
     "tolsa --family monomial:256",
     "norm --family counterexample:1.0:1024 --sizes 256,512,1000",
+    "tolsa --family exp --truncation 4096",
     # documents of the wrong shape
     "bessonov --measure list.json",
     "bessonov --measure number.json",
