@@ -10,16 +10,15 @@ perturbation.
 
 __version__ = "0.1.0"
 
-from .circle import Arc, AtomicMeasure, measure_of_arc
+from .circle import Arc, AtomicMeasure
 from .inner import (FiniteBlaschke, InnerFunction, Product, PythagoreanPair,
                     SingularAtomic, angular_derivative, boundary_phase,
                     evaluate, monomial, pythagorean_pair, spectrum)
-from .clark import (ClarkData, clark_data, comparability_check, find_atoms,
-                    partition_regularity, phase_partition)
+from .clark import (ClarkData, clark_data, find_atoms, partition_regularity,
+                    phase_partition)
 from .potentials import (AtomPotentialSup, KernelNorms, PotentialReport,
-                         atom_potential_sup, clark_identity_residual,
-                         dirichlet_quadrature, kernel_norms,
-                         mass_ratio_check, poisson, potential, radial_limit_check,
+                         atom_potential_sup, dirichlet_quadrature, kernel_norms,
+                         mass_ratio_check, potential, radial_limit_check,
                          sup_inf_scan)
 from .cauchy import (CauchySection, OperatorNormEstimate, TolsaReport,
                      hilbert_route, nested_sections, operator_norm,

@@ -200,11 +200,6 @@ class AtomicMeasure:
         return np.exp(1j * self.thetas)
 
 
-def measure_of_arc(m: AtomicMeasure, arc: Arc) -> float:
-    """Mass that the measure puts on the arc."""
-    return float(m.masses[arc.mask(m.thetas)].sum())
-
-
 def gaps_holding(m: AtomicMeasure, angles) -> np.ndarray:
     """Whether the open arc of each gap, from atom i to the next atom,
     holds one of the angles (an array-like)."""

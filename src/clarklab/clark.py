@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (MEMORY_BUDGET, Arc, AtomicMeasure, TWO_PI, arc_mask, canonical_angles,
-                     measure_of_arc, neighbor_constants)
-from .errors import ClarkLabError, EmptyArc, PhaseMonotonicityViolation, SpectrumPoint
+                     neighbor_constants)
+from .errors import ClarkLabError, PhaseMonotonicityViolation, SpectrumPoint
 from .inner import (EPS_SPECTRUM, InnerFunction, _angular_derivatives, _phase,
                     angular_derivative, spectrum)
 
-DEFAULT_TOL = 1e-12
+#: Atom location tolerance: the width of each level's final bracket
+#: (radians).
+DEFAULT_TOL = 1e-13
 
 #: Atoms closer than this multiple of tol to a scan end are flagged
 #: edge-uncertain.
@@ -190,14 +192,13 @@ def _assemble(alpha, thetas, derivs, flags, excluded, labels=None) -> ClarkData:
                      flags[order], None if labels is None else labels[order])
 
 
-def phase_partition(u: InnerFunction, n_levels: int, scan: Arc,
-                    tol: float = DEFAULT_TOL) -> list[Arc]:
+def phase_partition(u: InnerFunction, n_levels: int, scan: Arc) -> list[Arc]:
     """Partition of the scan into arcs [t_k, t_{k+1}) whose endpoints carry
-    phase values on the lattice (2 pi / N) Z; each cell's phase increment
-    is exactly 2 pi / N."""
+    phase values on the lattice (2 pi / N) Z, located to DEFAULT_TOL; each
+    cell's phase increment is exactly 2 pi / N."""
     if n_levels < 2:
         raise ValueError("need at least 2 phase levels")
-    _, _, roots = _level_roots(u, scan, tol, 0.0, TWO_PI / n_levels)
+    _, _, roots = _level_roots(u, scan, DEFAULT_TOL, 0.0, TWO_PI / n_levels)
     return [Arc(roots[i], roots[i + 1], closed_left=True, closed_right=False)
             for i in range(len(roots) - 1)]
 
@@ -207,6 +208,9 @@ def phase_partition(u: InnerFunction, n_levels: int, scan: Arc,
 # large; see the ``hypothesis_note`` on the report).
 C1_DERIVATIVE_RATIO = 100.0 / 81.0
 C2_LENGTH_PRODUCT = TWO_PI * C1_DERIVATIVE_RATIO
+
+#: Points at which partition_regularity samples |u'| on each phase cell.
+CELL_SAMPLES = 33
 
 
 @dataclass
@@ -223,13 +227,13 @@ class PartitionRegularityReport:
         "reported per N without asserting that hypothesis")
 
 
-def partition_regularity(u: InnerFunction, n_levels: int, scan: Arc,
-                         samples_per_cell: int = 33) -> PartitionRegularityReport:
-    """Empirical check that |u'| is nearly constant on each phase cell and
-    that cell lengths scale like 1/(N |u'|)."""
+def partition_regularity(u: InnerFunction, n_levels: int, scan: Arc) -> PartitionRegularityReport:
+    """Empirical check that |u'| is nearly constant on each phase cell,
+    sampled at CELL_SAMPLES points, and that cell lengths scale like
+    1/(N |u'|)."""
     cells = phase_partition(u, n_levels, scan)
-    ts = np.reshape([np.linspace(c.start, c.start + c.length, samples_per_cell)
-                     for c in cells], (-1, samples_per_cell))
+    ts = np.reshape([np.linspace(c.start, c.start + c.length, CELL_SAMPLES)
+                     for c in cells], (-1, CELL_SAMPLES))
     d = _angular_derivatives(u, ts)
     prod = np.array([c.length for c in cells]) * n_levels * d[:, 0]
     max_ratio = float(np.max(d.max(axis=1) / d.min(axis=1), initial=1.0))
@@ -244,40 +248,3 @@ def partition_regularity(u: InnerFunction, n_levels: int, scan: Arc,
         max_length_product=float(max_prod),
         max_length_product_reciprocal=float(max_recip),
         passed=bool(passed))
-
-
-@dataclass
-class ComparabilityReport:
-    """Ratios sigma(Q)/sigma_alpha(Q) over an arc family, and
-    sigma(Q)/|Q| over the arcs holding at least two sigma-atoms."""
-
-    ratio_min: float
-    ratio_max: float
-    lebesgue_ratio_min: float | None
-    lebesgue_ratio_max: float | None
-    n_arcs: int
-    n_lebesgue_arcs: int
-
-
-def comparability_check(data: ClarkData, data_alpha: ClarkData,
-                        arcs) -> ComparabilityReport:
-    """Compare the masses two Clark measures give to each arc, and compare
-    the base measure to arc length where at least two atoms are present."""
-    ratios = []
-    leb = []
-    for q in arcs:
-        s0 = measure_of_arc(data.measure, q)
-        s1 = measure_of_arc(data_alpha.measure, q)
-        if s0 == 0.0 or s1 == 0.0:
-            raise EmptyArc("arc carries no atom of one of the measures")
-        ratios.append(s0 / s1)
-        if int(q.mask(data.measure.thetas).sum()) >= 2:
-            leb.append(s0 / q.length)
-    ratios = np.asarray(ratios)
-    return ComparabilityReport(
-        ratio_min=float(ratios.min()),
-        ratio_max=float(ratios.max()),
-        lebesgue_ratio_min=float(min(leb)) if leb else None,
-        lebesgue_ratio_max=float(max(leb)) if leb else None,
-        n_arcs=len(ratios),
-        n_lebesgue_arcs=len(leb))

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .cauchy import CauchySection, operator_norm, tolsa_scan
 from .circle import AtomicMeasure
+from .clark import DEFAULT_TOL
 from .errors import ClarkLabError, ConstraintViolation
 from .families import (ExpSingular, Monomial, clark_data_for, divergence_ladder,
                        exp_clark_data, exp_tail_mass_bound, exp_tail_potential_bound,
@@ -219,7 +220,7 @@ def _example_monomial(args, fam) -> int:
 
 
 def _example_counterexample(args, fam) -> int:
-    Ks = [max(fam.K // 8, 2), max(fam.K // 4, 2), max(fam.K // 2, 2), fam.K]
+    Ks = sorted({max(fam.K // d, 1) for d in (8, 4, 2, 1)})
     records = divergence_ladder(fam, Ks)
     payload = {"ladder": records,
                "note": ("values reported descriptively; a K-zero truncation "
@@ -231,15 +232,17 @@ def _example_counterexample(args, fam) -> int:
 
 def cmd_report(args) -> int:
     """Flatten a report's body to CSV.  The body is a norm ladder
-    {"sizes": [...], "values": [...]}; a non-empty list of records, bare
-    or as {"ladder": [...]}; or any other object, whose numeric entries
-    become key/value rows."""
+    {"sizes": [...], "values": [...]} of one length; a non-empty list of
+    records, bare or as {"ladder": [...]}; or any other object, whose
+    numeric entries become key/value rows."""
     doc = load_json(args.json)
     body = doc.get("outputs", doc) if isinstance(doc, dict) else doc
     records = body.get("ladder") if isinstance(body, dict) else body
     if isinstance(body, dict) and "sizes" in body and "values" in body:
-        if not (type(body["sizes"]) is list and type(body["values"]) is list):
-            raise ValueError("cannot flatten the norm ladder: sizes and values must be arrays")
+        if not (type(body["sizes"]) is list and type(body["values"]) is list
+                and len(body["sizes"]) == len(body["values"])):
+            raise ValueError("cannot flatten the norm ladder: sizes and values must be "
+                             "arrays of one length")
         header = ["size", "value"]
         rows = list(zip(body["sizes"], body["values"]))
     elif isinstance(records, list) and records and all(isinstance(r, dict) for r in records):
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--truncation", type=_count, default=100,
                         help="family truncation level")
-        sp.add_argument("--tol", type=float, default=1e-13,
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="atom location tolerance: the width of each atom's final "
                              "bracket (radians)")
         sp.add_argument("--out", help="write the JSON report here")

@@ -34,10 +34,6 @@ class PhaseMonotonicityViolation(ClarkLabError):
     or the sampling step is too coarse."""
 
 
-class EmptyArc(ClarkLabError):
-    """An arc in a comparability family carries no atom of a measure."""
-
-
 class SupportMismatch(ClarkLabError):
     """Two measures that must share atoms do not."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import Arc, AtomicMeasure, TWO_PI
-from .clark import ClarkData, _assemble, _check_level_count, _solve_levels, clark_data
+from .clark import DEFAULT_TOL, ClarkData, _assemble, _check_level_count, _solve_levels, clark_data
 from .errors import ClarkLabError, NotEnoughAtoms
 from .inner import FiniteBlaschke, InnerFunction, SingularAtomic, _check_zero_count, monomial
 from .potentials import atom_potential_sup
@@ -377,7 +377,7 @@ def clark_scan_arc(fam: FamilySpec) -> Arc:
 
 
 def clark_data_for(fam: FamilySpec, alpha: float = 0.0, truncation: int = 100,
-                   tol: float = 1e-13) -> ClarkData:
+                   tol: float = DEFAULT_TOL) -> ClarkData:
     """Clark data for a family member.
 
     For the exponential example ``truncation`` selects |n| <= truncation

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import circle
-from .circle import MEMORY_BUDGET, TWO_PI, canonical_angles, chord_angles, finite_angle
+from .circle import MEMORY_BUDGET, canonical_angles, chord_angles, finite_angle
 from .errors import ClarkLabError, DegenerateSymbol, SpectrumPoint
 
 #: Chordal radius around the spectrum inside which boundary operations
@@ -315,20 +315,15 @@ def _check_off_spectrum(u, theta):
                             f"at theta={spec[near.any(axis=0)][0]}")
 
 
-def boundary_phase(u: InnerFunction, theta, anchor: float | None = None):
+def boundary_phase(u: InnerFunction, theta):
     """Continuous increasing branch of arg u(e^{i theta}).
 
     The returned lift satisfies exp(i phase) = u(e^{i theta}) and is
     continuous in theta on every arc free of spectrum; its derivative is
-    |u'(e^{i theta})|.  ``anchor`` shifts the branch by a multiple of
-    2*pi so that the value at the first evaluation point lands within pi
-    of the anchor.
+    |u'(e^{i theta})|.
     """
     _check_off_spectrum(u, theta)
     ph = _phase_lift(u, theta)
-    if anchor is not None:
-        ref = ph if np.ndim(ph) == 0 else np.atleast_1d(ph)[0]
-        ph = ph + TWO_PI * np.round((anchor - ref) / TWO_PI)
     return float(ph) if np.ndim(theta) == 0 else ph
 
 

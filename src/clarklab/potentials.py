@@ -1,5 +1,5 @@
 """Quadratic boundary potentials V_mu(z) = sum_n mu_n / |z - zeta_n|^2,
-Poisson integrals, the potential conditions on |1-u|^2 V_mu, Cauchy-Szego
+the potential conditions on |1-u|^2 V_mu, Cauchy-Szego
 kernel norms, and a quadrature oracle for the weighted Dirichlet integral.
 
 The disk scan works with G(z) = |1 - u(z)|^2 V_mu(z), which extends
@@ -14,8 +14,7 @@ at most (25 sqrt(r)/|z - zeta| + 9) u of itself, u the unit roundoff, and
 the sum over N atoms by gamma_N more.  Callers pass the polar coordinates
 they build (scan rings r = 1 - 2^-j, r = 1 at the scan's circle points,
 atoms and spectrum points, the quadrature grid), which keep 1 - r exact;
-only ``potential``, and the Poisson integral through it, converts a
-complex z.
+only ``potential`` converts a complex z.
 """
 from __future__ import annotations
 
@@ -59,26 +58,6 @@ def potential_grid(m: AtomicMeasure, r, phi) -> np.ndarray:
                           np.hypot(gap, s * np.sin(0.5 * (phi[i] - m.thetas[j - 1]))))
         out[i[near < ATOM_HIT_TOL]] = np.inf
     return out
-
-
-def poisson(m: AtomicMeasure, z) -> float:
-    """P_m(z) = (1 - |z|^2) V_m(z) for z in the open disk."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("Poisson integral needs |z| < 1")
-    return (1.0 - abs(z) ** 2) * potential(m, z)
-
-
-def clark_identity_residual(u: InnerFunction, alpha: float, m: AtomicMeasure, z) -> float:
-    """| (1-|u(z)|^2)/|e^{2 pi i alpha} - u(z)|^2  -  P_m(z) |.
-
-    Near zero exactly when m is (a good truncation of) the Clark measure
-    of u at parameter alpha.  z must lie in the open disk (else
-    ValueError, from poisson).
-    """
-    p = poisson(m, z)
-    uz = evaluate(u, z)
-    return abs((1.0 - abs(uz) ** 2) / abs(np.exp(2j * np.pi * alpha) - uz) ** 2 - p)
 
 
 @dataclass

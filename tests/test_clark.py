@@ -4,8 +4,9 @@ import pytest
 import clarklab as cl
 from clarklab import clark, inner
 from clarklab.clark import C1_DERIVATIVE_RATIO
-from clarklab.errors import EmptyArc, SpectrumPoint
+from clarklab.errors import SpectrumPoint
 from clarklab.families import clark_scan_arc, exp_lattice, parse_family
+from oracles import EmptyArc, comparability_check
 
 TWO_PI = 2 * np.pi
 
@@ -132,9 +133,7 @@ def test_partition_regularity_monomials():
 
 
 def test_partition_regularity_exp(exp_u):
-    rep = cl.partition_regularity(
-        exp_u, 64, cl.Arc(0.05, TWO_PI - 0.05, True, True),
-        samples_per_cell=9)
+    rep = cl.partition_regularity(exp_u, 64, cl.Arc(0.05, TWO_PI - 0.05, True, True))
     assert rep.max_derivative_ratio <= C1_DERIVATIVE_RATIO
     assert rep.passed
     assert "hypothesis" in rep.hypothesis_note
@@ -144,13 +143,13 @@ def test_comparability_z2():
     d0 = cl.clark_data(cl.monomial(2), 0.0, cl.Arc.full_circle())
     dh = cl.clark_data(cl.monomial(2), 0.5, cl.Arc.full_circle())
     q = cl.Arc(-np.pi / 4, 3 * np.pi / 4, True, False)
-    rep = cl.comparability_check(d0, dh, [q])
+    rep = comparability_check(d0, dh, [q])
     assert rep.ratio_min == pytest.approx(1.0)
     assert rep.ratio_max == pytest.approx(1.0)
-    rep_full = cl.comparability_check(d0, dh, [cl.Arc.full_circle()])
+    rep_full = comparability_check(d0, dh, [cl.Arc.full_circle()])
     assert rep_full.ratio_max == pytest.approx(1.0)
     with pytest.raises(EmptyArc):
-        cl.comparability_check(d0, dh, [cl.Arc(0.1, 0.2)])
+        comparability_check(d0, dh, [cl.Arc(0.1, 0.2)])
 
 
 def test_comparability_exp_dyadic(exp_u):
@@ -159,7 +158,7 @@ def test_comparability_exp_dyadic(exp_u):
     dh = cl.clark_data(exp_u, 0.5, scan)
     arcs = [cl.Arc(np.pi - w, np.pi + w, True, True)
             for w in (2.55, 2.85, 3.0)]
-    rep = cl.comparability_check(d0, dh, arcs)
+    rep = comparability_check(d0, dh, arcs)
     assert 0 < rep.ratio_min <= rep.ratio_max < np.inf
     assert rep.n_lebesgue_arcs >= 1
     assert rep.lebesgue_ratio_max < np.inf
@@ -215,7 +214,7 @@ def test_solver_matches_bisection_oracle(family, alpha, scan):
     # the partition's levels are pi Z; at alpha = 0 the atoms' levels are
     # its even members, so one oracle run serves both
     k, oracle = bisection_oracle(u, scan, 0.0, np.pi)
-    cells = cl.phase_partition(u, 2, scan, tol=1e-13)
+    cells = cl.phase_partition(u, 2, scan)
     ends = [c.start for c in cells] + [cells[-1].start + cells[-1].length]
     assert len(ends) == oracle.size
     assert np.max(angle_gap(ends, oracle)) <= 1e-12
@@ -223,7 +222,7 @@ def test_solver_matches_bisection_oracle(family, alpha, scan):
         oracle = oracle[k % 2 == 0]
     else:
         oracle = bisection_oracle(u, scan, TWO_PI * alpha, TWO_PI)[1]
-    atoms, _ = cl.find_atoms(u, alpha, scan, tol=1e-13)
+    atoms, _ = cl.find_atoms(u, alpha, scan)
     assert len(atoms) == oracle.size > 0
     assert np.max(angle_gap(atoms, oracle)) <= 1e-12
 
@@ -285,5 +284,3 @@ def test_locators_reject_bad_tol(tol):
     u = cl.monomial(4)
     with pytest.raises(ValueError, match="finite and positive"):
         cl.find_atoms(u, 0.0, cl.Arc.full_circle(), tol=tol)
-    with pytest.raises(ValueError, match="finite and positive"):
-        cl.phase_partition(u, 8, cl.Arc.full_circle(), tol=tol)

@@ -293,17 +293,20 @@ PLAN_DOCUMENTS = {"list.json": [1, 2], "alpha-only.json": {"alpha": [0.01] * 4},
     *(["bessonov", "--measure", name] for name in MEASURE_DOCUMENTS),
     *(["perturb", "--family", "monomial:4", "--plan", name] for name in PLAN_DOCUMENTS),
     ["report", "--json", "values-number.json", "--csv", "ladder.csv"],
+    ["report", "--json", "values-short.json", "--csv", "ladder.csv"],
 ], ids=["monomial-no-k", "counterexample-no-k", "exp-with-arg", "counterexample-bad-suffix",
         "monomial-bad-k", "bessonov-no-source", "bessonov-two-sources",
         "bessonov-family-accumulation", "seed-off-perturb",
         "report-empty-ladder", "atoms-negative-truncation",
         "potential-negative-truncation", "example-negative-truncation",
         *(f"measure-{name[:-5]}" for name in MEASURE_DOCUMENTS),
-        *(f"plan-{name[:-5]}" for name in PLAN_DOCUMENTS), "report-values-number"])
+        *(f"plan-{name[:-5]}" for name in PLAN_DOCUMENTS), "report-values-number",
+        "report-values-short"])
 def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ladder.json").write_text('{"outputs": {"ladder": []}}')
     (tmp_path / "values-number.json").write_text('{"outputs": {"sizes": [1, 2], "values": 3}}')
+    (tmp_path / "values-short.json").write_text('{"outputs": {"sizes": [32, 64], "values": [0.5]}}')
     for name, doc in {**MEASURE_DOCUMENTS, **PLAN_DOCUMENTS}.items():
         (tmp_path / name).write_text(json.dumps(doc))
     assert main(argv) == 2
@@ -311,6 +314,14 @@ def test_cli_input_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypat
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("K, rungs", [(1, [1]), (8, [1, 2, 4, 8]), (256, [32, 64, 128, 256])])
+def test_cli_example_counterexample_rungs_increase_to_K(K, rungs, tmp_path):
+    # K/8, K/4, K/2 and K, at least 1, each once
+    out = tmp_path / "ladder.json"
+    assert main(["example", f"counterexample:1.0:{K}", "--out", str(out)]) == 0
+    assert [r["K"] for r in json.loads(out.read_text())["outputs"]["ladder"]] == rungs
 
 
 def test_cli_alpha_counts_mod_1_and_must_be_finite(tmp_path, capsys):

@@ -1,42 +1,52 @@
-"""Every function and method defined in src/clarklab is read by name
-somewhere in src, tests, demos or perfbench.
+"""Every function, method and class defined in src/clarklab is read by
+name somewhere in the programs: src, demos or the perfbench modules.
 
-Like test_unused_imports.py this parses each file with ``ast``.  A read
-of a method is an attribute access, and a read of a function is a loaded
-name or an attribute access; a function's reads of its own name inside
-its own body do not count.  The dotted attributes in
-perfbench/spans.py ``TARGETS`` count as reads of each of their parts.
-Dunder methods are called by the language, and a method that overrides
-one of a base class is called through the base's interface, so neither
-needs a read.
+A read from a test does not count, nor does one from perfbench's own
+``test_*.py`` files: a definition that only tests reach belongs with
+the tests (tests/oracles.py).  Like test_unused_imports.py this parses
+each file with ``ast``.  A read of a method is an attribute access, and
+a read of a function or class is a loaded name or an attribute access;
+a definition's reads of its own name inside its own body do not count.
+The dotted attributes in perfbench/spans.py ``TARGETS`` count as reads
+of each of their parts.  Dunder methods are called by the language, and
+a method that overrides one of a base class is called through the
+base's interface, so neither needs a read.
 """
 import ast
 import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "clarklab"
-READERS = sorted(p for d in (PACKAGE, ROOT / "tests", ROOT / "demos", ROOT / "perfbench")
-                 for p in d.glob("*.py"))
+
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def readers(root: Path) -> list[Path]:
+    """The program files under root whose reads count: src/clarklab,
+    demos, and perfbench apart from its test_*.py files."""
+    return sorted([*(root / "src" / "clarklab").glob("*.py"), *(root / "demos").glob("*.py"),
+                   *(p for p in (root / "perfbench").glob("*.py")
+                     if not p.name.startswith("test_"))])
 
 
 def definitions(source: str) -> list[tuple[str | None, str]]:
-    """(enclosing class or None, name) of each function defined in source."""
+    """(enclosing class or None, name) of each function and class defined
+    in source."""
     found = []
     for node in ast.walk(ast.parse(source)):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef):
+            if isinstance(child, DEFS):
                 found.append((node.name if isinstance(node, ast.ClassDef) else None, child.name))
     return found
 
 
 def reads(source: str) -> tuple[set[str], set[str]]:
     """Names that source loads, and attributes that it reads, other than a
-    function's own name in its body."""
+    definition's own name in its body."""
     names, attrs = set(), set()
 
     def visit(node, own):
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, DEFS):
             own = own | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
             names.add(node.id)
@@ -65,23 +75,47 @@ def overrides(module: str, cls: str, name: str) -> bool:
     return any(name in vars(base) for base in klass.__mro__[1:])
 
 
-def test_reference_flags_unread_definitions():
+def unread(root: Path) -> list[str]:
+    """module.[class.]name of each definition in root/src/clarklab that no
+    reader under root reads."""
+    # a method is read as an attribute; a function or class by name or as
+    # a module attribute
+    names, attrs = map(set().union, *(reads(p.read_text()) for p in readers(root)))
+    spans = root / "perfbench" / "spans.py"
+    if spans.exists():
+        attrs |= target_reads(spans.read_text())
+    return [f"{path.stem}.{cls + '.' if cls else ''}{name}"
+            for path in sorted((root / "src" / "clarklab").glob("*.py"))
+            for cls, name in definitions(path.read_text())
+            if name not in (attrs if cls else names | attrs)
+            and not (name.startswith("__") and name.endswith("__"))
+            and not (cls and overrides(path.stem, cls, name))]
+
+
+def test_reference_flags_unread_definitions(tmp_path):
     source = ("def f():\n    return f()\n"
-              "class C:\n    def m(self):\n        return self.n\n    def n(self):\n        pass\n")
-    assert definitions(source) == [(None, "f"), ("C", "m"), ("C", "n")]
+              "class C:\n    def m(self):\n        return self.n\n    def n(self):\n        pass\n"
+              "class D:\n    x = D\n")
+    assert definitions(source) == [(None, "f"), (None, "C"), (None, "D"),
+                                   ("C", "m"), ("C", "n")]
     assert reads(source) == ({"self"}, {"n"})
     assert target_reads('TARGETS = {"x": ("circle", "AtomicMeasure.__init__", None)}') == {
         "x", "circle", "AtomicMeasure", "__init__"}
+    # reads from tests, perfbench's included, do not count
+    files = {"src/clarklab/mod.py": ("def used():\n    pass\ndef tested():\n    pass\n"
+                                     "class Unread:\n    pass\nclass Benched:\n    pass\n"
+                                     "class Used:\n    pass\n"),
+             "demos/demo.py": "import mod\nmod.used()\nUsed()\n",
+             "perfbench/run.py": "Benched()\n",
+             "perfbench/test_run.py": "Unread()\ntested()\n",
+             "tests/test_mod.py": "from mod import tested, Unread\ntested()\nUnread()\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert [p.relative_to(tmp_path).as_posix() for p in readers(tmp_path)] == [
+        "demos/demo.py", "perfbench/run.py", "src/clarklab/mod.py"]
+    assert unread(tmp_path) == ["mod.tested", "mod.Unread"]
 
 
 def test_every_definition_is_read():
-    # a method is read as an attribute; a function by name or as a module attribute
-    names, attrs = map(set().union, *(reads(p.read_text()) for p in READERS))
-    attrs |= target_reads((ROOT / "perfbench" / "spans.py").read_text())
-    unread = [f"{path.stem}.{cls + '.' if cls else ''}{name}"
-              for path in sorted(PACKAGE.glob("*.py"))
-              for cls, name in definitions(path.read_text())
-              if name not in (attrs if cls else names | attrs)
-              and not (name.startswith("__") and name.endswith("__"))
-              and not (cls and overrides(path.stem, cls, name))]
-    assert unread == []
+    assert unread(ROOT) == []

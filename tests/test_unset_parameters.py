@@ -1,8 +1,10 @@
 """Every defaulted parameter of a function in src/clarklab is passed by
-some call in src, tests, demos or perfbench.
+some call in the programs: src, demos or the perfbench modules.
 
-A parameter that no call sets is a constant with an option's cost, so
-it should be the constant.  Like test_unread_definitions.py this parses
+A parameter that no program sets is a constant with an option's cost,
+so it should be the constant.  Calls from tests do not count, nor do
+those from perfbench's own ``test_*.py`` files.  Like
+test_unread_definitions.py, whose ``readers`` this shares, it parses
 each file with ``ast`` and matches by name: a call ``f(...)`` or
 ``x.f(...)`` passes a parameter of every function named f when it names
 it as a keyword, or holds a positional argument at its place (after
@@ -13,10 +15,9 @@ passes every parameter.
 import ast
 from pathlib import Path
 
+from test_unread_definitions import readers
+
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "clarklab"
-CALLERS = sorted(p for d in (PACKAGE, ROOT / "tests", ROOT / "demos", ROOT / "perfbench")
-                 for p in d.glob("*.py"))
 
 
 def defaulted(source: str) -> list[tuple[str, str, str, int | None]]:
@@ -70,7 +71,22 @@ def unset(definitions, keywords, positional, star) -> list[str]:
             and not (i is not None and positional.get(name, 0) > i)]
 
 
-def test_reference_flags_unset_parameters():
+def never(root: Path) -> list[str]:
+    """module.function(parameter) of each defaulted parameter in
+    root/src/clarklab that no call in a reader under root passes (see
+    test_unread_definitions.readers)."""
+    keywords, positional, star = set(), {}, set()
+    for path in readers(root):
+        k, p, s = passed(path.read_text())
+        keywords |= k
+        star |= s
+        for name, n in p.items():
+            positional[name] = max(positional.get(name, 0), n)
+    return [f"{path.stem}.{entry}" for path in sorted((root / "src" / "clarklab").glob("*.py"))
+            for entry in unset(defaulted(path.read_text()), keywords, positional, star)]
+
+
+def test_reference_flags_unset_parameters(tmp_path):
     source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
               "class C:\n    def __init__(self, x=0):\n        pass\n"
               "    def m(self, y=0, z=1):\n        pass\n"
@@ -80,16 +96,16 @@ def test_reference_flags_unset_parameters():
                                  ("g", "g", "e", 0), ("C.__init__", "C", "x", 0),
                                  ("C.m", "m", "y", 0), ("C.m", "m", "z", 1)]
     assert unset(defaulted(source), *passed(source)) == ["f(c)", "C.m(z)"]
+    # calls from tests, perfbench's included, do not count
+    files = {"src/clarklab/mod.py": "def f(a=0, b=1, c=2):\n    pass\n",
+             "demos/demo.py": "f(a=1)\n",
+             "perfbench/test_run.py": "f(0, 1)\n",
+             "tests/test_mod.py": "f(c=3)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert never(tmp_path) == ["mod.f(b)", "mod.f(c)"]
 
 
 def test_every_defaulted_parameter_is_passed():
-    keywords, positional, star = set(), {}, set()
-    for path in CALLERS:
-        k, p, s = passed(path.read_text())
-        keywords |= k
-        star |= s
-        for name, n in p.items():
-            positional[name] = max(positional.get(name, 0), n)
-    never = [f"{path.stem}.{entry}" for path in sorted(PACKAGE.glob("*.py"))
-             for entry in unset(defaulted(path.read_text()), keywords, positional, star)]
-    assert never == []
+    assert never(ROOT) == []

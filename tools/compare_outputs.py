@@ -40,6 +40,7 @@ DOCUMENTS = {
     "plan-sed.json": {"sed": 3},
     "plan-seed.json": {"seed": 3},
     "ladder-values-number.json": {"outputs": {"sizes": [1, 2], "values": 3}},
+    "ladder-values-short.json": {"outputs": {"sizes": [32, 64], "values": [0.5]}},
 }
 
 COMMANDS = [
@@ -95,6 +96,9 @@ COMMANDS = [
     "perturb --family monomial:4 --plan plan-sed.json",
     "perturb --family monomial:4 --plan plan-seed.json",
     "report --json ladder-values-number.json --csv out.csv",
+    "report --json ladder-values-short.json --csv out.csv",
+    # a ladder whose rungs K/8, K/4 and K/2 are distinct only from K = 16 on
+    "example counterexample:1.0:8",
 ]
 
 #: One BLAS thread, so that dense products add in one order.
