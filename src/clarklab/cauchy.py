@@ -514,7 +514,7 @@ def tail_integral_check(section: CauchySection, Q: Arc, i: int) -> TailIntegralR
     outside = ~Q.mask(section.theta)
     if not outside.any():
         return TailIntegralReport(lhs=0.0, rhs_scale=0.0, ratio=0.0)
-    lhs = float(disk_sum(1.0, theta[0], section.theta[outside], section.sigma[outside]))
+    lhs = float(disk_sum(1.0, theta[0], section.theta[outside], section.sigma[outside])[0, 0])
     dist = min(float(chord_angles(theta[0], Q.start)),
                float(chord_angles(theta[0], Q.start + Q.length)))
     rhs_scale = 1.0 / dist

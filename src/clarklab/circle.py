@@ -44,12 +44,14 @@ MEMORY_BUDGET = 1 << 30
 #: (ROW_BLOCK, DISK_BLOCK).
 PAIR_BLOCK = 1 << 13
 
-#: Entries of the buffer in which disk_sum takes its blocks
-#: of (targets x sources), five passes each, so many rows that Python's
-#: per-block cost stays small: the exp N = 200 scan grid (108 712 points x
-#: 401 atoms) took 102-150, 93-129, 85-116, 88-122 and 111-160 ms at 2^14
-#: to 2^18 entries (best of 5 in three runs, x86-64 Xeon, numpy 2.4, one
-#: BLAS thread).
+#: Entries of disk_sum's two buffers together, a block of squared
+#: half-angle sines and one radius's work block of as many, each of
+#: DISK_BLOCK // (2 sources) angles: so many that Python's per-block cost
+#: stays small.  On exp N = 200 (401 atoms) the scan set is 63 312 points
+#: and its refinement level 10 496; the scan's rings 8..21 (14 radii x
+#: 4096 angles) took 32-40, 28-35, 26-31, 26-31 and 28-31 ms at 2^14 to
+#: 2^18 entries (best of 7 in three runs, x86-64 Xeon, numpy 2.4, one BLAS
+#: thread).  2^16 is the smaller of the two fastest: 512 KiB.
 DISK_BLOCK = 1 << 16
 
 #: Rows per block in kernel_sum's upper-triangle pass and in
@@ -311,47 +313,51 @@ def kernel_sum(x, weights, kernel):
 
 
 def disk_sum(r, phi, theta, weights):
-    """The disk sum sum_m w_m/|z_n - zeta_m|^2 from the points
-    z = r e^{i phi}, given by polar coordinates r >= 0 and phi broadcast
-    together to the result's shape, to the points zeta = e^{i theta}.
+    """The disk sum sum_m w_m/|z - zeta_m|^2 on the polar grid
+    z = r e^{i phi} of 1-D radii r >= 0 and 1-D angles phi (scalars count
+    as one), to the points zeta = e^{i theta}, as a (radii, angles) array.
 
-    It takes the half-angle form |z - zeta|^2 = (1 - r)^2 (1 + t^2),
-    t = 2 sqrt(r) sin((phi - theta)/2)/|1 - r| (on the circle
-    4 sin^2((phi - theta)/2)), the sine as the rank-2 BLAS product
-    sin(phi/2) cos(theta/2) - cos(phi/2) sin(theta/2).  np.sin and np.cos
-    are within 0.52 ulp on 22k arguments checked against mpmath (numpy 2.4,
-    x86-64), so each term errs by at most (25 sqrt(r)/|z - zeta| + 9) u of
-    itself, u the unit roundoff, to first order, and each row's BLAS sum by
-    gamma_N of its terms' sum (Higham, section 3.1).  1 - r is exact for r
-    in [1/2, 2] (Sterbenz): exact polar inputs keep it, where a complex z
-    rounds |z|.
+    It takes the half-angle form |z - zeta|^2 = 4r (s^2 + c_r),
+    s = sin((phi - theta)/2) and c_r = (1 - r)^2/(4r) (0 on the circle),
+    the sine as the rank-2 BLAS product sin(phi/2) cos(theta/2) -
+    cos(phi/2) sin(theta/2).  np.sin and np.cos are within 0.52 ulp on 22k
+    arguments checked against mpmath (numpy 2.4, x86-64), so s errs by at
+    most 3.08 u + u |s|, u the unit roundoff; s^2 + c_r by 6.16 u |s| +
+    5 u (s^2 + c_r), and |s|/(s^2 + c_r) <= 2 sqrt(r)/|z - zeta|.  With the
+    reciprocal and the division by 4r each term errs by at most
+    (13 sqrt(r)/|z - zeta| + 7) u of itself, to first order, and each
+    row's BLAS sum by gamma_N of its terms' sum (Higham, section 3.1).
+    1 - r is exact for r in [1/2, 2] (Sterbenz): exact polar inputs keep
+    it, where a complex z rounds |z|.  A row with r < 2^-60 is the sum of
+    the weights itself (c_r overflows at r = 0, and its reciprocal
+    underflows near it): exact at r = 0, and within 6r of every term,
+    relative, elsewhere.
 
-    Each block of rows takes the rank-2 product into one buffer of at most
-    DISK_BLOCK entries, allocated per call, then squares it, adds 1 (0 in
-    rows on the circle), takes reciprocals and multiplies by the weights;
-    rows off the circle are then divided by (1 - r)^2.
+    Each block of angles takes s^2 once into one buffer, and each radius
+    then adds c_r to it into a second one (none on the circle), takes
+    reciprocals and multiplies by the weights; the two buffers together
+    hold at most DISK_BLOCK entries, allocated per call.  Each row is
+    divided by 4r at the end, so a row's value depends on its radius
+    alone, whatever other radii share the call.
     """
-    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
-    shape = r.shape
-    r, half = r.ravel(), 0.5 * phi.ravel()
-    gap = np.abs(1.0 - r)
-    on = gap == 0.0
-    scale = 2.0 * np.sqrt(r) / np.where(on, 1.0, gap)
-    lhs = np.stack([scale * np.sin(half), -scale * np.cos(half)], axis=1)
+    r, phi = np.atleast_1d(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
+    # rows with r < 2^-60 are overwritten at the end
+    r4 = 4.0 * np.maximum(r, 2.0 ** -60)
+    c = np.square(1.0 - r) / r4
+    half = 0.5 * phi
+    lhs = np.stack([np.sin(half), -np.cos(half)], axis=1)
     rhs = np.stack([np.cos(0.5 * theta), np.sin(0.5 * theta)])
-    unit = np.where(on, 0.0, 1.0)[:, None]
-    n, N = r.size, theta.size
-    rows = max(1, DISK_BLOCK // max(N, 1))
-    buf = np.empty(min(rows, n) * N)
-    out = np.empty(n, np.result_type(weights, float))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        q = buf[:(e - s) * N].reshape(e - s, N)
-        np.matmul(lhs[s:e], rhs, out=q)
-        np.square(q, q)
-        # a scalar add runs at a third of the cost of a column's
-        np.add(q, unit[s:e] if on[s:e].any() else 1.0, q)
-        np.divide(1.0, q, q)
-        np.matmul(q, weights, out=out[s:e])
-    out /= np.where(on, 1.0, np.square(gap))
-    return out.reshape(shape)
+    n, N = phi.size, theta.size
+    cols = max(1, DISK_BLOCK // (2 * max(N, 1)))
+    buf = np.empty(2 * min(cols, n) * N)
+    out = np.empty((r.size, n), np.result_type(weights, float))
+    for s in range(0, n, cols):
+        e = min(s + cols, n)
+        sq, q = buf[:2 * (e - s) * N].reshape(2, e - s, N)
+        np.square(np.matmul(lhs[s:e], rhs, out=sq), sq)
+        for i, ci in enumerate(c):
+            np.divide(1.0, np.add(sq, ci, q) if ci else sq, q)
+            np.matmul(q, weights, out=out[i, s:e])
+    out /= r4[:, None]
+    out[r < 2.0 ** -60] = np.sum(weights)
+    return out

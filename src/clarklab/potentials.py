@@ -8,13 +8,14 @@ normalization |a|^2 V_mu equals G/4 exactly (|1-u|^2 = 4|a|^2), and the
 report carries both scalings.
 
 Every V_mu(z) sums over atoms zeta = e^{i theta} on the unit circle, in
-circle.disk_sum's half-angle form |z - zeta|^2 = (1 - r)^2 +
-(2 sqrt(r) sin((phi - theta)/2))^2 for z = r e^{i phi}: each term errs by
-at most (25 sqrt(r)/|z - zeta| + 9) u of itself, u the unit roundoff, and
-the sum over N atoms by gamma_N more.  Callers pass the polar coordinates
-they build (scan rings r = 1 - 2^-j, r = 1 at the scan's circle points,
-atoms and spectrum points, the quadrature grid), which keep 1 - r exact;
-only ``potential`` converts a complex z.
+circle.disk_sum's half-angle form |z - zeta|^2 = 4r (sin^2((phi -
+theta)/2) + (1 - r)^2/(4r)) for z = r e^{i phi}, on a polar grid of radii
+and angles: each term errs by at most (13 sqrt(r)/|z - zeta| + 7) u of
+itself, u the unit roundoff, and the sum over N atoms by gamma_N more.
+Callers pass the grids they build (scan rings r = 1 - 2^-j, those of one
+angle count together, r = 1 at the scan's circle points, atoms and
+spectrum points, the quadrature grid), which keep 1 - r exact; only
+``potential`` converts a complex z.
 """
 from __future__ import annotations
 
@@ -38,25 +39,25 @@ ATOM_HIT_TOL = 1e-14
 def potential(m: AtomicMeasure, z) -> float:
     """V_m(z) = sum_n mass_n / |z - zeta_n|^2; inf on the atoms themselves
     (a meaningful value: the potential is infinite mu-a.e.)."""
-    return float(potential_grid(m, *cmath.polar(complex(z)))[0])
+    return float(potential_grid(m, *cmath.polar(complex(z)))[0, 0])
 
 
 def potential_grid(m: AtomicMeasure, r, phi) -> np.ndarray:
-    """The potential at the points r e^{i phi}, r >= 0, with r and phi
-    flattened and broadcast together."""
-    r, phi = np.broadcast_arrays(np.ravel(r), np.ravel(phi))
+    """The potential on the polar grid of radii r >= 0 and angles phi
+    (flattened), as a (radii, angles) array (see circle.disk_sum)."""
+    r, phi = np.ravel(r), np.ravel(phi)
     with np.errstate(divide="ignore"):
         out = disk_sum(r, phi, m.thetas, m.masses)
-    if m.n_atoms:
-        # only points within ATOM_HIT_TOL of the circle can lie as close to
-        # an atom, and then only to the sorted atoms next to phi (atoms are
-        # DUPLICATE_TOL apart)
-        i = np.flatnonzero(np.abs(1.0 - r) < ATOM_HIT_TOL)
-        j = np.searchsorted(m.thetas, np.mod(phi[i], TWO_PI)) % m.n_atoms
-        gap, s = 1.0 - r[i], 2.0 * np.sqrt(r[i])
-        near = np.minimum(np.hypot(gap, s * np.sin(0.5 * (phi[i] - m.thetas[j]))),
-                          np.hypot(gap, s * np.sin(0.5 * (phi[i] - m.thetas[j - 1]))))
-        out[i[near < ATOM_HIT_TOL]] = np.inf
+    # only rows within ATOM_HIT_TOL of the circle can lie as close to an
+    # atom, and then only to the sorted atoms next to phi (atoms are
+    # DUPLICATE_TOL apart)
+    i = np.flatnonzero(np.abs(1.0 - r) < ATOM_HIT_TOL)
+    if m.n_atoms and i.size:
+        j = np.searchsorted(m.thetas, np.mod(phi, TWO_PI)) % m.n_atoms
+        gap, s = (1.0 - r[i])[:, None], 2.0 * np.sqrt(r[i])[:, None]
+        near = np.minimum(np.hypot(gap, s * np.sin(0.5 * (phi - m.thetas[j]))),
+                          np.hypot(gap, s * np.sin(0.5 * (phi - m.thetas[j - 1]))))
+        out[i] = np.where(near < ATOM_HIT_TOL, np.inf, out[i])
     return out
 
 
@@ -126,7 +127,7 @@ def radial_limit_check(u: InnerFunction, m: AtomicMeasure, k: int) -> RadialLimi
     |u'(zeta_k)|^2 m_k."""
     radii = 1.0 - 10.0 ** (-np.arange(4, 9, dtype=float))
     z = radii * m.points_complex[k]
-    vals = np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, radii, m.thetas[k])
+    vals = np.abs(1.0 - evaluate(u, z)) ** 2 * potential_grid(m, radii, m.thetas[k])[:, 0]
     # Neville extrapolation to h = 0 in h = 1 - r
     h = 1.0 - radii
     tab = list(vals)
@@ -225,7 +226,7 @@ def _quad_once(m: AtomicMeasure, fprime, radial_depth: int, angular_depth: int) 
     tb = np.concatenate([tb, [tb[0] + TWO_PI]])
     tn, tw = _panel_nodes(tb, QUAD_ORDER)
     Z = rn[:, None] * np.exp(1j * tn[None, :])
-    P = (1.0 - rn[:, None] ** 2) * disk_sum(rn[:, None], tn, m.thetas, m.masses)
+    P = (1.0 - rn[:, None] ** 2) * disk_sum(rn, tn, m.thetas, m.masses)
     F = np.abs(np.asarray(fprime(Z), dtype=complex)) ** 2
     return float((rw * rn) @ (F * P) @ tw) / np.pi
 
@@ -263,7 +264,9 @@ GAP_POINTS = 16
 #: The scan set's rings r = 1 - 2^-j, j = 1..GRID_DEPTH, each of
 #: min(ANGULAR_BASE 2^j, ANGULAR_CAP) equispaced angles (57 312 points);
 #: the refinement level adds the ring GRID_DEPTH + 1, 2^-21 from the
-#: circle, far beyond EVAL_ATOM_TOL of any singular atom.
+#: circle, far beyond EVAL_ATOM_TOL of any singular atom.  The rings from
+#: j = 8 on, the refinement level's among them, share the ANGULAR_CAP
+#: angles, so one disk_sum takes them all.
 GRID_DEPTH = 20
 ANGULAR_BASE = 16
 ANGULAR_CAP = 4096
@@ -298,8 +301,8 @@ class PotentialReport:
     holds when that level moves the sup by at most 1%.
 
     Each witness is the first point attaining its extremum in scan order:
-    the rings, then the circle points (``_grid_points``), then the atom
-    limits.
+    the rings by j, each in the order of its angles, then the circle
+    points in (gap, part) order, then the atom limits.
     """
 
     sup_estimate: float
@@ -315,51 +318,34 @@ class PotentialReport:
     refined_sup_estimate: float
 
 
-def _grid_points(m: AtomicMeasure, spec, rings, fractions) -> tuple[np.ndarray, np.ndarray]:
-    """Polar coordinates (r, phi) of the scan points: rings r = 1 - 2^-j
-    for j in ``rings``, of min(ANGULAR_BASE 2^j, ANGULAR_CAP) equispaced
-    angles, then circle points r = 1 at theta_i + f gap_i for f in
-    ``fractions``, in (gap, fraction) order, in each gap whose open arc
-    holds none of the angles ``spec`` (the rule of neighbor_constants).
-    The circle points grow with the measure: rings and circle points
-    together beyond GRID_BUDGET raise ClarkLabError before the grid is
-    built.
-
-    At a spectrum point the limsup of G is at most 4 V_mu there, which
-    the report carries, so such gaps get no circle points (the rings
-    still sample them).  Every other
-    circle point of the scan lies at least gap/(2 GAP_POINTS) from each
-    atom and singular atom: DUPLICATE_TOL/32 = 3.1e-14 at GAP_POINTS =
-    16, beyond ATOM_HIT_TOL and EVAL_ATOM_TOL.
-    """
-    free = ~gaps_holding(m, spec)
-    circle = (m.thetas[free, None] + m.gaps[free, None] * np.asarray(fractions)).ravel()
-    j = np.asarray(rings)
-    M = np.minimum(ANGULAR_BASE * 2.0 ** j, ANGULAR_CAP).astype(int)
-    n = int(M.sum()) + circle.size
-    if n > GRID_BUDGET:
-        raise ClarkLabError(f"the scan grid would hold {n} points, more than "
-                            f"the budget of {GRID_BUDGET}")
-    ring = np.repeat(np.arange(j.size), M)
-    k = np.arange(M.sum()) - np.repeat(np.cumsum(M) - M, M)  # index within its ring
-    return (np.concatenate([(1.0 - 2.0 ** -j)[ring], np.ones(circle.size)]),
-            np.concatenate([k * (TWO_PI / M)[ring], circle]))
+def _rings(depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rings r = 1 - 2^-j, j = 1..depth, of min(ANGULAR_BASE 2^j,
+    ANGULAR_CAP) equispaced angles, as polar grids (radii, angles) in ring
+    order: one grid per angle count, so the rings at the cap share one."""
+    j = np.arange(1, depth + 1)
+    M = np.minimum(ANGULAR_BASE * 2 ** j, ANGULAR_CAP)
+    # not np.unique, whose first call imports numpy.ma (about 0.5 MiB that
+    # the process keeps) under numpy 2.4
+    return [(1.0 - 2.0 ** -j[M == k], np.arange(k) * (TWO_PI / k))
+            for k in sorted(set(M.tolist()))]
 
 
-def _scan_G(u, m, r: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G at the points r e^{i phi}, and those points.
+def _scan_G(u, m, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """G on the polar grid of radii r and angles phi, as a (radii, angles)
+    array.
 
     On the circle (r == 1) |1 - u|^2 = 4 sin^2(Phi/2), Phi the phase lift
     of u at phi itself.  u evaluated at the rounded z = e^{i phi}, an ulp
     off the circle, would lose the residue 1 - |z|^2 of each factor's
     modulus: on exp N = 200, next to the smallest gaps, that read G
     3.8e-11 relative off the 40-digit value, and the lift 1.3e-12."""
-    z = r * np.exp(1j * phi)
+    z = r[:, None] * np.exp(1j * phi)
     on = r == 1.0
-    one_minus_u2 = np.empty(r.size)
+    one_minus_u2 = np.empty(z.shape)
     one_minus_u2[~on] = np.abs(1.0 - evaluate(u, z[~on])) ** 2
-    one_minus_u2[on] = 4.0 * np.sin(0.5 * _phase_lift(u, phi[on])) ** 2
-    return one_minus_u2 * potential_grid(m, r, phi), z
+    if on.any():
+        one_minus_u2[on] = 4.0 * np.sin(0.5 * _phase_lift(u, phi)) ** 2
+    return one_minus_u2 * potential_grid(m, r, phi)
 
 
 def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
@@ -374,10 +360,20 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
     Convergence evidence comes from one refinement level of the same grid:
     the ring j = GRID_DEPTH + 1 and the midpoints of the GAP_POINTS parts
     of each gap, so the scan set plus that level is the grid one depth
-    finer with twice the parts.  Both grids are built, and checked against
-    GRID_BUDGET, before either is evaluated.  ``refined_sup_estimate`` is
-    the sup over both, and ``converged`` holds when it exceeds the sup by
-    at most 1% of the sup.
+    finer with twice the parts.  Both levels are counted, and checked
+    against GRID_BUDGET, before either is evaluated: the circle points grow
+    with the measure.  ``refined_sup_estimate`` is the sup over both, and
+    ``converged`` holds when it exceeds the sup by at most 1% of the sup.
+
+    The points go to _scan_G as polar grids: the rings of one angle count
+    together (_rings), so the rings at ANGULAR_CAP and the refinement
+    level's ring share one disk sum, and each level's circle points as one
+    row r = 1.  A gap whose open arc holds a spectrum point gets no circle
+    points (the rule of neighbor_constants): the limsup of G there is at
+    most 4 V_mu at that point, which the report carries, and the rings
+    still sample the gap.  Every other circle point lies at least
+    gap/(2 GAP_POINTS) from each atom and singular atom: DUPLICATE_TOL/32
+    = 3.1e-14 at GAP_POINTS = 16, beyond ATOM_HIT_TOL and EVAL_ATOM_TOL.
     """
     if m.n_atoms == 0:
         raise SupportMismatch("empty measure")
@@ -390,21 +386,42 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
 
     atom_limits = derivs**2 * m.masses
     spec = spectrum(u)
-    spec_values = potential_grid(m, 1.0, spec)
+    spec_values = potential_grid(m, 1.0, spec)[0]
 
+    # the scan set's circle points cut each gap free of the spectrum into
+    # GAP_POINTS parts, in (gap, part) order, and the refinement level's
+    # halve those parts
     parts = np.arange(1, 2 * GAP_POINTS) / (2 * GAP_POINTS)
-    r, phi = _grid_points(m, spec, range(1, GRID_DEPTH + 1), parts[1::2])
-    refinement = _grid_points(m, spec, [GRID_DEPTH + 1], parts[::2])
-    G, z = _scan_G(u, m, r, phi)
+    free = ~gaps_holding(m, spec)
+    circle, circle_ref = ((m.thetas[free, None] + m.gaps[free, None] * f).ravel()
+                          for f in (parts[1::2], parts[::2]))
+    rings = _rings(GRID_DEPTH + 1)
+    last = rings[-1][1].size  # the ring GRID_DEPTH + 1, the refinement level's
+    n_rings = sum(r.size * phi.size for r, phi in rings) - last
+    for n in (n_rings + circle.size, last + circle_ref.size):
+        if n > GRID_BUDGET:
+            raise ClarkLabError(f"the scan grid would hold {n} points, more than "
+                                f"the budget of {GRID_BUDGET}")
+    # G over the rings in ring order, then over the circle points
+    grids = rings + [(np.ones(1), circle)]
+    G = np.concatenate([_scan_G(u, m, r, phi).ravel() for r, phi in grids])
+    ref = slice(n_rings, n_rings + last)
+    G_ref = np.concatenate([G[ref], _scan_G(u, m, np.ones(1), circle_ref)[0]])
+    G = np.delete(G, ref)
     values = np.concatenate([G, atom_limits])
     i_sup = int(np.argmax(values))
     i_inf = int(np.argmin(values))
     sup = float(values[i_sup])
 
     def witness(i):
-        return complex(z[i]) if i < z.size else f"atom-limit:{i - z.size}"
+        if i >= G.size:
+            return f"atom-limit:{i - G.size}"
+        i += last if i >= n_rings else 0  # index among all grids' points
+        for r, phi in grids:
+            if i < r.size * phi.size:
+                return complex(r[i // phi.size] * np.exp(1j * phi[i % phi.size]))
+            i -= r.size * phi.size
 
-    G_ref, _ = _scan_G(u, m, *refinement)
     refined_sup = float(np.max(G_ref, initial=sup))
 
     return PotentialReport(
@@ -418,7 +435,7 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
         spectrum_values=spec_values,
         grid_description=(
             f"radial depth {GRID_DEPTH}, angular cap {ANGULAR_CAP}, "
-            f"{np.count_nonzero(r == 1.0)} circle points, {GAP_POINTS - 1} in each "
+            f"{circle.size} circle points, {GAP_POINTS - 1} in each "
             f"gap free of the spectrum"),
         converged=abs(refined_sup - sup) <= 0.01 * abs(sup),
         refined_sup_estimate=refined_sup)

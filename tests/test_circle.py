@@ -219,16 +219,11 @@ def test_disk_sum_matches_double_loop(rng, monkeypatch):
     # reference: a plain double loop summed with math.fsum.  Each term
     # carries a few ulp of rounding and each row's sum adds at most
     # (sources) ulp of the absolute sum, so 1e-14 of sum |terms| bounds it.
-    # The points r e^{i phi} are given in polar form (r < 0.9 but one point
-    # on the circle, which shares its block with points off it at the first
-    # two budgets), the sources e^{i theta} by their angles
-    r, phi = rng.uniform(0.2, 0.9, 8), rng.uniform(-np.pi, 3 * np.pi, 8)
-    r[5] = 1.0
+    # The polar grid of radii r (in the disk, on the circle and outside
+    # it) and angles phi, the sources e^{i theta} by their angles
+    r, phi = np.array([0.4, 1.0, 0.2, 1.5, 0.9]), rng.uniform(-np.pi, 3 * np.pi, 5)
     s = rng.uniform(0, TWO_PI, 5)
-    points, sources = [cmath.rect(*p) for p in zip(r, phi)], np.exp(1j * s)
-
-    def targets(n, shape):
-        return r[:n].reshape(shape), phi[:n].reshape(shape)
+    sources = np.exp(1j * s)
     w = rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, TWO_PI, 5))
 
     def ref(x, weights):
@@ -236,30 +231,50 @@ def test_disk_sum_matches_double_loop(rng, monkeypatch):
         return (complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)),
                 math.fsum(abs(x) for x in terms))
 
-    # rows of all 5 sources, DISK_BLOCK // 5 of them per block, or one:
-    # budgets of 10, 15 and 5 put 2, 3 and 1 of the 8 targets in a block
-    # (4, 3 and 8 blocks) and both of 2 targets in one block but at the last
-    # budget.  Blocks are counted at the product with the weights; complex
-    # and real weights take each block once
+    # blocks of DISK_BLOCK // 10 angles, both buffers of 5 sources each:
+    # budgets of 10, 20 and 30 take 1, 2 and 3 of the 5 angles in a block
+    # (5, 3 and 2 blocks) and both of 2 angles in one block but at the
+    # first budget.  Every radius takes one product with the weights per
+    # block; complex and real weights take each block once
     blocks = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda a, b, **kw: (
         b.ndim == 1 and blocks.append(a.size)) or matmul(a, b, **kw))
-    for budget, n_blocks in ((10, 4 + 1), (15, 3 + 1), (5, 8 + 2)):
+    for budget, n_blocks in ((10, 5 * 5 + 2), (20, 3 * 5 + 1), (30, 2 * 5 + 1)):
         monkeypatch.setattr(circle, "DISK_BLOCK", budget)
         blocks.clear()
         for weights in (w, w.real):
-            cases = [(disk_sum(*targets(8, (2, 4)), s, weights).ravel(), points),
-                     (disk_sum(*targets(2, (2,)), s, weights), points[:2])]
-            for got, xs in cases:
+            cases = [(disk_sum(r, phi, s, weights), r, phi),
+                     (disk_sum(r[1], phi[:2], s, weights), r[1:2], phi[:2])]
+            for got, radii, angles in cases:
+                assert got.shape == (radii.size, angles.size)
                 assert np.isrealobj(got) == np.isrealobj(weights)
-                for g, x in zip(got, xs, strict=True):
-                    value, scale = ref(x, weights)
-                    assert abs(g - value) <= 1e-14 * scale
-        assert len(blocks) == 2 * n_blocks and max(blocks) <= budget
-    assert disk_sum(*targets(8, (2, 4)), s, w).shape == (2, 4)
-    empty = disk_sum(*targets(8, (8,)), np.empty(0), np.empty(0))
-    assert empty.shape == (8,) and not empty.any()
+                for row, x in zip(got, radii, strict=True):
+                    for g, t in zip(row, angles, strict=True):
+                        value, scale = ref(cmath.rect(x, t), weights)
+                        assert abs(g - value) <= 1e-14 * scale
+        assert len(blocks) == 2 * n_blocks and max(blocks) <= budget // 2
+
+
+def test_disk_sum_rows_stand_alone(rng):
+    # a row depends on its radius alone, bit for bit, whichever radii share
+    # its call; the centre's row is the sum of the weights, so the
+    # potential there is the total mass and the kernel norm at w = 0 is
+    # finite; no sources give zeros
+    radii = np.array([0.0, 2.0 ** -70, 0.3, 1.0 - 2.0 ** -21, 1.0, 1.7])
+    phi, s = rng.uniform(0, TWO_PI, 300), rng.uniform(0, TWO_PI, 401)
+    w = rng.uniform(0.1, 1.0, 401)
+    whole = disk_sum(radii, phi, s, w)
+    for i, x in enumerate(radii):
+        for others in ([x], [1.0, x], [x, 0.5, x]):
+            got = disk_sum(others, phi, s, w)[others.index(x)]
+            assert np.array_equal(got.view(np.uint64), whole[i].view(np.uint64))
+    assert (whole[:2] == np.sum(w)).all()
+    m = cl.squared_measure(cl.exp_clark_data(50).measure)
+    assert cl.potential(m, 0.0) == m.total_mass
+    assert np.isfinite(cl.kernel_norms(cl.inner_function(cl.ExpSingular()), m, 0.0).dmu_norm_sq)
+    empty = disk_sum(radii, phi[:8], np.empty(0), np.empty(0))
+    assert empty.shape == (6, 8) and not empty.any()
 
 
 @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 65])

@@ -264,7 +264,7 @@ def test_scan_G_on_the_circle_against_mpmath(exp_u):
             s, c = mp.sin(mp.mpf(p) / 2), mp.cos(mp.mpf(p) / 2)
             V = mp.fsum(w / (4 * (s * ct - c * st) ** 2) for (st, ct), w in zip(sin_cos, masses))
             want.append(float(4 * mp.sin(mp.cot(mp.mpf(p) / 2) / 2) ** 2 * V))
-    G, _ = potentials._scan_G(exp_u, mu, np.ones(phi.size), phi)
+    G = potentials._scan_G(exp_u, mu, np.ones(1), phi)[0]
     cartesian = (np.abs(1.0 - cl.evaluate(exp_u, np.exp(1j * phi))) ** 2
                  * potentials.potential_grid(mu, 1.0, phi))
     err = np.max(np.abs(G / want - 1.0))
@@ -346,18 +346,38 @@ def test_scan_grid_matches_loop_form(case, grid, monkeypatch):
     # exp's spectrum point 0 and the singular atoms at 1.0 and 4.0 each lie
     # in one gap, which gets no circle points
     assert len(_grid_loop_form(u, m, depth, 2)) == len(_grid_loop_form(u, m, depth, 1)) + m.n_atoms - 1
-    # the scan evaluates this grid bit for bit, then a refinement level that
-    # makes it the grid one depth finer with twice the parts, as a set and
-    # bit for bit; it takes the grid in polar form, and u at r e^{i phi}
-    seen, scan_G = [], potentials._scan_G
-    monkeypatch.setattr(potentials, "_scan_G", lambda u, m, r, phi: (
-        seen.append(r * np.exp(1j * phi)) or scan_G(u, m, r, phi)))
-    cl.sup_inf_scan(u, m)
+    # the scan evaluates this grid bit for bit, in order, and a refinement
+    # level that makes it the grid one depth finer with twice the parts, as
+    # a set and bit for bit.  It takes polar grids: the rings of one angle
+    # count in one call (the ring depth + 1, the refinement level's, among
+    # them), then the circle points of each level; and u at r e^{i phi}.
+    # Each witness is the loop form's point at the first extremum of G over
+    # the scan set and the atom limits
+    calls, scan_G = [], potentials._scan_G
+
+    def record(u, m, r, phi):
+        G = scan_G(u, m, r, phi)
+        calls.append((np.repeat(r, phi.size), (r[:, None] * np.exp(1j * phi)).ravel(), G.ravel()))
+        return G
+
+    monkeypatch.setattr(potentials, "_scan_G", record)
+    rep = cl.sup_inf_scan(u, m)
+    counts = {min(potentials.ANGULAR_BASE * 2 ** j, potentials.ANGULAR_CAP)
+              for j in range(1, depth + 2)}
+    assert len(calls) == len(counts) + 2
+    scan = [r != 1.0 - 2.0 ** -(depth + 1) for r, _, _ in calls[:-1]]
+    seen = np.concatenate([z[k] for k, (_, z, _) in zip(scan, calls)])
     want = _grid_loop_form(u, m, depth, potentials.GAP_POINTS)
-    assert seen[0].shape == want.shape
-    assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
+    assert seen.shape == want.shape
+    assert np.array_equal(seen.view(np.uint64), want.view(np.uint64))
     finer = _grid_loop_form(u, m, depth + 1, 2 * potentials.GAP_POINTS)
-    assert np.array_equal(_sorted_bits(np.concatenate(seen)), _sorted_bits(finer))
+    assert np.array_equal(_sorted_bits(np.concatenate([z for _, z, _ in calls])),
+                          _sorted_bits(finer))
+    values = np.concatenate([G[k] for k, (_, _, G) in zip(scan, calls)] + [rep.atom_limits])
+    for got, i in ((rep.sup_witness, np.argmax(values)), (rep.inf_witness, np.argmin(values))):
+        assert got == (complex(want[i]) if i < want.size else f"atom-limit:{i - want.size}")
+        if i < want.size:
+            assert np.array_equal(np.array([got]).view(np.uint64), want[i:i + 1].view(np.uint64))
 
 
 def test_scan_checks_the_grid_budget_before_allocating(monkeypatch):
@@ -390,14 +410,13 @@ def test_scan_checks_the_refinement_level_before_the_scan_set_is_evaluated(monke
 @pytest.mark.parametrize("case", [_exp20, _blaschke_singular], ids=["exp20", "blaschke-singular"])
 def test_scan_agrees_across_disk_block_sizes(case, monkeypatch):
     # the disk sum takes each point's row of sources whole, so its block
-    # size (DISK_BLOCK // sources rows) moves only the order in which BLAS
-    # adds a row: blocks of 61 rows and the default's blocks of over a
-    # thousand differ by at most (sources) u of each sum, 4.4e-14 relative
-    # at 401 sources; 1e-13 leaves a margin
+    # size (DISK_BLOCK // (2 sources) angles) moves only the order in which
+    # BLAS adds a row: blocks of 30 angles and the default's blocks of
+    # hundreds differ by at most (sources) u of each sum, 4.4e-14 relative
+    # at 401 sources; 1e-13 leaves a margin.  The rings at ANGULAR_CAP span
+    # more than one default block
     u, m = case()
-    n_grid = potentials._grid_points(m, cl.spectrum(u),
-                                     range(1, potentials.GRID_DEPTH + 1), [0.5])[0].size
-    assert n_grid * m.n_atoms >= 4 * circle.DISK_BLOCK
+    assert potentials.ANGULAR_CAP > circle.DISK_BLOCK // (2 * m.n_atoms)
     default = cl.sup_inf_scan(u, m)
     monkeypatch.setattr(circle, "DISK_BLOCK", 61 * m.n_atoms)
     small = cl.sup_inf_scan(u, m)
@@ -415,25 +434,25 @@ def test_disk_sum_matches_mpmath_on_the_exp_scan(rng):
     # spectrum point and two atoms, circle points 1/32 of a gap from those
     # two atoms (the nearest the scan comes), the spectrum point itself, and
     # points outside the disk.  The reference takes r, phi and the stored
-    # angles as exact (mpmath, 40 digits); the bound is the module
-    # docstring's: each term within (25 sqrt(r)/|z - zeta| + 9) u of itself,
-    # the sum within gamma_401 of the terms' sum.  On these points the sum
-    # errs by at most 8.3e-13 relative, and the Cartesian form at the
-    # rounded z by 4.6e-10, which the 1e-10 cap refuses
+    # angles as exact (mpmath, 40 digits); the bound is circle.disk_sum's:
+    # each term within (13 sqrt(r)/|z - zeta| + 7) u of itself, the sum
+    # within gamma_401 of the terms' sum.  On these points the sum errs by
+    # at most 1.6e-12 relative and 0.06 of the bound, and the Cartesian form
+    # at the rounded z by 4.6e-10, which the 1e-10 cap refuses
     mp = pytest.importorskip("mpmath")
     u, m = cl.inner_function(cl.ExpSingular()), cl.squared_measure(cl.exp_clark_data(200).measure)
-    r, phi = potentials._grid_points(m, [0.0], range(1, 22), [])
-    pick = np.concatenate([rng.choice(np.flatnonzero(r == 1.0 - 2.0 ** -j), 1)
-                           for j in range(1, 22)])
+    ring_r, ring_phi = zip(*((x, rng.choice(angles))
+                             for radii, angles in potentials._rings(21) for x in radii))
     order = np.argsort(-(m.masses * _angular_derivatives(u, m.thetas) ** 2))
     centers = np.concatenate([m.thetas[order[[0, 400]]], [0.0]])
     d = 2.0 ** -21
     cr, cphi = np.broadcast_arrays((1.0 - d * np.array([0.5, 1.0]))[:, None],
                                    centers[:, None, None] + d * np.array([-1, -0.5, 0, 0.5, 1]))
     gap_points = m.thetas[order[[0, 400]]] + m.gaps[order[[0, 400]]] / 32
-    r = np.concatenate([r[pick], cr.ravel(), [1.0, 1.0, 1.0, 1.5, 1.0 + d]])
-    phi = np.concatenate([phi[pick], cphi.ravel(), gap_points, [0.0, 2.0, m.thetas[order[7]]]])
-    got = potentials.potential_grid(m, r, phi)
+    r = np.concatenate([ring_r, cr.ravel(), [1.0, 1.0, 1.0, 1.5, 1.0 + d]])
+    phi = np.concatenate([ring_phi, cphi.ravel(), gap_points, [0.0, 2.0, m.thetas[order[7]]]])
+    # each point as its own one-point grid
+    got = [potentials.potential_grid(m, x, t)[0, 0] for x, t in zip(r, phi)]
     uround = np.finfo(float).eps / 2
     gamma = 401 * uround / (1 - 401 * uround)
     with mp.workdps(40):
@@ -446,7 +465,7 @@ def test_disk_sum_matches_mpmath_on_the_exp_scan(rng):
             terms = [w / q for w, q in zip(ws, dist2)]
             want = mp.fsum(terms)
             t, q = np.array(terms, dtype=float), np.array(dist2, dtype=float)
-            bound = t @ ((25 * np.sqrt(rn / q) + 9) * uround + gamma)
+            bound = t @ ((13 * np.sqrt(rn / q) + 7) * uround + gamma)
             assert abs(g - want) <= bound
             worst = max(worst, float(abs(g - want) / want))
     assert worst <= 1e-10

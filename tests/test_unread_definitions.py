@@ -6,7 +6,11 @@ A read from a test does not count, nor does one from perfbench's own
 the tests (tests/oracles.py).  Like test_unused_imports.py this parses
 each file with ``ast``.  A read of a method is an attribute access, and
 a read of a function or class is a loaded name or an attribute access;
-a definition's reads of its own name inside its own body do not count.
+a definition's reads of its own name inside its own body do not count,
+nor do the reads made inside the body of a definition that is itself
+unread: the count is repeated without them until no further definition
+turns up unread, so a chain of definitions that only tests reach is
+flagged whole, not one link at a time.
 The dotted attributes in perfbench/spans.py ``TARGETS`` count as reads
 of each of their parts.  Dunder methods are called by the language, and
 a method that overrides one of a base class is called through the
@@ -40,9 +44,10 @@ def definitions(source: str) -> list[tuple[str | None, str]]:
     return found
 
 
-def reads(source: str) -> tuple[set[str], set[str]]:
+def reads(source: str, skip=frozenset()) -> tuple[set[str], set[str]]:
     """Names that source loads, and attributes that it reads, other than a
-    definition's own name in its body."""
+    definition's own name in its body, and outside the definitions in
+    ``skip``, given as definitions() lists them."""
     names, attrs = set(), set()
 
     def visit(node, own):
@@ -54,7 +59,9 @@ def reads(source: str) -> tuple[set[str], set[str]]:
                 and node.attr not in own:
             attrs.add(node.attr)
         for child in ast.iter_child_nodes(node):
-            visit(child, own)
+            if not (isinstance(child, DEFS) and (
+                    node.name if isinstance(node, ast.ClassDef) else None, child.name) in skip):
+                visit(child, own)
 
     visit(ast.parse(source), frozenset())
     return names, attrs
@@ -77,19 +84,27 @@ def overrides(module: str, cls: str, name: str) -> bool:
 
 def unread(root: Path) -> list[str]:
     """module.[class.]name of each definition in root/src/clarklab that no
-    reader under root reads."""
-    # a method is read as an attribute; a function or class by name or as
-    # a module attribute
-    names, attrs = map(set().union, *(reads(p.read_text()) for p in readers(root)))
+    reader under root reads outside the definitions found unread."""
+    src = root / "src" / "clarklab"
     spans = root / "perfbench" / "spans.py"
-    if spans.exists():
-        attrs |= target_reads(spans.read_text())
-    return [f"{path.stem}.{cls + '.' if cls else ''}{name}"
-            for path in sorted((root / "src" / "clarklab").glob("*.py"))
-            for cls, name in definitions(path.read_text())
-            if name not in (attrs if cls else names | attrs)
-            and not (name.startswith("__") and name.endswith("__"))
-            and not (cls and overrides(path.stem, cls, name))]
+    found = []
+    while True:
+        # a method is read as an attribute; a function or class by name or
+        # as a module attribute
+        names, attrs = map(set().union, *(
+            reads(p.read_text(), {(cls, name) for module, cls, name in found
+                                  if p.parent == src and module == p.stem})
+            for p in readers(root)))
+        if spans.exists():
+            attrs |= target_reads(spans.read_text())
+        now = [(path.stem, cls, name) for path in sorted(src.glob("*.py"))
+               for cls, name in definitions(path.read_text())
+               if name not in (attrs if cls else names | attrs)
+               and not (name.startswith("__") and name.endswith("__"))
+               and not (cls and overrides(path.stem, cls, name))]
+        if now == found:
+            return [f"{module}.{cls + '.' if cls else ''}{name}" for module, cls, name in found]
+        found = now
 
 
 def test_reference_flags_unread_definitions(tmp_path):
@@ -99,22 +114,27 @@ def test_reference_flags_unread_definitions(tmp_path):
     assert definitions(source) == [(None, "f"), (None, "C"), (None, "D"),
                                    ("C", "m"), ("C", "n")]
     assert reads(source) == ({"self"}, {"n"})
+    assert reads(source, {("C", "m")}) == (set(), set())
     assert target_reads('TARGETS = {"x": ("circle", "AtomicMeasure.__init__", None)}') == {
         "x", "circle", "AtomicMeasure", "__init__"}
-    # reads from tests, perfbench's included, do not count
+    # reads from tests, perfbench's included, do not count, nor do reads
+    # from a definition that only tests reach: the oracle's read of its
+    # helper
     files = {"src/clarklab/mod.py": ("def used():\n    pass\ndef tested():\n    pass\n"
                                      "class Unread:\n    pass\nclass Benched:\n    pass\n"
-                                     "class Used:\n    pass\n"),
+                                     "class Used:\n    pass\n"
+                                     "def helper():\n    pass\ndef oracle():\n    helper()\n"),
              "demos/demo.py": "import mod\nmod.used()\nUsed()\n",
              "perfbench/run.py": "Benched()\n",
              "perfbench/test_run.py": "Unread()\ntested()\n",
-             "tests/test_mod.py": "from mod import tested, Unread\ntested()\nUnread()\n"}
+             "tests/test_mod.py": ("from mod import tested, Unread, oracle\n"
+                                   "tested()\nUnread()\noracle()\n")}
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert [p.relative_to(tmp_path).as_posix() for p in readers(tmp_path)] == [
         "demos/demo.py", "perfbench/run.py", "src/clarklab/mod.py"]
-    assert unread(tmp_path) == ["mod.tested", "mod.Unread"]
+    assert unread(tmp_path) == ["mod.tested", "mod.Unread", "mod.helper", "mod.oracle"]
 
 
 def test_every_definition_is_read():

@@ -99,6 +99,9 @@ COMMANDS = [
     "report --json ladder-values-short.json --csv out.csv",
     # a ladder whose rungs K/8, K/4 and K/2 are distinct only from K = 16 on
     "example counterexample:1.0:8",
+    # a scan whose refinement level moves its sup, so the refined sup
+    # compares that level's values too
+    "potential --family exp --truncation 50",
 ]
 
 #: One BLAS thread, so that dense products add in one order.
