@@ -89,8 +89,10 @@ def inner_function(fam: FamilySpec) -> InnerFunction:
     if fam.symmetrized:
         lam = np.concatenate([lam, -np.conj(lam)])
     zeros = tuple(cayley(lam))
+    # for alpha = 1 the zeros are lattice blocks, whose phase has a closed form
+    blocks = ((fam.K, 1), (fam.K, -1))[:1 + fam.symmetrized] if fam.alpha == 1.0 else ()
     # the lattice escapes to infinity, so the zeros accumulate at phi(inf) = 1
-    return FiniteBlaschke(zeros=zeros, accumulation=(0.0,))
+    return FiniteBlaschke(zeros=zeros, accumulation=(0.0,), lattice=blocks)
 
 
 # ---------------------------------------------------------------------------

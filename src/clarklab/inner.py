@@ -15,6 +15,11 @@ One kernel, _phase, computes both in one pass over (points x zeros):
 per block of points a matrix product with the normal form's
 precomputed rows gives every 1 - a e^{-i theta} and e^{i theta} - a at
 once, and the Arg and derivative terms are summed pairwise from them.
+Zeros declared as a lattice block, the Cayley images of +-n + i for
+n = 1..K (the counterexample family at alpha = 1), are summed in closed
+form instead, by differences of Im lnGamma and Im psi on the line
+Im z = 1 (special.py), at O(1) per point with the bounds stated in
+_phase; evaluation and the derivative alone still read every zero.
 """
 from __future__ import annotations
 
@@ -23,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import circle
-from .circle import MEMORY_BUDGET, canonical_angles, chord_angles, finite_angle
+from . import circle, special
+from .circle import MEMORY_BUDGET, TWO_PI, canonical_angles, chord_angles, finite_angle
 from .errors import ClarkLabError, DegenerateSymbol, SpectrumPoint
 
 #: Chordal radius around the spectrum inside which boundary operations
@@ -43,7 +48,7 @@ PHASE_ATOM_SIN2 = 0.25e-24
 DERIVATIVE_OVERFLOW_CAP = 1e15
 
 #: Bytes held per zero while a zero list and its normal form are built:
-#: the counterexample family peaked at 284-290 bytes per zero for
+#: the counterexample family peaked at 292-298 bytes per zero for
 #: K = 2048 to 32768 (tracemalloc, numpy 2.4), so MEMORY_BUDGET allows
 #: about 3 x 10^6 zeros.
 ZERO_BYTES = 320
@@ -54,7 +59,9 @@ class _NormalForm(NamedTuple):
     with b_k the Blaschke factor of the nonzero zero a_k (see FiniteBlaschke)
     and xi_j = e^{i sing_theta_j}; ``spectrum`` lists the spectrum angles
     in factor order.  ``lin`` and ``mass`` are derived from the zeros for
-    _phase (see _zero_parts); every array field runs over its last axis."""
+    _phase (see _zero_parts); ``lattice`` holds the declared lattice blocks
+    as columns (K, sign) and ``in_lattice`` marks their zeros (see
+    FiniteBlaschke); every array field runs over its last axis."""
 
     constant: complex = 1.0 + 0.0j
     origin_zeros: int = 0
@@ -64,6 +71,8 @@ class _NormalForm(NamedTuple):
     spectrum: np.ndarray = np.empty(0)
     lin: np.ndarray = np.empty((4, 3, 0))
     mass: np.ndarray = np.empty(0)
+    lattice: np.ndarray = np.empty((2, 0))
+    in_lattice: np.ndarray = np.empty(0, bool)
 
 
 def _zero_parts(a):
@@ -80,11 +89,15 @@ class FiniteBlaschke:
     """c * prod_k (conj(a_k)/|a_k|) (a_k - z)/(1 - conj(a_k) z); a zero at
     the origin contributes the factor z.  ``accumulation`` declares the
     boundary accumulation points of a truncated infinite family; they are
-    treated as spectrum."""
+    treated as spectrum.  ``lattice`` declares blocks (K, sign), sign = +-1:
+    the leading zeros, block by block, are the Cayley images
+    sign n / (sign n + 2i) of the lattice sign n + i, n = 1..K, which
+    _phase's lift reads in closed form (checked here, never detected)."""
 
     zeros: tuple[complex, ...]
     constant: complex = 1.0 + 0.0j
     accumulation: tuple[float, ...] = ()
+    lattice: tuple[tuple[int, int], ...] = ()
     _form: _NormalForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,10 +111,19 @@ class FiniteBlaschke:
         object.__setattr__(self, "zeros", tuple(a.tolist()))
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "accumulation", tuple(map(finite_angle, self.accumulation)))
+        k, sign = blocks = np.array(self.lattice, dtype=float).reshape(-1, 2).T
+        n = np.concatenate([np.empty(0)] + [s * np.arange(1.0, b + 1) for b, s in zip(k, sign)])
+        if not (np.all((k >= 1) & (k % 1 == 0) & (np.abs(sign) == 1)) and n.size <= a.size
+                and np.all(np.abs(a[:n.size] - n / (n + 2j)) <= 1e-15)):
+            raise ValueError("each lattice block is (K >= 1, sign +-1), and the blocks' "
+                             "zeros must lead the zeros")
+        object.__setattr__(self, "lattice", tuple(map(tuple, blocks.T.astype(int).tolist())))
         lin, mass = _zero_parts(a[a != 0])
         object.__setattr__(self, "_form", _NormalForm(
             c, int(np.sum(a == 0)), a[a != 0], spectrum=np.array(self.accumulation),
-            lin=lin, mass=mass))
+            lin=lin, mass=mass, lattice=blocks,
+            # a float arange: an int64 comparison alone faults in 128 KiB of numpy code
+            in_lattice=(np.arange(a.size, dtype=float) < n.size)[a != 0]))
 
 
 @dataclass(frozen=True)
@@ -235,21 +257,44 @@ def _phase(u, theta, lift=True, derivative=True):
     derivative takes |e^{i theta} - a|^2 from dx and dy, not from
     re^2 + im^2, whose cancellation would cost each term eps/d_k
     relative.
+
+    When the lift is asked for, a lattice block (K, sign) of the normal
+    form leaves the term sum for its closed form, O(1) per point.  In the
+    Cayley coordinate x = -cot(theta/2), theta = 2 pi w + pi + 2 arctan x
+    with w whole, the block's lift is its value at theta = 2 pi w
+    (x = -inf), 2 pi K w plus 2 pi K - B_K for sign +1 or B_K for sign -1,
+    B_K = sum_n arg(n + 2i), plus 2 sum_n arg(sign n - x + i); its
+    derivative is (1 + x^2) S_K(sign x), S_K(y) = sum_n 1/((n - y)^2 + 1).
+    Both sums come from special.lattice_sums.  Against 40-digit sums over
+    the exact lattice zeros at the same float angles (pinned in
+    test_special.py), per block:
+      lift, absolute:        eps (K (|theta| + 2 pi) + 6 |x| S_K(sign x) + 60)
+      derivative, relative:  eps (24 + 4 |x|)
+    The |x| parts are the rounding of x = -cos/sin, 3 eps |x| at most.
+    The float zeros differ from the exact lattice by their own rounding,
+    the inherited part of the term sum's bounds above.  The derivative
+    alone (lift=False: _angular_derivatives, and angular_derivative) stays
+    the term sum over every zero, so each mass is read from it.
     """
-    f = u._form
+    form = f = u._form
     theta = np.asarray(theta, dtype=float)
     x = theta.reshape(-1)
+    if lift and form.lattice.size:  # the blocks' zeros leave the term sum
+        free = ~f.in_lattice
+        f = f._replace(zeros=f.zeros[free], lin=f.lin[..., free], mass=f.mass[free])
+    # the constant and linear parts are summed once, the bounded terms pairwise
+    const = np.angle(f.constant) + np.sum(np.pi - np.angle(f.zeros)) if lift else None
     K = f.zeros.size
     step = max(1, circle.PAIR_BLOCK // max(K, f.sing_theta.size, 1))
     buf = np.empty((2 * (lift + derivative), min(step, x.size), K)) if K else None
-    # the constant and linear parts are summed once, the bounded terms pairwise
-    const = np.angle(f.constant) + np.sum(np.pi - np.angle(f.zeros)) if lift else None
     if x.size <= step:
         ph, d = _phase_block(f, x, const, derivative, buf)
     else:
         blocks = [_phase_block(f, x[s:s + step], const, derivative, buf)
                   for s in range(0, x.size, step)]
         ph, d = (None if p[0] is None else np.concatenate(p) for p in zip(*blocks))
+    if lift and form.lattice.size:
+        ph, d = _lattice_phase(form.lattice, x, ph, d)
     if lift:
         ph = ph.reshape(theta.shape)
     if derivative:
@@ -294,6 +339,24 @@ def _phase_block(f, x, const, derivative, buf):
             d = np.zeros(x.size)
         if f.origin_zeros:  # each zero at the origin adds 1
             d = d + f.origin_zeros
+    return ph, d
+
+
+def _lattice_phase(blocks, theta, ph, d):
+    """ph and d (None: not asked for) plus the lattice blocks' lift and
+    derivative at the angles theta (1-D), in closed form (see _phase)."""
+    with np.errstate(divide="ignore"):  # theta = 0 gives x = -inf, kept finite
+        x = np.clip(-np.cos(0.5 * theta) / np.sin(0.5 * theta), -1e150, 1e150)
+    # whole turns w: theta = 2 pi w + pi + 2 arctan(x)
+    w = np.round((theta - np.pi - 2.0 * np.arctan(x)) / TWO_PI)
+    k, sign = blocks[:, :, None]  # one row per block
+    A, S = special.lattice_sums(k, sign * x, d is not None)
+    b = np.array([[np.arctan2(2.0, np.arange(1.0, K + 1)).sum()] for K in blocks[0]])
+    # pi k (2 w + 1 + sign) - sign b at theta = 2 pi w, then
+    # 2 sum_n arg(sign n - x + i) = 2 sign A(sign x) + pi k (1 - sign)
+    ph = ph + (TWO_PI * k * (w + 1.0) + sign * (2.0 * A - b)).sum(axis=0)
+    if d is not None:
+        d = d + (1.0 + x * x) * S.sum(axis=0)
     return ph, d
 
 

@@ -29,8 +29,8 @@ from .circle import AtomicMeasure, TWO_PI, disk_sum, gaps_holding, kernel_sum
 from .clark import ClarkData
 from .errors import (ClarkLabError, MateZero, NotEnoughAtoms, QuadratureNotConverged,
                      SupportMismatch)
-from .inner import (InnerFunction, _phase, _phase_lift, angular_derivative, evaluate,
-                    pythagorean_pair, spectrum)
+from .inner import (InnerFunction, _angular_derivatives, _phase_lift, angular_derivative,
+                    evaluate, pythagorean_pair, spectrum)
 
 #: z closer than this to an atom makes the potential infinite.
 ATOM_HIT_TOL = 1e-14
@@ -377,8 +377,11 @@ def sup_inf_scan(u: InnerFunction, m: AtomicMeasure) -> PotentialReport:
     """
     if m.n_atoms == 0:
         raise SupportMismatch("empty measure")
-    # |u - 1| = 2 |sin(Phi/2)| from the phase lift at the atoms themselves
-    phase, derivs = _phase(u, m.thetas)
+    # |u - 1| = 2 |sin(Phi/2)| from the phase lift at the atoms themselves;
+    # |u'| from the per-zero sum that Clark masses are read from, so that
+    # on mu = sigma^2 the atom limits are 1 to rounding (the lift's closed
+    # form for lattice zeros differs from it within the two stated bounds)
+    phase, derivs = _phase_lift(u, m.thetas), _angular_derivatives(u, m.thetas)
     resid = 2.0 * np.abs(np.sin(0.5 * phase)) / np.maximum(derivs, 1.0)
     if np.any(resid > SUPPORT_TOL):
         raise SupportMismatch(

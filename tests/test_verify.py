@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -183,3 +188,22 @@ def test_admissibility_pairs_like_loop_form():
     rep = cl.perturbed_admissibility(base, perturbed)
     assert np.array_equal(rep.alpha, alpha)
     assert rep.passed
+
+
+def test_bessonov_and_perturb_leave_numpy_ma_unimported(tmp_path):
+    # np.unique and np.median import numpy.ma on their first call under
+    # numpy 2.4, about 0.5 MiB that the process keeps; bessonov_check and
+    # perturbed_admissibility sort instead.  A fresh interpreter runs both
+    # commands, with an accumulation point and an even gap count.
+    src = Path(cl.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from clarklab import cli\n"
+            f"out = {str(tmp_path / 'out.json')!r}\n"
+            "for argv in (['bessonov', '--family', 'counterexample:1.0:64'],\n"
+            "             ['perturb', '--family', 'exp', '--truncation', '100', '--seed', '3']):\n"
+            "    assert cli.main(argv + ['--out', out]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert res.stdout.strip().splitlines()[-1] == "False"

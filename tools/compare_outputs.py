@@ -102,6 +102,12 @@ COMMANDS = [
     # a scan whose refinement level moves its sup, so the refined sup
     # compares that level's values too
     "potential --family exp --truncation 50",
+    # alpha = 1 members, whose phase lift is the lattice closed form, and
+    # an alpha = 1/2 member, which keeps the per-zero sum
+    "atoms --family counterexample:1.0:1024",
+    "atoms --family counterexample:1.0:512:sym",
+    "bessonov --family counterexample:1.0:1024",
+    "atoms --family counterexample:0.5:1024",
 ]
 
 #: One BLAS thread, so that dense products add in one order.
