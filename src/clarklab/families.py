@@ -11,11 +11,11 @@
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import special
 from .circle import Arc, AtomicMeasure, TWO_PI
 from .clark import DEFAULT_TOL, ClarkData, _assemble, _check_level_count, _solve_levels, clark_data
 from .errors import ClarkLabError, NotEnoughAtoms
@@ -142,10 +142,12 @@ def exp_tail_potential_bound(N: int) -> float:
 # the finite product is continuous with value
 # arg u(1) = sum arg(a + i(1 - b)) - arg(a + i(1 + b)).  The angular
 # derivative is Phi_K'(x) dx/dtheta, so an atom at x has mass
-# 2 / (Phi_K'(x) (1 + x^2)).
+# 2 / (Phi_K'(x) (1 + x^2)).  For alpha = 1 the sums over n are the
+# log-gamma closed forms of special.py at any K: Phi_K = 2 A_K(x),
+# Phi_K' = 2 S_K(x) and arg u(1) = -B_K, with their stated bounds.
 
-#: Zero labels n <= EXACT_HEAD are summed term by term; for alpha = 1 the
-#: labels beyond enter through a closed-form Euler-Maclaurin tail.
+#: For alpha != 1 the zero labels n <= EXACT_HEAD are summed term by term,
+#: and larger K is refused (as for the symmetrized family at any alpha).
 EXACT_HEAD = 1024
 
 #: Largest (levels x summed terms) array built while locating atoms.
@@ -164,10 +166,6 @@ SPARSE_U_TOL = 4 * np.finfo(float).eps
 #: term's own evaluation a few eps more.
 ROUNDING = 16 * np.finfo(float).eps
 
-# B_2/2!, B_4/4!, B_6/6! for the corrections; |B_6|/6! for the remainder
-_EM_COEF = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0)
-_EM_REM = 1.0 / 30240.0
-
 
 def _check_sparse_route(fam: CounterexampleBlaschke) -> None:
     if fam.K > MAX_K:
@@ -183,7 +181,7 @@ def _check_sparse_route(fam: CounterexampleBlaschke) -> None:
     if fam.alpha != 1.0:
         raise ClarkLabError(
             f"K = {fam.K} exceeds the exact head ({EXACT_HEAD}); the "
-            "Euler-Maclaurin tail is closed-form only for alpha = 1")
+            "phase has a closed form only for alpha = 1")
 
 
 def _check_budget(fam: CounterexampleBlaschke, n_points: int) -> None:
@@ -202,52 +200,19 @@ def _head_zeros(fam: CounterexampleBlaschke) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _arg_derivative(s, c, m: int):
-    """m-th derivative of g(s) = arg(s + ic) = arctan(c/s), s > 0."""
-    w = s + 1j * c
-    if m == 0:
-        return np.angle(w)
-    return (-1) ** (m - 1) * math.factorial(m - 1) * np.imag(w ** (-m))
-
-
-def _em_sum(A, L: float, c: float, m: int):
-    """sum_{j=0..L} g^(m)(A + j) for g(s) = arg(s + ic), A > 0, m in {0, 1},
-    by Euler-Maclaurin with three Bernoulli corrections.
-
-    Returns (value, bound): the bound is the remainder
-    |B_6|/6! * int_A^inf |g^(6+m)| <= (4+m)!/(30240 A^(5+m)) plus the
-    rounding allowance on the closed-form terms.
-    """
-    B = A + L
-    if m == 0:
-        wa, wb = A + 1j * c, B + 1j * c
-        fa, fb = np.imag(wa * np.log(wa)), np.imag(wb * np.log(wb))
-        integral, scale = fb - fa, np.abs(fa) + np.abs(fb)
-    else:
-        # g(B) - g(A) = arg((B + ic)(A - ic)), with B - A = L kept exact
-        integral = np.arctan2(-c * L, A * B + c * c)
-        scale = np.abs(integral)
-    total = integral + 0.5 * (_arg_derivative(A, c, m) + _arg_derivative(B, c, m))
-    for j, coef in enumerate(_EM_COEF, start=1):
-        k = 2 * j - 1 + m
-        total = total + coef * (_arg_derivative(B, c, k) - _arg_derivative(A, c, k))
-    bound = math.factorial(4 + m) * _EM_REM / A ** (5 + m) + ROUNDING * scale
-    return total, bound
-
-
 def counterexample_base_phase(fam: CounterexampleBlaschke) -> tuple[float, float]:
     """arg u(1) of a counterexample member (mod 2 pi) and an error bound."""
     _check_sparse_route(fam)
+    if fam.alpha == 1.0:
+        # arg(n) - arg(n + 2i) = -arg(n + 2i); the mirror adds
+        # arg(-n) - arg(-n + 2i) = arg(n + 2i), so u(1) = 1
+        if fam.symmetrized:
+            return 0.0, 0.0
+        value, bound = special.base_sum(fam.K)
+        return -float(value), float(bound)
     a, b = _head_zeros(fam)
     terms = np.angle(a + 1j * (1.0 - b)) - np.angle(a + 1j * (1.0 + b))
-    value = float(terms.sum())
-    bound = ROUNDING * float(np.abs(terms).sum())
-    if fam.K > EXACT_HEAD:
-        # alpha = 1: arg(n) - arg(n + 2i) = -arg(n + 2i) for n > EXACT_HEAD
-        tail, err = _em_sum(EXACT_HEAD + 1.0, float(fam.K - EXACT_HEAD - 1), 2.0, 0)
-        value -= float(tail)
-        bound += float(err)
-    return value, bound
+    return float(terms.sum()), ROUNDING * float(np.abs(terms).sum())
 
 
 def counterexample_phase(fam: CounterexampleBlaschke, x):
@@ -255,21 +220,26 @@ def counterexample_phase(fam: CounterexampleBlaschke, x):
     its x-derivative, and an error bound on the phase, at x <= -1."""
     _check_sparse_route(fam)
     x = np.asarray(x, dtype=float)
+    if fam.alpha == 1.0:
+        # 2 atan2(1, n - x) = 2 arg(n - x + i), whose sums are 2 A_K(x) and
+        # 2 S_K(x); the mirror's 2 arg(-n - x + i) = 2 pi - 2 arg(n + x + i)
+        A, S = special.lattice_sums(fam.K, x, True)
+        phi, dphi, bound = 2.0 * A, 2.0 * S, 2.0 * special.sum_bound(fam.K, x)
+        if fam.symmetrized:
+            A, S = special.lattice_sums(fam.K, -x, True)
+            phi = phi + (TWO_PI * fam.K - 2.0 * A)
+            dphi = dphi + 2.0 * S
+            # and the rounding of 2 pi K and of the two additions, at most
+            # 5 pi K eps in all
+            bound = (bound + 2.0 * special.sum_bound(fam.K, -x)
+                     + 5.0 * np.pi * special.EPS * fam.K)
+        return phi, dphi, bound
     _check_budget(fam, x.size)
     a, b = _head_zeros(fam)
     d = a - x[..., None]
-    terms = 2.0 * np.arctan2(b, d)
-    phi = terms.sum(axis=-1)
+    phi = (2.0 * np.arctan2(b, d)).sum(axis=-1)
     dphi = (2.0 * b / (d * d + b * b)).sum(axis=-1)
-    bound = ROUNDING * phi
-    if fam.K > EXACT_HEAD:
-        A = EXACT_HEAD + 1.0 - x
-        L = float(fam.K - EXACT_HEAD - 1)
-        tail, err = _em_sum(A, L, 1.0, 0)
-        dtail, _ = _em_sum(A, L, 1.0, 1)
-        # sum 2/(s^2 + 1) = -2 sum g'(s)
-        phi, dphi, bound = phi + 2.0 * tail, dphi - 2.0 * dtail, bound + 2.0 * err
-    return phi, dphi, bound
+    return phi, dphi, ROUNDING * phi
 
 
 def counterexample_sparse_atoms(fam: CounterexampleBlaschke
@@ -294,7 +264,6 @@ def counterexample_sparse_atoms(fam: CounterexampleBlaschke
     n_levels = max(k1 - k0 + 1, 0)
     if n_levels == 0:
         return AtomicMeasure.empty(), base_err + float(top_err[0])
-    _check_budget(fam, n_levels)
     targets = TWO_PI * np.arange(k0, k1 + 1) - base
     # Phi_K(x) <= 4 (zero count) / |x| once |x| >= 2 K^alpha
     u_hi = max(np.log(2.0 * fam.K**fam.alpha),

@@ -60,8 +60,9 @@ class _NormalForm(NamedTuple):
     and xi_j = e^{i sing_theta_j}; ``spectrum`` lists the spectrum angles
     in factor order.  ``lin`` and ``mass`` are derived from the zeros for
     _phase (see _zero_parts); ``lattice`` holds the declared lattice blocks
-    as columns (K, sign) and ``in_lattice`` marks their zeros (see
-    FiniteBlaschke); every array field runs over its last axis."""
+    as columns (K, sign, B_K), B_K from special.base_sum, and
+    ``in_lattice`` marks their zeros (see FiniteBlaschke); every array
+    field runs over its last axis."""
 
     constant: complex = 1.0 + 0.0j
     origin_zeros: int = 0
@@ -71,7 +72,7 @@ class _NormalForm(NamedTuple):
     spectrum: np.ndarray = np.empty(0)
     lin: np.ndarray = np.empty((4, 3, 0))
     mass: np.ndarray = np.empty(0)
-    lattice: np.ndarray = np.empty((2, 0))
+    lattice: np.ndarray = np.empty((3, 0))
     in_lattice: np.ndarray = np.empty(0, bool)
 
 
@@ -119,9 +120,10 @@ class FiniteBlaschke:
                              "zeros must lead the zeros")
         object.__setattr__(self, "lattice", tuple(map(tuple, blocks.T.astype(int).tolist())))
         lin, mass = _zero_parts(a[a != 0])
+        b = special.base_sum(k)[0] if k.size else k
         object.__setattr__(self, "_form", _NormalForm(
             c, int(np.sum(a == 0)), a[a != 0], spectrum=np.array(self.accumulation),
-            lin=lin, mass=mass, lattice=blocks,
+            lin=lin, mass=mass, lattice=np.vstack((blocks, b)),
             # a float arange: an int64 comparison alone faults in 128 KiB of numpy code
             in_lattice=(np.arange(a.size, dtype=float) < n.size)[a != 0]))
 
@@ -265,7 +267,8 @@ def _phase(u, theta, lift=True, derivative=True):
     (x = -inf), 2 pi K w plus 2 pi K - B_K for sign +1 or B_K for sign -1,
     B_K = sum_n arg(n + 2i), plus 2 sum_n arg(sign n - x + i); its
     derivative is (1 + x^2) S_K(sign x), S_K(y) = sum_n 1/((n - y)^2 + 1).
-    Both sums come from special.lattice_sums.  Against 40-digit sums over
+    The sums come from special.lattice_sums, and B_K from special.base_sum
+    once, when the block is declared.  Against 40-digit sums over
     the exact lattice zeros at the same float angles (pinned in
     test_special.py), per block:
       lift, absolute:        eps (K (|theta| + 2 pi) + 6 |x| S_K(sign x) + 60)
@@ -349,9 +352,8 @@ def _lattice_phase(blocks, theta, ph, d):
         x = np.clip(-np.cos(0.5 * theta) / np.sin(0.5 * theta), -1e150, 1e150)
     # whole turns w: theta = 2 pi w + pi + 2 arctan(x)
     w = np.round((theta - np.pi - 2.0 * np.arctan(x)) / TWO_PI)
-    k, sign = blocks[:, :, None]  # one row per block
+    k, sign, b = blocks[:, :, None]  # one row per block
     A, S = special.lattice_sums(k, sign * x, d is not None)
-    b = np.array([[np.arctan2(2.0, np.arange(1.0, K + 1)).sum()] for K in blocks[0]])
     # pi k (2 w + 1 + sign) - sign b at theta = 2 pi w, then
     # 2 sum_n arg(sign n - x + i) = 2 sign A(sign x) + pi k (1 - sign)
     ph = ph + (TWO_PI * k * (w + 1.0) + sign * (2.0 * A - b)).sum(axis=0)

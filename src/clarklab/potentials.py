@@ -217,7 +217,9 @@ def _angular_breaks(atom_thetas: np.ndarray, depth: int) -> np.ndarray:
             cuts.append(a + L * 0.5 ** (depth + 1 - k))
             cuts.append(a + L * (1.0 - 0.5 ** (depth + 1 - k)))
         cuts.append(a + 0.5 * L)
-    return np.unique(np.mod(np.asarray(cuts), TWO_PI))
+    # a sort, not np.unique, which imports numpy.ma (see verify.bessonov_check)
+    cuts = np.sort(np.mod(np.asarray(cuts), TWO_PI))
+    return cuts[np.diff(cuts, prepend=-np.inf) != 0]
 
 
 def _quad_once(m: AtomicMeasure, fprime, radial_depth: int, angular_depth: int) -> float:

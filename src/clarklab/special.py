@@ -12,7 +12,9 @@ which telescope, through arg(s + i) = G(s + 1) - G(s) and
     G(s) = Im lnGamma(s + i),   Q(s) = Im psi(s + i),
 
 so a point costs O(1) whatever K.  lnGamma is the principal branch,
-analytic in the upper half-plane, so G is continuous in s.
+analytic in the upper half-plane, so G is continuous in s.  The blocks'
+phase at theta = 0, B_K = sum_{n=1}^K arg(n + 2i), is four values of G
+by Legendre's duplication (base_sum).
 
 Accuracy, with eps = 2^-52 (pinned against 40-digit values in
 tests/test_special.py):
@@ -32,6 +34,8 @@ import math
 
 import numpy as np
 
+EPS = np.finfo(float).eps
+
 #: Arguments below SHIFT are raised by the recurrence to [SHIFT, SHIFT + 1)
 #: before the Stirling series is summed.
 SHIFT = 10.0
@@ -47,6 +51,11 @@ _SINH_PI, _COSH_PI, _SINH_2PI, _COSH_2PI = (f(c * math.pi) for c in (1, 2)
 # own error is beneath the rounding.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
+# the coefficients by lngamma (True) or psi (False), highest k first
+_COEF = {lngamma: [b / (2 * k * (2 * k - 1)) if lngamma else b / (2 * k)
+                   for k, b in reversed(list(enumerate(_BERNOULLI, 1)))]
+         for lngamma in (True, False)}
+
 
 def _series(t, lngamma):
     """Im sum_k B_2k w^(2k-1) / (2k (2k-1)) (lngamma) or
@@ -54,9 +63,9 @@ def _series(t, lngamma):
     in w^2."""
     w = (t - 1j) * (1.0 / (t * t + 1.0))
     w2 = w * w
-    out = np.zeros(w2.shape, dtype=complex)
-    for k, b in reversed(list(enumerate(_BERNOULLI, 1))):
-        out = out * w2 + (b / (2 * k * (2 * k - 1)) if lngamma else b / (2 * k))
+    out, *rest = _COEF[lngamma]
+    for c in rest:
+        out = out * w2 + c
     return (out * (w if lngamma else w2)).imag
 
 
@@ -109,6 +118,28 @@ def _digamma_gap(a, K):
             - series[0] + series[1])
 
 
+def sum_bound(K, y):
+    """The absolute bound on A_K(y) that the module docstring states."""
+    m = np.clip(np.ceil(y) - 1.0, 0.0, K)
+    return EPS * (2.0 * np.pi * m + 4.0 * np.log(np.abs(y) + K + 11.0) + 40.0)
+
+
+def base_sum(K):
+    """(B_K, bound) for K a whole number or an ndarray of them, K <= 2^53:
+    B_K = sum_{n=1}^K arg(n + 2i) = Im lnGamma(K + 1 + 2i) - Im lnGamma(1 + 2i),
+    the lattice blocks' phase at theta = 0.  By Legendre's duplication
+    (DLMF 5.5.5), Im lnGamma(s + 2i) = 2 log 2 + G(s/2) + G(s/2 + 1/2), so
+      B_K = G(K/2 + 1/2) + G(K/2 + 1) - G(1/2) - G(1).
+    The bound is G's at the four reads, eps more per read for the
+    rounding of K/2 + 1/2 (from K = 2^53 - 1 on; G's slope there is
+    Im psi, about 1/s), and the rounding of the three additions."""
+    h = 0.5 * np.asarray(K, dtype=float)
+    s = np.stack(np.broadcast_arrays(h + 0.5, h + 1.0, 0.5, 1.0))
+    G = im_gamma_line(s, False)[0]
+    bound = EPS * (2.0 * np.log(s + 11.0) + 17.0 + np.abs(G)).sum(axis=0)
+    return (G[0] + G[1]) - (G[2] + G[3]), bound
+
+
 def lattice_sums(K, y, derivative):
     """(A_K(y), S_K(y)) at every finite y of the ndarray y, K a whole
     number or an array of them that broadcasts with y (see the module
@@ -135,18 +166,22 @@ def lattice_sums(K, y, derivative):
     p = np.where(right, K + 1.0 - y, y - K)
     q = np.where(left, y, 1.0 - y)
     f = np.where(mid, m + 1.0 - y, 0.5)
-    G, Q = im_gamma_line(np.concatenate((p, q)), derivative)
+    # outside the lattice S_K = Q(a) - Q(a + K), a = min(p, q), summed by
+    # _digamma_gap; Q is read only when some point is not that far
+    far = ~mid & (np.minimum(p, q) >= SHIFT)
+    G, Q = im_gamma_line(np.concatenate((p, q)), derivative and not far.all())
     G = G.reshape((2,) + y.shape)
     A = (np.pi * m + (G[0] - G[1])
          + np.where(mid, np.arctan2(np.cos(np.pi * f) * _SINH_PI,
                                     np.sin(np.pi * f) * _COSH_PI), 0.0))
     S = None
     if derivative:
-        Q = Q.reshape((2,) + y.shape)
-        S = (np.where(right, -Q[0], Q[0]) + np.where(left, -Q[1], Q[1])
-             + np.where(mid, np.pi * _SINH_2PI / (_COSH_2PI - np.cos(2 * np.pi * f)), 0.0))
-        # outside the lattice S_K = Q(a) - Q(a + K), a = min(p, q)
-        far = ~mid & (np.minimum(p, q) >= SHIFT)
+        if Q is None:  # every point is far
+            S = np.empty(y.shape)
+        else:
+            Q = Q.reshape((2,) + y.shape)
+            S = (np.where(right, -Q[0], Q[0]) + np.where(left, -Q[1], Q[1])
+                 + np.where(mid, np.pi * _SINH_2PI / (_COSH_2PI - np.cos(2 * np.pi * f)), 0.0))
         if far.any():
             S[far] = _digamma_gap(np.minimum(p, q)[far], K[far])
     return A, S

@@ -88,16 +88,19 @@ def test_divergence_ladder_counterexample_factual():
     "counterexample:1.0:2048",   # beyond the exact head
     "counterexample:0.5:64",
     "counterexample:1.0:16:sym",
+    "counterexample:1.0:1024:sym",  # u(1) = 1: no atom at theta = 0
 ])
 def test_sparse_route_matches_materialized_find_atoms(text):
     member = parse_family(text)
     # oracle: monotone-phase bisection on the materialized product, scanned
-    # from well below the route's deepest atom
+    # from well below the route's deepest atom, to adjacent floats: at
+    # 1.0:1024:sym an atom next to a zero (|u'| = 2e6) moves its mass by
+    # 2e5 times its own move
     atoms, bound = counterexample_sparse_atoms(member)
     assert atoms.n_atoms >= 1
     lo = min(1e-6, 0.5 * atoms.thetas[0])
     u = cl.inner_function(member)
-    thetas, _ = cl.find_atoms(u, 0.0, cl.Arc(lo, np.pi / 2, False, True), tol=1e-13)
+    thetas, _ = cl.find_atoms(u, 0.0, cl.Arc(lo, np.pi / 2, False, True), tol=1e-15)
     masses = np.array([1.0 / cl.angular_derivative(u, t) for t in thetas])
     assert thetas.size == atoms.n_atoms
     assert np.max(np.abs(thetas - atoms.thetas)) <= 1e-12
@@ -180,9 +183,11 @@ def test_sparse_ladder_beyond_duplicate_tolerance_raises_domain_error():
 
 
 def test_sparse_route_level_budget(monkeypatch):
-    member = CounterexampleBlaschke(alpha=1.0, K=100, symmetrized=True)
-    assert counterexample_sparse_atoms(member)[0].n_atoms == 99
-    monkeypatch.setattr(families, "LEVEL_BUDGET", 50 * 200)
+    # the alpha != 1 head sum builds a (points x zeros) array; alpha = 1
+    # reads the closed form and builds none
+    member = CounterexampleBlaschke(alpha=0.5, K=100, symmetrized=True)
+    assert counterexample_sparse_atoms(member)[0].n_atoms == 98
+    monkeypatch.setattr(families, "LEVEL_BUDGET", 98 * 200 // 2)
     with pytest.raises(ClarkLabError, match="memory budget"):
         counterexample_sparse_atoms(member)
 

@@ -48,6 +48,20 @@ def test_lattice_sums_against_mpmath(mp, K):
         assert abs(s / ref_s - 1) <= 16 * EPS
 
 
+@pytest.mark.parametrize("K", [1, 64, 1024, 10**6, 10**12])
+def test_base_sum_against_mpmath(mp, K):
+    # B_K = Im lnGamma(K + 1 + 2i) - Im lnGamma(1 + 2i), within its stated
+    # bound: G's at the four reads, eps more per read, and the additions
+    B, bound = special.base_sum(K)
+    ref = mp.im(mp.loggamma(mp.mpc(K + 1, 2)) - mp.loggamma(mp.mpc(1, 2)))
+    s = np.array([K / 2 + 0.5, K / 2 + 1, 0.5, 1.0])
+    G = special.im_gamma_line(s, False)[0]
+    assert bound == EPS * np.sum(2 * np.log(s + 11) + 17 + np.abs(G))
+    assert abs(B - ref) <= bound
+    if K <= 1024:
+        assert abs(B - np.arctan2(2.0, np.arange(1.0, K + 1)).sum()) <= bound + 12 * K * EPS
+
+
 def _block(K, sign):
     n = sign * np.arange(1.0, K + 1)
     return cl.FiniteBlaschke(zeros=tuple(n / (n + 2j)), lattice=((K, sign),))

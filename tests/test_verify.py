@@ -192,16 +192,20 @@ def test_admissibility_pairs_like_loop_form():
 
 def test_bessonov_and_perturb_leave_numpy_ma_unimported(tmp_path):
     # np.unique and np.median import numpy.ma on their first call under
-    # numpy 2.4, about 0.5 MiB that the process keeps; bessonov_check and
-    # perturbed_admissibility sort instead.  A fresh interpreter runs both
-    # commands, with an accumulation point and an even gap count.
+    # numpy 2.4, about 0.5 MiB that the process keeps; bessonov_check,
+    # perturbed_admissibility and dirichlet_quadrature's angular breaks
+    # sort instead.  A fresh interpreter runs both commands, with an
+    # accumulation point and an even gap count, and one small quadrature.
     src = Path(cl.__file__).resolve().parent.parent
     code = ("import sys\n"
+            "import clarklab as cl\n"
             "from clarklab import cli\n"
             f"out = {str(tmp_path / 'out.json')!r}\n"
             "for argv in (['bessonov', '--family', 'counterexample:1.0:64'],\n"
             "             ['perturb', '--family', 'exp', '--truncation', '100', '--seed', '3']):\n"
             "    assert cli.main(argv + ['--out', out]) == 0\n"
+            "m = cl.AtomicMeasure([0.0, 2.0], [1.0, 0.5])\n"
+            "cl.dirichlet_quadrature(m, lambda z: 0.5 / (1 - 0.5 * z) ** 2)\n"
             "print('numpy.ma' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -108,6 +108,10 @@ COMMANDS = [
     "atoms --family counterexample:1.0:512:sym",
     "bessonov --family counterexample:1.0:1024",
     "atoms --family counterexample:0.5:1024",
+    # the sparse route of a symmetrized member, whose u(1) = 1 puts no atom
+    # at theta = 0, and criterion 8's rungs
+    "example counterexample:1.0:1024:sym",
+    "example counterexample:1.0:1000000000000",
 ]
 
 #: One BLAS thread, so that dense products add in one order.
